@@ -50,7 +50,6 @@ from .reversible import (
     NoPreimage,
     Unbounded,
     history_of,
-    serialize_label,
 )
 from .dynamics import (
     Amplitude,
@@ -73,8 +72,6 @@ from .hitting import (
     Hit,
     HitReport,
     InstanceDescriptor,
-    UnreachableWithinHorizon,
-    delta_t_select,
     fidelity_trace,
     grid_for,
     hit_report_json,
@@ -96,7 +93,6 @@ from .reduction import (
     verify_corpus,
 )
 from .protocol import (
-    BudgetForcedGuess,
     NoiseModel,
     ProtocolBudget,
     ProtocolOutcome,

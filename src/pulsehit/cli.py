@@ -254,7 +254,7 @@ def cmd_verify(config: RunConfig) -> int:
 
 def cmd_sweep(config: RunConfig) -> int:
     _require_json(config)
-    budgets = [ProtocolBudget(n, n, Fraction(0)) for n in config.budgets]
+    budgets = [ProtocolBudget(n, n) for n in config.budgets]
     witnesses = adversarial_sweep(
         budgets,
         epsilon=config.epsilon,

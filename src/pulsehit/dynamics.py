@@ -184,14 +184,6 @@ class SparseState:
     def basis_state(cls, label: ExtendedBasisState, time_tag: Rational = 0) -> "SparseState":
         return cls([(label, AMP_ONE)], time_tag, _check_norm=False)
 
-    @classmethod
-    def superposition(
-        cls,
-        pairs: Iterable[tuple[ExtendedBasisState, Amplitude]],
-        time_tag: Rational = 0,
-    ) -> "SparseState":
-        return cls(pairs, time_tag)
-
     def items(self) -> list[tuple[ExtendedBasisState, Amplitude]]:
         return [self._amps[k] for k in sorted(self._amps)]
 
@@ -334,7 +326,7 @@ def cycle_of(
     while cur != label:
         out.append(cur)
         if len(out) > cap:
-            raise OrbitNotClosedError(f"orbit did not close within cycle_cap={cap}")
+            raise OrbitNotClosedError(f"orbit did not close within cap={cap} labels")
         cur = step.forward(cur)
     return out
 
@@ -404,7 +396,10 @@ def _rational_coeffs(k: int, alpha: Fraction, entry_bits: int) -> list[tuple[Fra
 
 
 class _CycleIndex:
-    """Caches discovered cycles and the position of each member label."""
+    """The cycle engine: discovers each orbit cycle once, with
+    :func:`cycle_of` under the caller's cap, and caches the position of
+    every member label.  Cycles are numbered in discovery order, so callers
+    can key their own per-cycle data by that index."""
 
     def __init__(self, step: BeaconStep, cap: int):
         self.step = step
@@ -412,30 +407,30 @@ class _CycleIndex:
         self.cycles: list[list[ExtendedBasisState]] = []
         self._position: dict[bytes, tuple[int, int]] = {}
 
-    def locate(self, label: ExtendedBasisState) -> tuple[list[ExtendedBasisState], int]:
+    def locate(self, label: ExtendedBasisState) -> tuple[int, int]:
+        """(index of the label's cycle in ``cycles``, position on it)."""
         hit = self._position.get(label.serial)
         if hit is not None:
-            ci, pos = hit
-            return self.cycles[ci], pos
+            return hit
         cyc = cycle_of(self.step, label, self.cap)
         ci = len(self.cycles)
         self.cycles.append(cyc)
         for pos, lab in enumerate(cyc):
             self._position[lab.serial] = (ci, pos)
-        return cyc, 0
+        return ci, 0
 
 
 def _mid_pulse_pairs(
     step: BeaconStep,
     pairs: list[tuple[ExtendedBasisState, Amplitude]],
     alpha: Fraction,
-    cycle_cap: int,
 ) -> list[tuple[ExtendedBasisState, Amplitude]]:
-    index = _CycleIndex(step, cycle_cap)
+    index = _CycleIndex(step, CYCLE_CAP)
     coeffs: dict[int, tuple[np.ndarray, float]] = {}
     acc: dict[bytes, tuple[ExtendedBasisState, Amplitude]] = {}
     for label, amp in pairs:
-        cyc, pos = index.locate(label)
+        ci, pos = index.locate(label)
+        cyc = index.cycles[ci]
         k = len(cyc)
         if k not in coeffs:
             coeffs[k] = fractional_coeffs(k, float(alpha))
@@ -458,7 +453,6 @@ def evolve_to(
     t,
     *,
     m: Optional[int] = None,
-    cycle_cap: int = CYCLE_CAP,
 ) -> SparseState:
     """The state U(t)|psi0> under the pulsed lift.
 
@@ -488,7 +482,7 @@ def evolve_to(
         return SparseState(done.items(), t, _check_norm=False)
     base = evolve_integer(step, psi0, n)
     alpha = s / sched.delta
-    pairs = _mid_pulse_pairs(step, base.items(), alpha, cycle_cap)
+    pairs = _mid_pulse_pairs(step, base.items(), alpha)
     out = SparseState(pairs, t)
     if m is not None and out.max_err() > 0.5 ** m:
         raise PrecisionBudgetError(
@@ -594,8 +588,6 @@ def approx_unitary(
     basis: Sequence[ExtendedBasisState],
     t,
     m: int,
-    *,
-    cycle_cap: int = CYCLE_CAP,
 ) -> RationalMatrix:
     """Rational matrix within 2^-m of U(t) restricted to ``basis``.
 
@@ -661,11 +653,12 @@ def approx_unitary(
     # operator-norm bound ||A||_2 <= size * max|entry error| lands under 2^-m
     entry_bits = m + size.bit_length() + 1
     alpha = s / sched.delta
-    cycle_index = _CycleIndex(step, cycle_cap)
+    cycle_index = _CycleIndex(step, CYCLE_CAP)
     coeff_cache: dict[int, list[tuple[Fraction, Fraction]]] = {}
     cols = [[(zero, zero)] * size for _ in range(size)]
     for j, lab in enumerate(basis):
-        cyc, pos = cycle_index.locate(lab)
+        ci, pos = cycle_index.locate(lab)
+        cyc = cycle_index.cycles[ci]
         k = len(cyc)
         if k not in coeff_cache:
             coeff_cache[k] = _rational_coeffs(k, alpha, entry_bits)

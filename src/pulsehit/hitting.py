@@ -19,7 +19,10 @@ eigenvalue with its antipode shows the odd-offset weight of the fractional
 power is exactly sin^2(pi j / 2G).  Where that value is itself rational
 (only at 0, 1/4, 1/2, 3/4, 1, by Niven's theorem) the scanner compares it
 to the threshold exactly, so grid hits that tie the threshold do not
-depend on floating rounding.
+depend on floating rounding.  Every other mid-pulse value (the remaining
+sin^2 points, and the FFT weight sums of exact-label targets) is a float,
+so a value within rounding of the threshold is not yet certified; the
+certified threshold comparisons item in ROADMAP.md tracks the fix.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
 
-from .dynamics import PulseSchedule, fractional_coeffs
+from .dynamics import PulseSchedule, _CycleIndex, fractional_coeffs
 from .errors import ParameterRangeError
 from .machine import MachineSpec
 from .reversible import (
@@ -39,7 +42,6 @@ from .reversible import (
     Cyclic,
     ExactLabel,
     ExtendedBasisState,
-    Unbounded,
 )
 
 Number = Union[int, float, Fraction]
@@ -114,14 +116,6 @@ class Exhausted:
 HitReport = Union[Hit, Exhausted]
 
 
-@dataclass(frozen=True)
-class UnreachableWithinHorizon:
-    """Sentinel for delta_t_select: no hitting time found in the scanned
-    range (deliberately not a claim that the hitting time is infinite)."""
-
-    horizon: int
-
-
 # sin^2(pi x) at the rational x in [0, 1/2] where it is itself rational
 _NIVEN_SIN2 = {
     Fraction(0): Fraction(0),
@@ -140,44 +134,30 @@ def _sin2_pi(x: Fraction) -> Number:
 
 
 class _MidPulse:
-    """Per-orbit cache for mid-pulse fidelities on closed cycles."""
+    """Mid-pulse fidelities on closed cycles: the cycle engine finds the
+    orbits; this keeps each cycle's truth table and alternating flag, keyed
+    by the cycle's index in the engine, and the weights per (length, j)."""
 
     def __init__(self, step: BeaconStep, pred, grid: int):
-        self.step = step
         self.pred = pred
         self.grid = grid
         # a post-halt cycle visits each clock residue at both beacon
         # parities, so its length is exactly lcm(period, 2)
-        self.cap = 2 * step.clock.period + 2
-        self._where: dict[bytes, tuple[int, int]] = {}
-        self._cycles: list[tuple[int, tuple[bool, ...], bool]] = []
+        self.index = _CycleIndex(step, 2 * step.clock.period + 2)
+        self._tables: dict[int, tuple[tuple[bool, ...], bool]] = {}
         self._weights: dict[tuple[int, int], list[float]] = {}
 
-    def _locate(self, label: ExtendedBasisState) -> tuple[int, int]:
-        hit = self._where.get(label.serial)
-        if hit is not None:
-            return hit
-        cyc = [label]
-        cur = self.step.forward(label)
-        while cur != label:
-            cyc.append(cur)
-            if len(cyc) > self.cap:
-                raise AssertionError("post-halt orbit failed to close")
-            cur = self.step.forward(cur)
-        truth = tuple(bool(self.pred(lab)) for lab in cyc)
-        k = len(cyc)
-        alternating = k % 2 == 0 and all(
-            truth[r] != truth[r - 1] for r in range(k)
-        )
-        ci = len(self._cycles)
-        self._cycles.append((k, truth, alternating))
-        for pos, lab in enumerate(cyc):
-            self._where[lab.serial] = (ci, pos)
-        return ci, 0
-
     def fid(self, label: ExtendedBasisState, j: int) -> Number:
-        ci, pos = self._locate(label)
-        k, truth, alternating = self._cycles[ci]
+        ci, pos = self.index.locate(label)
+        table = self._tables.get(ci)
+        if table is None:
+            truth = tuple(bool(self.pred(lab)) for lab in self.index.cycles[ci])
+            alternating = len(truth) % 2 == 0 and all(
+                truth[r] != truth[r - 1] for r in range(len(truth))
+            )
+            table = self._tables[ci] = (truth, alternating)
+        truth, alternating = table
+        k = len(truth)
         if alternating:
             s2 = _sin2_pi(Fraction(j, 2 * self.grid))
             return 1 - s2 if truth[pos] else s2
@@ -224,9 +204,12 @@ def _scan(inst: InstanceDescriptor) -> Iterator[tuple[Fraction, Number, tuple[Fr
 def uhit_semidecide(inst: InstanceDescriptor) -> HitReport:
     """First grid point with fidelity >= 1 - epsilon, or exhaustion.
 
-    Threshold comparisons are exact: integer and pulse-end fidelities are
-    0/1 projections, Niven-point mid-pulse values are rational, and float
-    values compare against the rational threshold without rounding it."""
+    Threshold comparisons are exact at integer and pulse-end points (0/1
+    projections) and at Niven-point mid-pulse values (rational).  Every
+    other mid-pulse value is a float, compared against the rational
+    threshold without rounding the threshold, so a float within rounding
+    of 1 - epsilon can decide the comparison wrongly (see the certified
+    threshold comparisons item in ROADMAP.md)."""
     threshold = 1 - inst.epsilon
     best: Number = 0
     for t, fid, window in _scan(inst):
@@ -235,15 +218,6 @@ def uhit_semidecide(inst: InstanceDescriptor) -> HitReport:
         if fid > best:
             best = fid
     return Exhausted(inst.horizon, best)
-
-
-def delta_t_select(inst: InstanceDescriptor) -> Union[Fraction, UnreachableWithinHorizon]:
-    """The hitting time when the scan finds one; otherwise the
-    within-horizon sentinel, never a claim of unreachability at all times."""
-    report = uhit_semidecide(inst)
-    if isinstance(report, Hit):
-        return report.t_hit
-    return UnreachableWithinHorizon(inst.horizon)
 
 
 def fidelity_trace(inst: InstanceDescriptor) -> list[tuple[Fraction, float]]:
@@ -259,23 +233,27 @@ def _frac_str(x: Fraction) -> str:
     return str(Fraction(x))
 
 
-def hit_report_json(report: HitReport) -> str:
+def _report_payload(report: HitReport) -> dict:
+    """The JSON-ready fields of a hit report, shared by every serializer
+    that prints one."""
     if isinstance(report, Hit):
-        payload = {
+        return {
             "outcome": "hit",
             "t": _frac_str(report.t_hit),
             "fidelity": float(report.fidelity_at_hit),
             "window": [_frac_str(report.window[0]), _frac_str(report.window[1])],
         }
-    elif isinstance(report, Exhausted):
-        payload = {
+    if isinstance(report, Exhausted):
+        return {
             "outcome": "exhausted",
             "horizon": report.horizon,
             "max_fidelity": float(report.max_fidelity_seen),
         }
-    else:
-        raise ParameterRangeError(f"not a hit report: {report!r}")
-    return json.dumps(payload, sort_keys=True)
+    raise ParameterRangeError(f"not a hit report: {report!r}")
+
+
+def hit_report_json(report: HitReport) -> str:
+    return json.dumps(_report_payload(report), sort_keys=True)
 
 
 def _decimal_or_ratio(t: Fraction) -> str:

@@ -33,7 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Union
 
-from .errors import IllFormedMachineError, MachineSemanticsError, MachineSyntaxError
+from .errors import (
+    IllFormedMachineError,
+    MachineSemanticsError,
+    MachineSyntaxError,
+    ParameterRangeError,
+)
 
 MOVES = ("L", "R", "S")
 _OFFSET = {"L": -1, "R": 1, "S": 0}
@@ -328,8 +333,10 @@ def classical_run(
     This is the ground-truth side of every halting-versus-hitting check, so
     it deliberately shares no code with the reversible dynamics.
     """
-    if max_steps < 0:
-        raise ValueError("max_steps must be nonnegative")
+    if not isinstance(max_steps, int) or max_steps < 0:
+        raise ParameterRangeError(
+            f"max_steps must be a nonnegative integer, got {max_steps!r}"
+        )
     table = rule_table(spec)
     blank = spec.blank
     halt = spec.halt_state

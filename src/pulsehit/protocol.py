@@ -11,9 +11,7 @@ only after the budget is spent: the unary counter family pushes its
 halting step past any tau_max, and the protocol must then report the
 beacon unreachable even though it is hit slightly later.  The sweep
 locates the minimal such witness per budget.  The reported-unreachable
-verdict is the honest one: these protocols never guess, so the
-budget-forced-guess verdict exists in the vocabulary but is never
-produced here.
+verdict is the honest one: these protocols never guess.
 
 Noise is modelled as a seeded uniform perturbation of each sampled
 fidelity by at most gamma, compared against the relaxed threshold
@@ -43,25 +41,17 @@ from .reversible import BeaconSubspace, Unbounded
 
 @dataclass(frozen=True)
 class ProtocolBudget:
-    """Hard caps on observation time and applied pulses, plus the failure
-    probability a randomized protocol would be allowed (the protocols here
-    are deterministic, so it only parameterizes the contract)."""
+    """Hard caps on observation time and applied pulses."""
 
     tau_max: Fraction
     e_max: int
-    failure_prob: Fraction = Fraction(0)
 
     def __post_init__(self):
         object.__setattr__(self, "tau_max", Fraction(self.tau_max))
-        object.__setattr__(self, "failure_prob", Fraction(self.failure_prob))
         if self.tau_max <= 0:
             raise ParameterRangeError(f"tau_max must be positive, got {self.tau_max}")
         if not isinstance(self.e_max, int) or self.e_max < 1:
             raise ParameterRangeError(f"e_max must be a positive integer, got {self.e_max!r}")
-        if not 0 <= self.failure_prob < Fraction(1, 2):
-            raise ParameterRangeError(
-                f"failure_prob must lie in [0, 1/2), got {self.failure_prob}"
-            )
 
 
 @dataclass(frozen=True)
@@ -80,12 +70,7 @@ class ReportedUnreachable:
     pass
 
 
-@dataclass(frozen=True)
-class BudgetForcedGuess:
-    pass
-
-
-Verdict = Union[ReachableAt, ReportedUnreachable, BudgetForcedGuess]
+Verdict = Union[ReachableAt, ReportedUnreachable]
 
 
 @dataclass(frozen=True)
@@ -196,11 +181,7 @@ def adversarial_sweep(
 
 
 def _verdict_payload(verdict: Verdict) -> str:
-    if isinstance(verdict, ReachableAt):
-        return "reachable-at"
-    if isinstance(verdict, ReportedUnreachable):
-        return "reported-unreachable"
-    return "budget-forced-guess"
+    return "reachable-at" if isinstance(verdict, ReachableAt) else "reported-unreachable"
 
 
 def sweep_report_json(witnesses: Sequence[SweepWitness]) -> str:

@@ -29,6 +29,7 @@ from .hitting import (
     HitReport,
     InstanceDescriptor,
     grid_for,
+    _report_payload,
     uhit_semidecide,
 )
 from .machine import (
@@ -215,21 +216,6 @@ def _truth_payload(truth: GroundTruth) -> dict:
     return {"kind": "loops", "revisit": list(truth.revisit)}
 
 
-def _observed_payload(observed: HitReport) -> dict:
-    if isinstance(observed, Hit):
-        return {
-            "outcome": "hit",
-            "t": str(observed.t_hit),
-            "fidelity": float(observed.fidelity_at_hit),
-            "window": [str(observed.window[0]), str(observed.window[1])],
-        }
-    return {
-        "outcome": "exhausted",
-        "horizon": observed.horizon,
-        "max_fidelity": float(observed.max_fidelity_seen),
-    }
-
-
 def reduction_report_json(reports: Sequence[ReductionReport]) -> str:
     """One JSON object per line, one line per corpus entry."""
     lines = []
@@ -239,7 +225,7 @@ def reduction_report_json(reports: Sequence[ReductionReport]) -> str:
                 {
                     "name": rep.entry.name,
                     "expected": _truth_payload(rep.expected),
-                    "observed": _observed_payload(rep.observed),
+                    "observed": _report_payload(rep.observed),
                     "verdict": rep.verdict,
                 },
                 sort_keys=True,

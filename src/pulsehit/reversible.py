@@ -255,10 +255,6 @@ class ExtendedBasisState:
         )
 
 
-def serialize_label(label: ExtendedBasisState) -> bytes:
-    return label.serial
-
-
 # ---------------------------------------------------------------------------
 # the step permutation
 

@@ -309,3 +309,79 @@ def test_no_command_exits_one(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+# -- frozen stdout bytes -----------------------------------------------------------
+
+# Exact stdout of three commands, checked byte for byte rather than through
+# parsed fields: a changed byte here is a changed output format.
+FROZEN_TRACE_CSV = (
+    't,fidelity\n'
+    '0,0.000000000000\n'
+    '0.5,0.000000000000\n'
+    '1,0.000000000000\n'
+    '1.5,0.000000000000\n'
+    '2,0.000000000000\n'
+    '2.5,0.000000000000\n'
+    '3,0.000000000000\n'
+    '3.1,0.014662890139\n'
+    '3.2,0.045494954396\n'
+    '3.3,0.056116213642\n'
+    '3.4,0.027777777778\n'
+    '3.5,0.000000000000\n'
+    '4,0.000000000000\n'
+    '4.1,0.058010721896\n'
+    '4.2,0.263114887639\n'
+    '4.3,0.581235765013\n'
+    '4.4,0.878346223893\n'
+    '4.5,1.000000000000\n'
+    '5,1.000000000000\n'
+    '5.1,0.878346223893\n'
+    '5.2,0.581235765013\n'
+    '5.3,0.263114887639\n'
+    '5.4,0.058010721896\n'
+    '5.5,0.000000000000\n'
+    '6,0.000000000000\n'
+    '6.1,0.027777777778\n'
+    '6.2,0.056116213642\n'
+    '6.3,0.045494954396\n'
+    '6.4,0.014662890139\n'
+    '6.5,0.000000000000\n'
+    '7,0.000000000000\n'
+    '7.1,0.011499383155\n'
+    '7.2,0.027777777778\n'
+    '7.3,0.026260401531\n'
+    '7.4,0.009703003139\n'
+    '7.5,0.000000000000\n'
+    '8,0.000000000000\n'
+)
+
+FROZEN_HIT = (
+    '{"fidelity": 0.9045084971874736, "outcome": "hit", "t": "17/5", "window": ["3", "7/2"]}\n'
+)
+
+FROZEN_SWEEP = (
+    '{"budget": {"e_max": 10, "tau_max": "10"}, "outcome": "reported-unreachable", "resources": {"time_used": "10", "work_used": 10}, "witness": {"K": 11, "n": 10, "name": "counter-10"}}\n'
+    '{"budget": {"e_max": 20, "tau_max": "20"}, "outcome": "reported-unreachable", "resources": {"time_used": "20", "work_used": 20}, "witness": {"K": 21, "n": 20, "name": "counter-20"}}\n'
+)
+
+CYCLIC_FLAGS = ("--clock", "cyclic:3", "--grid", "5")
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (
+            ("trace", "MOVER", *CYCLIC_FLAGS, "--target", "exact:5", "--horizon", "8",
+             "--format", "csv"),
+            FROZEN_TRACE_CSV,
+        ),
+        (("hit", "MOVER", *CYCLIC_FLAGS), FROZEN_HIT),
+        (("sweep", "--budgets", "10,20"), FROZEN_SWEEP),
+    ],
+    ids=["trace-csv", "hit", "sweep"],
+)
+def test_stdout_bytes_are_frozen(capsys, mover, argv, want):
+    argv = [mover if arg == "MOVER" else arg for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, want, "")

@@ -22,10 +22,8 @@ from support import machines
 
 from pulsehit.dynamics import (
     AMP_ONE,
-    CYCLE_CAP,
     Amplitude,
     PulseSchedule,
-    RationalMatrix,
     SparseState,
     approx_unitary,
     cycle_of,
@@ -194,7 +192,7 @@ def test_amplitude_validation():
 def test_sparse_state_basics_and_ordering():
     step = BeaconStep(MOVE_RIGHT_3, Unbounded())
     labels = walk(step, step.initial_label(), 2)
-    psi = SparseState.superposition(
+    psi = SparseState(
         [
             (labels[2], Amplitude.exact(Fraction(4, 5))),
             (labels[0], Amplitude.exact(Fraction(3, 5))),
@@ -212,7 +210,7 @@ def test_sparse_state_basics_and_ordering():
 def test_sparse_state_drops_exact_zeros_and_rejects_duplicates():
     step = BeaconStep(MOVE_RIGHT_3, Unbounded())
     labels = walk(step, step.initial_label(), 1)
-    psi = SparseState.superposition(
+    psi = SparseState(
         [
             (labels[0], AMP_ONE),
             (labels[1], Amplitude.exact(0)),
@@ -220,17 +218,17 @@ def test_sparse_state_drops_exact_zeros_and_rejects_duplicates():
     )
     assert psi.support_size == 1
     with pytest.raises(LabelError, match="duplicate"):
-        SparseState.superposition([(labels[0], AMP_ONE), (labels[0], AMP_ONE)])
+        SparseState([(labels[0], AMP_ONE), (labels[0], AMP_ONE)])
 
 
 def test_sparse_state_norm_enforcement():
     step = BeaconStep(MOVE_RIGHT_3, Unbounded())
     lab = step.initial_label()
     with pytest.raises(StateNormError):
-        SparseState.superposition([(lab, Amplitude.exact(HALF))])
+        SparseState([(lab, Amplitude.exact(HALF))])
     with pytest.raises(StateNormError):
-        SparseState.superposition([(lab, Amplitude.approx(1.0 + 1e-5j, 0.0))])
-    ok = SparseState.superposition([(lab, Amplitude.approx(1.0 + 0j, 1e-15))])
+        SparseState([(lab, Amplitude.approx(1.0 + 1e-5j, 0.0))])
+    ok = SparseState([(lab, Amplitude.approx(1.0 + 0j, 1e-15))])
     assert abs(ok.norm2() - 1.0) <= 1e-12
 
 
@@ -258,7 +256,7 @@ def test_evolve_integer_rides_the_orbit():
 def test_evolve_integer_superposition_linearity_and_exactness():
     step = BeaconStep(MOVE_RIGHT_3, Unbounded())
     labels = walk(step, step.initial_label(), 4)
-    psi = SparseState.superposition(
+    psi = SparseState(
         [
             (labels[0], Amplitude.exact(Fraction(3, 5))),
             (labels[1], Amplitude.exact(0, Fraction(4, 5))),
@@ -383,7 +381,7 @@ def test_evolve_to_mid_pulse_superposition_linearity():
     # both support labels live on the same two-cycle after three steps
     a = SparseState.basis_state(labels[0])
     b = SparseState.basis_state(labels[1])
-    combo = SparseState.superposition(
+    combo = SparseState(
         [
             (labels[0], Amplitude.exact(Fraction(3, 5))),
             (labels[1], Amplitude.exact(0, Fraction(4, 5))),
@@ -435,7 +433,7 @@ def test_cycle_of_refusals():
     with pytest.raises(OrbitNotClosedError):
         cycle_of(step_c, step_c.initial_label())
     labels = walk(step_c, step_c.initial_label(), 3)
-    with pytest.raises(OrbitNotClosedError, match="cycle_cap"):
+    with pytest.raises(OrbitNotClosedError, match="did not close within cap=3"):
         cycle_of(step_c, labels[3], cap=3)
 
 
@@ -457,7 +455,7 @@ def test_fidelity_exact_cases():
     labels = walk(step, step.initial_label(), 2)
     a = SparseState.basis_state(labels[0])
     b = SparseState.basis_state(labels[1])
-    combo = SparseState.superposition(
+    combo = SparseState(
         [
             (labels[0], Amplitude.exact(Fraction(3, 5))),
             (labels[1], Amplitude.exact(Fraction(4, 5))),
@@ -474,7 +472,7 @@ def test_fidelity_exact_cases():
 def test_fidelity_float_route_clamps():
     step = BeaconStep(MOVE_RIGHT_3, Unbounded())
     lab = step.initial_label()
-    x = SparseState.superposition([(lab, Amplitude.approx(1.0 + 4e-13j, 1e-12))])
+    x = SparseState([(lab, Amplitude.approx(1.0 + 4e-13j, 1e-12))])
     got = fidelity(x, x)
     assert isinstance(got, float)
     assert 0.0 <= got <= 1.0
@@ -488,7 +486,7 @@ def test_subspace_fidelity_beacon_weights():
     lit = SparseState.basis_state(labels[4])
     assert subspace_fidelity(dark, on_beacon) == 0
     assert subspace_fidelity(lit, on_beacon) == 1
-    combo = SparseState.superposition(
+    combo = SparseState(
         [
             (labels[3], Amplitude.exact(Fraction(3, 5))),
             (labels[4], Amplitude.exact(Fraction(4, 5))),
@@ -551,7 +549,7 @@ def test_approx_unitary_halt_pinch_collision_refuses():
 def test_evolve_integer_halt_pinch_collision_refuses():
     step = BeaconStep(HALT_NOW, Cyclic(2))
     labels = enumerate_reachable(step, step.initial_label(), 4)
-    psi = SparseState.superposition(
+    psi = SparseState(
         [
             (labels[0], Amplitude.exact(Fraction(3, 5))),
             (labels[2], Amplitude.exact(Fraction(4, 5))),
@@ -645,7 +643,7 @@ def test_pulse_schedule_validation():
 def test_state_to_json_sorted_and_stable():
     step = BeaconStep(MOVE_RIGHT_3, Unbounded())
     labels = walk(step, step.initial_label(), 1)
-    psi = SparseState.superposition(
+    psi = SparseState(
         [
             (labels[1], Amplitude.exact(Fraction(4, 5))),
             (labels[0], Amplitude.exact(Fraction(3, 5))),

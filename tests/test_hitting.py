@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import transfer_amplitudes_oracle
 from support import machines
 
 from pulsehit.dynamics import PulseSchedule, SparseState, evolve_to, subspace_fidelity
@@ -22,8 +23,6 @@ from pulsehit.hitting import (
     Exhausted,
     Hit,
     InstanceDescriptor,
-    UnreachableWithinHorizon,
-    delta_t_select,
     fidelity_trace,
     grid_for,
     hit_report_json,
@@ -171,12 +170,6 @@ def test_exact_label_targets():
     assert report0 == Hit(Fraction(0), 1, (Fraction(0), Fraction(0)))
 
 
-def test_delta_t_select_returns_time_or_sentinel():
-    assert delta_t_select(beacon_instance(MOVE_RIGHT_3, Unbounded(), 10)) == Fraction(7, 2)
-    got = delta_t_select(beacon_instance(LOOP_STAY, Unbounded(), 25))
-    assert got == UnreachableWithinHorizon(25)
-
-
 # -- traces and skip semantics ----------------------------------------------------
 
 
@@ -206,16 +199,57 @@ def test_first_integer_hit_is_k_plus_one():
     assert [f for t, f in integers[4:]] == [1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0]
 
 
-def test_scanner_fidelities_match_dynamics_route():
-    # every evaluated grid point, recomputed through evolve_to
-    inst = beacon_instance(MOVE_RIGHT_3, Cyclic(2), 6)
-    step = BeaconStep(MOVE_RIGHT_3, Cyclic(2))
-    pred = step.target_predicate(BeaconSubspace())
-    psi0 = SparseState.basis_state(step.initial_label())
+def _walk(step, label, n):
+    for _ in range(n):
+        label = step.forward(label)
+    return label
+
+
+# (clock, target: None for the beacon or N for the label N steps in, grid)
+SCANNER_ROUTE_CASES = {
+    "beacon-cyclic2": (Cyclic(2), None, 6),
+    "beacon-cyclic3-grid5": (Cyclic(3), None, 5),
+    "exact5-cyclic3-grid5": (Cyclic(3), 5, 5),
+    "exact5-cyclic4-grid5": (Cyclic(4), 5, 5),
+}
+
+
+@pytest.mark.parametrize(
+    "clock, target_steps, grid",
+    list(SCANNER_ROUTE_CASES.values()),
+    ids=list(SCANNER_ROUTE_CASES),
+)
+def test_scanner_fidelities_match_dynamics_route(clock, target_steps, grid):
+    # every evaluated grid point, recomputed through evolve_to; each
+    # mid-pulse point also against the eigendecomposition oracle, on a
+    # cycle found here by walking the step, so the check shares no cycle
+    # code with the scanner
+    step = BeaconStep(MOVE_RIGHT_3, clock)
+    start = step.initial_label()
+    if target_steps is None:
+        target = BeaconSubspace()
+    else:
+        target = ExactLabel(_walk(step, start, target_steps))
+    sched = PulseSchedule(HALF, clock)
+    inst = InstanceDescriptor(MOVE_RIGHT_3, QUARTER, sched, target, 8, grid)
+    pred = step.target_predicate(target)
+    psi0 = SparseState.basis_state(start)
+    mid_points = 0
     for t, fid in fidelity_trace(inst):
-        out = evolve_to(step, inst.schedule, psi0, t)
-        want = float(subspace_fidelity(out, pred))
-        assert abs(fid - want) < 1e-12
+        out = evolve_to(step, sched, psi0, t)
+        assert abs(fid - float(subspace_fidelity(out, pred))) < 1e-12
+        n, s = divmod(t, 1)
+        if 0 < s < HALF:
+            cyc = [_walk(step, start, n)]
+            nxt = step.forward(cyc[0])
+            while nxt != cyc[0]:
+                cyc.append(nxt)
+                nxt = step.forward(nxt)
+            amps = transfer_amplitudes_oracle(len(cyc), float(s / HALF))
+            want = sum(abs(amps[r]) ** 2 for r, lab in enumerate(cyc) if pred(lab))
+            assert abs(fid - want) < 1e-12
+            mid_points += 1
+    assert mid_points > 0
 
 
 def test_looper_trace_is_identically_zero():

@@ -5,6 +5,8 @@ step-by-step tape traces) before the implementation existed; they must not
 be regenerated from the code under test.
 """
 
+from importlib import resources
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from pulsehit.errors import (
     IllFormedMachineError,
     MachineSemanticsError,
     MachineSyntaxError,
+    ParameterRangeError,
 )
 from pulsehit.machine import (
     Configuration,
@@ -147,6 +150,15 @@ def test_classical_run_exact_boundary():
     out = classical_run(spec, 2)
     assert isinstance(out, StillRunning)
     assert out.at.state == "q2"
+
+
+def test_classical_run_rejects_a_cap_that_is_not_a_nonnegative_int():
+    # scan-5 halts at step 6: an unchecked 2.5 would run past the cap to
+    # Halted(6) instead of stopping, and -1 would be a bare ValueError
+    spec = parse_machine(resources.files("pulsehit").joinpath("corpus/scan-5.tm").read_text())
+    for cap in (2.5, -1):
+        with pytest.raises(ParameterRangeError, match="max_steps"):
+            classical_run(spec, cap)
 
 
 def test_classical_step_is_absorbing_after_halt():

@@ -23,7 +23,6 @@ from pulsehit.errors import (
 from pulsehit.hitting import Exhausted, Hit, InstanceDescriptor, grid_for, uhit_semidecide
 from pulsehit.machine import Halted, classical_run, parse_machine
 from pulsehit.protocol import (
-    BudgetForcedGuess,
     NoiseModel,
     ProtocolBudget,
     ProtocolOutcome,
@@ -73,7 +72,7 @@ def beacon_instance(spec, clock, horizon, *, epsilon=QUARTER, delta=HALF, grid=N
 
 def test_budget_validation():
     b = ProtocolBudget(10, 10)
-    assert b.tau_max == Fraction(10) and b.failure_prob == 0
+    assert b.tau_max == Fraction(10)
     with pytest.raises(ParameterRangeError):
         ProtocolBudget(0, 10)
     with pytest.raises(ParameterRangeError):
@@ -82,11 +81,6 @@ def test_budget_validation():
         ProtocolBudget(10, 0)
     with pytest.raises(ParameterRangeError):
         ProtocolBudget(10, 10.0)
-    with pytest.raises(ParameterRangeError):
-        ProtocolBudget(10, 10, Fraction(1, 2))
-    with pytest.raises(ParameterRangeError):
-        ProtocolBudget(10, 10, Fraction(-1, 10))
-    assert ProtocolBudget(10, 10, Fraction(49, 100)).failure_prob == Fraction(49, 100)
 
 
 def test_work_to_reach_counts_begun_pulses():
@@ -277,12 +271,3 @@ def test_noise_is_reproducible_per_seed():
     noise = NoiseModel(Fraction(1, 8), 42)
     assert classify_with_noise(inst, noise) == classify_with_noise(inst, noise)
 
-
-def test_budget_forced_guess_exists_but_is_never_produced():
-    # the vocabulary includes it; the deterministic scanner reports
-    # unreachable instead of guessing
-    assert BudgetForcedGuess() == BudgetForcedGuess()
-    inst = beacon_instance(MOVE_RIGHT_3, Unbounded(), 10)
-    for tau, e in [(1, 1), (3, 100), (100, 2), (100, 100)]:
-        out = run_bounded_protocol(inst, ProtocolBudget(tau, e))
-        assert not isinstance(out.verdict, BudgetForcedGuess)

@@ -31,10 +31,8 @@ from pulsehit.reversible import (
     Cyclic,
     ExactLabel,
     ExtendedBasisState,
-    HistChain,
     Unbounded,
     history_of,
-    serialize_label,
 )
 
 MOVE_RIGHT_3 = parse_machine(
@@ -355,8 +353,8 @@ def test_serialization_separates_all_orbit_labels():
         for clock in (Unbounded(), Cyclic(2), Cyclic(3)):
             step = BeaconStep(spec, clock)
             for lab in walk(step, step.initial_label(), 12):
-                by_serial[serialize_label(lab)] = fields(lab)
-                by_fields[fields(lab)] = serialize_label(lab)
+                by_serial[lab.serial] = fields(lab)
+                by_fields[fields(lab)] = lab.serial
     assert len(by_serial) == len(by_fields)
     for serial, f in by_serial.items():
         assert by_fields[f] == serial
@@ -368,7 +366,7 @@ def test_equal_labels_from_different_construction_paths():
     built = step.make_label("q0", 2, {0: "0", 1: "0", 2: "1"}, [0, 0], 2, 0, 0)
     assert walked == built
     assert hash(walked) == hash(built)
-    assert serialize_label(walked) == serialize_label(built)
+    assert walked.serial == built.serial
 
 
 def test_target_predicates():
