@@ -63,7 +63,6 @@ from .dynamics import (
     evolve_to,
     fidelity,
     fractional_coeffs,
-    principal_angles,
     state_to_json,
     subspace_fidelity,
 )

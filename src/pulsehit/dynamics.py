@@ -9,16 +9,17 @@ therefore exist only where the support's orbits close into finite cycles,
 which on a cyclic clock happens exactly for halted labels; everywhere else
 the evaluation refuses with a typed error instead of truncating.
 
-Two independent computations of the same mid-pulse operator are provided:
-:func:`evolve_to` uses floating coefficients (an inverse DFT of the
-fractional eigenvalue powers) with tracked absolute error bounds, and
-:func:`approx_unitary` evaluates the same sums in high-precision arithmetic
-and rounds dyadically, returning an exact rational matrix with a certified
-operator-norm distance to the true evolution.
+Two computations of the same mid-pulse operator are provided:
+:func:`evolve_to` evaluates the closed form of the fractional cycle power in
+floating point with tracked absolute error bounds, and
+:func:`approx_unitary` evaluates the same closed form in high-precision
+arithmetic and rounds dyadically, returning an exact rational matrix with a
+certified operator-norm distance to the true evolution.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -26,7 +27,6 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import mpmath
-import numpy as np
 
 from .errors import (
     BasisNotClosedError,
@@ -49,7 +49,7 @@ Rational = Union[Fraction, int]
 def _as_fraction(x, what: str) -> Fraction:
     try:
         return Fraction(x)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ParameterRangeError(f"{what} must be rational, got {x!r}") from None
 
 
@@ -331,28 +331,50 @@ def cycle_of(
     return out
 
 
-def principal_angles(k: int) -> np.ndarray:
-    """Principal arguments of the k-cycle eigenvalues e^{-2 pi i j / k},
-    j = 0..k-1, chosen in (-pi, pi] (the j = k/2 eigenvalue -1 gets +pi)."""
-    j = np.arange(k)
-    return -2.0 * np.pi * j / k + 2.0 * np.pi * (2 * j >= k)
+def _closed_form_args(k: int, alpha: Fraction) -> tuple[Fraction, list[tuple[Fraction, Fraction]]]:
+    """Exact arguments of the alpha-th principal power of a k-cycle,
+    0 < alpha < 1.  Summing its eigenvalue powers as two geometric series
+    (angles -2 pi j/k for j < J = ceil(k/2), shifted by 2 pi from there on)
+    gives the amplitude to offset r as e^{i pi p_r} sin(pi a) / (k sin(pi y_r))
+    with x = (r - alpha)/k, p_r = (2J - 1) x + alpha + 1 mod 2 (in (-1, 1]),
+    a = min(alpha, 1 - alpha) and y_r = min(x, 1 - x).  Returns a and every
+    (p_r, y_r): the reductions are exact and keep every sine argument in
+    [-pi/2, pi/2], where rounding it costs no relative accuracy."""
+    half = (k + 1) // 2
+    args = []
+    for r in range(k):
+        x = (r - alpha) / k
+        p = ((2 * half - 1) * x + alpha + 1) % 2
+        args.append((p - 2 if p > 1 else p, min(x, 1 - x)))
+    return min(alpha, 1 - alpha), args
 
 
-def fractional_coeffs(k: int, alpha: float) -> tuple[np.ndarray, float]:
-    """Transfer amplitudes of the alpha-th power of a k-cycle.
-
-    Entry r is the amplitude carried from any cycle position p to position
-    p + r (mod k).  Computed as the inverse DFT of the fractional
-    eigenvalue powers; the returned scalar bounds the absolute error of
-    every entry (unit-modulus spectrum, so the FFT backward error is a
-    small multiple of the rounding unit times log k).
-    """
-    if k < 1:
-        raise ParameterRangeError(f"cycle length must be positive, got {k}")
-    spectrum = np.exp(1j * alpha * principal_angles(k))
-    g = np.fft.ifft(spectrum)
+def fractional_coeffs(k: int, alpha) -> tuple[list[complex], float]:
+    """Transfer amplitudes of the alpha-th principal power of a k-cycle, for
+    alpha rational (or a finite float, taken exactly) in [0, 1]: entry r is
+    carried from any cycle position p to p + r (mod k); alpha = 0 and 1 give
+    e_0 and e_1 exactly.  Otherwise the closed form of
+    :func:`_closed_form_args` in floats; the returned scalar bounds every
+    entry's absolute error (a few rounded operations on magnitudes <= 1)."""
+    if not isinstance(k, int) or k < 1:
+        raise ParameterRangeError(f"cycle length must be a positive integer, got {k!r}")
+    alpha = _as_fraction(alpha, "alpha")
+    if not 0 <= alpha <= 1:
+        raise ParameterRangeError(f"alpha must lie in [0, 1], got {alpha}")
     err = (6.0 + math.log2(k)) * 1e-15
+    if alpha.denominator == 1:
+        return [1 + 0j if r == alpha % k else 0j for r in range(k)], err
+    a, args = _closed_form_args(k, alpha)
+    scale = math.sin(math.pi * float(a)) / k
+    g = [
+        cmath.rect(scale / math.sin(math.pi * float(y)), math.pi * float(p))
+        for p, y in args
+    ]
     return g, err
+
+
+def _mpf(q: Fraction) -> "mpmath.mpf":
+    return mpmath.mpf(q.numerator) / q.denominator
 
 
 def _dyadic(x: "mpmath.mpf", bits: int) -> Fraction:
@@ -362,32 +384,18 @@ def _dyadic(x: "mpmath.mpf", bits: int) -> Fraction:
 
 
 def _rational_coeffs(k: int, alpha: Fraction, entry_bits: int) -> list[tuple[Fraction, Fraction]]:
-    """The same transfer amplitudes as :func:`fractional_coeffs`, evaluated
-    in high-precision arithmetic and dyadically rounded so each entry is an
-    exact rational within 2^-entry_bits of the true value."""
-    # error budget: ~6k high-precision operations per entry, each with
-    # relative error 2^(1-prec) on magnitude <= 1 terms, plus the final
-    # rounding of 2^-(entry_bits+1); working precision leaves the
-    # computation error far below the rounding step.
-    prec = entry_bits + k.bit_length() + 32
-    with mpmath.workprec(prec):
-        alpha_mp = mpmath.mpf(alpha.numerator) / alpha.denominator
-        # e^{i alpha theta_j} with theta_j / pi = -2j/k, shifted by +2 into
-        # the principal branch when 2j >= k
-        spectrum = []
-        for j in range(k):
-            theta_over_pi = mpmath.mpf(-2 * j) / k
-            if 2 * j >= k:
-                theta_over_pi += 2
-            spectrum.append(mpmath.expjpi(alpha_mp * theta_over_pi))
-        roots = [mpmath.expjpi(mpmath.mpf(2 * r) / k) for r in range(k)]
+    """:func:`fractional_coeffs` for 0 < alpha < 1 in high-precision
+    arithmetic, dyadically rounded so each entry is an exact rational within
+    2^-entry_bits of the true value."""
+    # error budget: a few operations of relative error 2^(1-prec) per entry
+    # of magnitude <= 1, far below the final rounding of 2^-(entry_bits+1)
+    a, args = _closed_form_args(k, alpha)
+    with mpmath.workprec(entry_bits + 32):
+        scale = mpmath.sinpi(_mpf(a)) / k
         out = []
-        for r in range(k):
-            acc = mpmath.mpc(0)
-            for j in range(k):
-                acc += spectrum[j] * roots[(j * r) % k]
-            acc /= k
-            out.append((_dyadic(acc.real, entry_bits), _dyadic(acc.imag, entry_bits)))
+        for p, y in args:
+            z = mpmath.expjpi(_mpf(p)) * (scale / mpmath.sinpi(_mpf(y)))
+            out.append((_dyadic(z.real, entry_bits), _dyadic(z.imag, entry_bits)))
     return out
 
 
@@ -426,18 +434,18 @@ def _mid_pulse_pairs(
     alpha: Fraction,
 ) -> list[tuple[ExtendedBasisState, Amplitude]]:
     index = _CycleIndex(step, CYCLE_CAP)
-    coeffs: dict[int, tuple[np.ndarray, float]] = {}
+    coeffs: dict[int, tuple[list[complex], float]] = {}
     acc: dict[bytes, tuple[ExtendedBasisState, Amplitude]] = {}
     for label, amp in pairs:
         ci, pos = index.locate(label)
         cyc = index.cycles[ci]
         k = len(cyc)
         if k not in coeffs:
-            coeffs[k] = fractional_coeffs(k, float(alpha))
+            coeffs[k] = fractional_coeffs(k, alpha)
         g, gerr = coeffs[k]
         for r in range(k):
             target = cyc[(pos + r) % k]
-            part = amp.mul_complex(complex(g[r]), gerr)
+            part = amp.mul_complex(g[r], gerr)
             prev = acc.get(target.serial)
             if prev is None:
                 acc[target.serial] = (target, part)
@@ -571,14 +579,6 @@ class RationalMatrix:
                 re += mre * vre - mim * vim
                 im += mre * vim + mim * vre
             out.append((re, im))
-        return out
-
-    def as_numpy(self) -> np.ndarray:
-        n = len(self.basis)
-        out = np.empty((n, n), dtype=complex)
-        for i, row in enumerate(self.entries):
-            for j, (re, im) in enumerate(row):
-                out[i, j] = complex(float(re), float(im))
         return out
 
 

@@ -20,9 +20,9 @@ power is exactly sin^2(pi j / 2G).  Where that value is itself rational
 (only at 0, 1/4, 1/2, 3/4, 1, by Niven's theorem) the scanner compares it
 to the threshold exactly, so grid hits that tie the threshold do not
 depend on floating rounding.  Every other mid-pulse value (the remaining
-sin^2 points, and the FFT weight sums of exact-label targets) is a float,
-so a value within rounding of the threshold is not yet certified; the
-certified threshold comparisons item in ROADMAP.md tracks the fix.
+sin^2 points, and the closed-form weight sums of exact-label targets) is
+a float, so a value within rounding of the threshold is not yet certified;
+the certified threshold comparisons item in ROADMAP.md tracks the fix.
 """
 
 from __future__ import annotations
@@ -164,7 +164,7 @@ class _MidPulse:
         key = (k, j)
         weights = self._weights.get(key)
         if weights is None:
-            g, _ = fractional_coeffs(k, j / self.grid)
+            g, _ = fractional_coeffs(k, Fraction(j, self.grid))
             weights = [abs(z) ** 2 for z in g]
             self._weights[key] = weights
         return math.fsum(

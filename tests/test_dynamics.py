@@ -11,7 +11,11 @@ same operator from a dense matrix without any of the package's code.
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from pulsehit.dynamics import (
     Amplitude,
     PulseSchedule,
     SparseState,
+    _rational_coeffs,
     approx_unitary,
     cycle_of,
     enumerate_reachable,
@@ -44,7 +49,8 @@ from pulsehit.errors import (
     StateNormError,
     TimeTagError,
 )
-from pulsehit.machine import parse_machine
+import pulsehit
+from pulsehit.machine import parse_machine, serialize_machine
 from pulsehit.reversible import BeaconStep, BeaconSubspace, Cyclic, Unbounded
 
 MOVE_RIGHT_3 = parse_machine(
@@ -79,11 +85,11 @@ def walk(step, label, n):
 # -- fractional cycle coefficients against the eigendecomposition oracle ------
 
 
-@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 8, 12])
-@pytest.mark.parametrize("alpha", [0.25, 1.0 / 3.0, 0.5, 0.9])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 8, 12, 7, 14, 31, 64])
+@pytest.mark.parametrize("alpha", [0.25, 1.0 / 3.0, 0.5, 0.9, Fraction(1, 5), Fraction(63, 64)])
 def test_fractional_coeffs_match_eig_oracle(k, alpha):
     g, err = fractional_coeffs(k, alpha)
-    want = transfer_amplitudes_oracle(k, alpha)
+    want = transfer_amplitudes_oracle(k, float(alpha))
     assert np.max(np.abs(g - want)) < 1e-12
     assert 0.0 < err < 1e-13
 
@@ -124,6 +130,26 @@ def test_fractional_coeffs_boundaries(k):
     want1[1 % k] = 1.0
     assert np.max(np.abs(g0 - want0)) < 1e-14
     assert np.max(np.abs(g1 - want1)) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "k, alpha",
+    [(4, math.nan), (4, math.inf), (4, -0.3), (4, 2.5), (2.5, 0.5), (0, 0.5)],
+)
+def test_fractional_coeffs_rejects_bad_input(k, alpha):
+    with pytest.raises(ParameterRangeError):
+        fractional_coeffs(k, alpha)
+
+
+@pytest.mark.parametrize("k", [2, 3, 7, 14, 64, 256, 1024, 4096])
+def test_fractional_coeffs_within_bound_of_certified_route(k):
+    # the certified entries are within 2^-60 of the truth, so every float
+    # entry must lie within its returned bound less that, compared exactly
+    for alpha in [Fraction(1, 128), Fraction(1, 5), Fraction(37, 64), Fraction(63, 64)]:
+        g, err = fractional_coeffs(k, alpha)
+        room = (Fraction(err) - Fraction(1, 2**60)) ** 2
+        for z, (re, im) in zip(g, _rational_coeffs(k, alpha, 60), strict=True):
+            assert (Fraction(z.real) - re) ** 2 + (Fraction(z.imag) - im) ** 2 <= room
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 7, 16, 30])
@@ -559,7 +585,7 @@ def test_evolve_integer_halt_pinch_collision_refuses():
         evolve_integer(step, psi, 1)
 
 
-@pytest.mark.parametrize("period", [2, 3])
+@pytest.mark.parametrize("period", [2, 3, 5, 7, 16])
 def test_approx_unitary_mid_pulse_certified_against_oracle(period):
     step = BeaconStep(MOVE_RIGHT_3, Cyclic(period))
     sched = PulseSchedule(HALF, Cyclic(period))
@@ -571,7 +597,7 @@ def test_approx_unitary_mid_pulse_certified_against_oracle(period):
     mat = approx_unitary(step, sched, basis, s, m)
     assert mat.bound == Fraction(1, 2**m)
     want = cycle_power_oracle(k, float(s / sched.delta))
-    got = mat.as_numpy()
+    got = np.array([[complex(float(re), float(im)) for re, im in row] for row in mat.entries])
     assert np.max(np.abs(got - want)) < 1e-12
     # rational column stays a unit vector up to the certified bound
     col = mat.column(0)
@@ -668,3 +694,40 @@ def test_evolve_to_completed_pulse_property(spec, period, n):
     hop = evolve_integer(step, psi, n + 1)
     assert out.items() == hop.items()
     assert out.time_tag == n + Fraction(1, 2)
+
+
+# -- runtime dependencies ------------------------------------------------------
+
+NUMPY_FREE_RUN = """
+import sys
+from fractions import Fraction
+
+import pulsehit as ph
+
+spec = ph.parse_machine(sys.argv[1])
+clock = ph.Cyclic(3)
+step = ph.BeaconStep(spec, clock)
+sched = ph.PulseSchedule(Fraction(1, 2), clock)
+label = step.initial_label()
+for _ in range(5):
+    label = step.forward(label)
+psi0 = ph.SparseState.basis_state(step.initial_label())
+assert ph.evolve_to(step, sched, psi0, Fraction(26, 5)).support_size > 1
+ph.approx_unitary(step, sched, ph.cycle_of(step, label), Fraction(1, 5), 40)
+inst = ph.InstanceDescriptor(spec, Fraction(1, 4), sched, ph.ExactLabel(label), 8, 5)
+ph.fidelity_trace(inst)
+assert "numpy" not in sys.modules, "the runtime imported numpy"
+"""
+
+
+def test_runtime_does_not_import_numpy():
+    # numpy is a test-only dependency: the mid-pulse float route, the
+    # certified route and an exact-target scan must all run without it
+    src = str(Path(pulsehit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    text = serialize_machine(MOVE_RIGHT_3)
+    run = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE_RUN, text], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
