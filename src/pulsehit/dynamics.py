@@ -145,8 +145,9 @@ _NORM_TOL = 1e-12
 
 class SparseState:
     """Finitely supported assignment of amplitudes to basis labels, tagged
-    with the time it represents.  Iteration order is the canonical byte
-    order of label serializations, so floating sums are reproducible."""
+    with the time it represents.  Amplitudes are keyed by the labels
+    themselves; iteration order is the canonical byte order of label
+    serializations, so floating sums are reproducible."""
 
     __slots__ = ("_amps", "time_tag")
 
@@ -160,16 +161,15 @@ class SparseState:
         tag = _as_fraction(time_tag, "time_tag")
         if tag < 0:
             raise TimeTagError(f"time_tag must be nonnegative, got {tag}")
-        amps: dict[bytes, tuple[ExtendedBasisState, Amplitude]] = {}
+        amps: dict[ExtendedBasisState, Amplitude] = {}
         for label, amp in pairs:
             if not isinstance(label, ExtendedBasisState):
                 raise LabelError(f"not a basis label: {label!r}")
             if amp.is_exact and amp.re == 0 and amp.im == 0:
                 continue
-            key = label.serial
-            if key in amps:
+            if label in amps:
                 raise LabelError(f"duplicate support label {label!r}")
-            amps[key] = (label, amp)
+            amps[label] = amp
         self._amps = amps
         self.time_tag = tag
         if _check_norm:
@@ -185,11 +185,10 @@ class SparseState:
         return cls([(label, AMP_ONE)], time_tag, _check_norm=False)
 
     def items(self) -> list[tuple[ExtendedBasisState, Amplitude]]:
-        return [self._amps[k] for k in sorted(self._amps)]
+        return sorted(self._amps.items(), key=lambda pair: pair[0].serial)
 
     def amplitude(self, label: ExtendedBasisState) -> Optional[Amplitude]:
-        hit = self._amps.get(label.serial)
-        return hit[1] if hit else None
+        return self._amps.get(label)
 
     def labels(self) -> list[ExtendedBasisState]:
         return [lab for lab, _ in self.items()]
@@ -200,27 +199,26 @@ class SparseState:
 
     @property
     def is_exact(self) -> bool:
-        return all(amp.is_exact for _, amp in self._amps.values())
+        return all(amp.is_exact for amp in self._amps.values())
 
     def norm2(self) -> Union[Fraction, float]:
         if self.is_exact:
             total = Fraction(0)
-            for _, amp in self._amps.values():
+            for amp in self._amps.values():
                 total += amp.abs2()
             return total
         return math.fsum(float(amp.abs2()) for _, amp in self.items())
 
     def max_err(self) -> float:
-        return max((amp.err for _, amp in self._amps.values()), default=0.0)
+        return max((amp.err for amp in self._amps.values()), default=0.0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseState):
             return NotImplemented
         if self.time_tag != other.time_tag or len(self._amps) != len(other._amps):
             return False
-        for key, (_, amp) in self._amps.items():
-            hit = other._amps.get(key)
-            if hit is None or hit[1] != amp:
+        for label, amp in self._amps.items():
+            if other._amps.get(label) != amp:
                 return False
         return True
 
@@ -284,15 +282,17 @@ def enumerate_reachable(
 ) -> list[ExtendedBasisState]:
     """Labels forward^k(seed) for 0 <= k <= horizon, first-reach order,
     deduplicated (cyclic orbits saturate at their finite size)."""
-    if horizon < 0:
-        raise ParameterRangeError(f"horizon must be nonnegative, got {horizon}")
-    seen = {seed.serial}
+    if not isinstance(horizon, int) or horizon < 0:
+        raise ParameterRangeError(
+            f"horizon must be a nonnegative integer, got {horizon!r}"
+        )
+    seen = {seed}
     out = [seed]
     cur = seed
     for _ in range(horizon):
         cur = step.forward(cur)
-        if cur.serial not in seen:
-            seen.add(cur.serial)
+        if cur not in seen:
+            seen.add(cur)
             out.append(cur)
     return out
 
@@ -312,6 +312,8 @@ def cycle_of(
     a closed loop cannot contain a rule step (histories only grow), so
     every step on it is a post-halt toggle, which forces h = 1 throughout.
     """
+    if not isinstance(cap, int) or cap < 1:
+        raise ParameterRangeError(f"cycle cap must be an integer >= 1, got {cap!r}")
     if isinstance(step.clock, Unbounded):
         raise OrbitNotClosedError(
             "unbounded clock strictly increases; no orbit closes at any cap"
@@ -405,26 +407,27 @@ def _rational_coeffs(k: int, alpha: Fraction, entry_bits: int) -> list[tuple[Fra
 
 class _CycleIndex:
     """The cycle engine: discovers each orbit cycle once, with
-    :func:`cycle_of` under the caller's cap, and caches the position of
-    every member label.  Cycles are numbered in discovery order, so callers
-    can key their own per-cycle data by that index."""
+    :func:`cycle_of` under the caller's cap, and maps every member label
+    (keyed by the label itself) to its cycle and position.  Cycles are
+    numbered in discovery order, so callers can key their own per-cycle
+    data by that index."""
 
     def __init__(self, step: BeaconStep, cap: int):
         self.step = step
         self.cap = cap
         self.cycles: list[list[ExtendedBasisState]] = []
-        self._position: dict[bytes, tuple[int, int]] = {}
+        self._position: dict[ExtendedBasisState, tuple[int, int]] = {}
 
     def locate(self, label: ExtendedBasisState) -> tuple[int, int]:
         """(index of the label's cycle in ``cycles``, position on it)."""
-        hit = self._position.get(label.serial)
+        hit = self._position.get(label)
         if hit is not None:
             return hit
         cyc = cycle_of(self.step, label, self.cap)
         ci = len(self.cycles)
         self.cycles.append(cyc)
         for pos, lab in enumerate(cyc):
-            self._position[lab.serial] = (ci, pos)
+            self._position[lab] = (ci, pos)
         return ci, 0
 
 
@@ -435,7 +438,7 @@ def _mid_pulse_pairs(
 ) -> list[tuple[ExtendedBasisState, Amplitude]]:
     index = _CycleIndex(step, CYCLE_CAP)
     coeffs: dict[int, tuple[list[complex], float]] = {}
-    acc: dict[bytes, tuple[ExtendedBasisState, Amplitude]] = {}
+    acc: dict[ExtendedBasisState, Amplitude] = {}
     for label, amp in pairs:
         ci, pos = index.locate(label)
         cyc = index.cycles[ci]
@@ -446,12 +449,9 @@ def _mid_pulse_pairs(
         for r in range(k):
             target = cyc[(pos + r) % k]
             part = amp.mul_complex(g[r], gerr)
-            prev = acc.get(target.serial)
-            if prev is None:
-                acc[target.serial] = (target, part)
-            else:
-                acc[target.serial] = (target, prev[1].add(part))
-    return list(acc.values())
+            prev = acc.get(target)
+            acc[target] = part if prev is None else prev.add(part)
+    return list(acc.items())
 
 
 def evolve_to(
@@ -609,11 +609,11 @@ def approx_unitary(
     size = len(basis)
     if size == 0:
         raise ParameterRangeError("basis must be nonempty")
-    index: dict[bytes, int] = {}
+    index: dict[ExtendedBasisState, int] = {}
     for i, lab in enumerate(basis):
-        if lab.serial in index:
+        if lab in index:
             raise LabelError(f"duplicate basis label {lab!r}")
-        index[lab.serial] = i
+        index[lab] = i
 
     n, s = _split_time(t)
     zero = Fraction(0)
@@ -629,7 +629,7 @@ def approx_unitary(
             cur = lab
             for _ in range(steps):
                 cur = step.forward(cur)
-            i = index.get(cur.serial)
+            i = index.get(cur)
             if i is None:
                 raise BasisNotClosedError(
                     f"image of basis label {j} at t={t} leaves the basis"
@@ -655,23 +655,26 @@ def approx_unitary(
     alpha = s / sched.delta
     cycle_index = _CycleIndex(step, CYCLE_CAP)
     coeff_cache: dict[int, list[tuple[Fraction, Fraction]]] = {}
+    # basis position of every member of each cycle, resolved once per cycle
+    rows: dict[int, list[int]] = {}
     cols = [[(zero, zero)] * size for _ in range(size)]
     for j, lab in enumerate(basis):
         ci, pos = cycle_index.locate(lab)
-        cyc = cycle_index.cycles[ci]
-        k = len(cyc)
+        row = rows.get(ci)
+        if row is None:
+            row = [index.get(member) for member in cycle_index.cycles[ci]]
+            if None in row:
+                raise BasisNotClosedError(
+                    f"cycle of basis label {j} is not contained in the basis"
+                )
+            rows[ci] = row
+        k = len(row)
         if k not in coeff_cache:
             coeff_cache[k] = _rational_coeffs(k, alpha, entry_bits)
         g = coeff_cache[k]
         # the permutation part of n whole steps just rotates the cycle
         shift = (pos + n) % k
         for r in range(k):
-            target = cyc[(shift + r) % k]
-            i = index.get(target.serial)
-            if i is None:
-                raise BasisNotClosedError(
-                    f"cycle of basis label {j} is not contained in the basis"
-                )
-            cols[j][i] = g[r]
+            cols[j][row[(shift + r) % k]] = g[r]
     entries = tuple(tuple(cols[j][i] for j in range(size)) for i in range(size))
     return RationalMatrix(basis, entries, Fraction(1, 2**m), t)

@@ -181,6 +181,7 @@ def _scan(inst: InstanceDescriptor) -> Iterator[tuple[Fraction, Number, tuple[Fr
     grid = inst.grid
     cyclic = isinstance(step.clock, Cyclic)
     mid = _MidPulse(step, pred, grid) if cyclic and grid > 1 else None
+    offsets = [Fraction(j, grid) * delta for j in range(1, grid)]
 
     cur = step.initial_label()
     for n in range(inst.horizon + 1):
@@ -194,8 +195,8 @@ def _scan(inst: InstanceDescriptor) -> Iterator[tuple[Fraction, Number, tuple[Fr
             return
         pulse_window = (Fraction(n), n + delta)
         if mid is not None and cur.h == 1:
-            for j in range(1, grid):
-                yield n + Fraction(j, grid) * delta, mid.fid(cur, j), pulse_window
+            for j, offset in enumerate(offsets, 1):
+                yield n + offset, mid.fid(cur, j), pulse_window
         nxt = step.forward(cur)
         yield n + delta, (1 if pred(nxt) else 0), pulse_window
         cur = nxt

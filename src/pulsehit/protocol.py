@@ -147,6 +147,10 @@ def adversarial_sweep(
     upward, confirms each candidate's step count classically, runs the
     protocol, and keeps the first incorrect outcome.  A cap on the family
     index turns a fruitless search into a typed error rather than a hang."""
+    if not isinstance(family_cap, int) or family_cap < 0:
+        raise ParameterRangeError(
+            f"family_cap must be a nonnegative integer, got {family_cap!r}"
+        )
     witnesses = []
     for budget in budgets:
         found = None

@@ -79,8 +79,10 @@ class HistChain:
     """Immutable rule-index history with O(1) append and shared tails.
 
     Chains built by repeated ``append`` along one orbit share structure, so
-    equality checks between nearby orbit labels short-circuit on identity.
-    Iteration yields rule indices oldest first.
+    equality checks between nearby orbit labels short-circuit on identity;
+    the hash is built incrementally from the rule indices, so chains of
+    different content almost always differ in it and compare unequal in
+    O(1).  Iteration yields rule indices oldest first.
     """
 
     __slots__ = ("prev", "rule_index", "length", "_hash")
@@ -126,7 +128,7 @@ class HistChain:
             return True
         if not isinstance(other, HistChain):
             return NotImplemented
-        if self.length != other.length:
+        if self._hash != other._hash or self.length != other.length:
             return False
         a, b = self, other
         while a is not b:
@@ -173,8 +175,13 @@ def _field(out: bytearray, tag: int, payload: bytes) -> None:
 class ExtendedBasisState:
     """One basis label of the extended space.
 
-    ``tape`` is sparse (blank cells absent) and must never be mutated;
-    labels are value objects whose identity is their byte serialization.
+    ``tape`` is sparse (blank cells absent) and must never be mutated.
+    Labels are value objects whose identity is their seven fields: equality
+    compares the small fields first, then the history and the tape (each by
+    identity before content, since labels along one orbit share them), and
+    the hash combines the history's O(1) incremental hash with the small
+    fields.  :attr:`serial` is the canonical byte form of the same identity,
+    built on demand for ordering and printing.
     """
 
     __slots__ = ("state", "head", "tape", "hist", "tau", "h", "b", "_serial", "_hash")
@@ -202,6 +209,8 @@ class ExtendedBasisState:
     @property
     def serial(self) -> bytes:
         """Canonical byte form; two labels are equal iff their serials are.
+        It costs O(len(history) + len(tape)) to build, so it orders and
+        prints labels but never compares or hashes them.
 
         Layout is tag/length/value with tags 1..7 in fixed order: state
         (utf-8), head (zigzag varint), tape (count, then sorted cell
@@ -237,7 +246,9 @@ class ExtendedBasisState:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(self.serial)
+            self._hash = hash(
+                (self.hist._hash, self.tau, self.h, self.b, self.head, self.state)
+            )
         return self._hash
 
     def __eq__(self, other) -> bool:
@@ -245,7 +256,15 @@ class ExtendedBasisState:
             return True
         if not isinstance(other, ExtendedBasisState):
             return NotImplemented
-        return self.serial == other.serial
+        return (
+            self.tau == other.tau
+            and self.b == other.b
+            and self.h == other.h
+            and self.head == other.head
+            and self.state == other.state
+            and (self.hist is other.hist or self.hist == other.hist)
+            and (self.tape is other.tape or self.tape == other.tape)
+        )
 
     def __repr__(self) -> str:
         tape = {k: self.tape[k] for k in sorted(self.tape)}

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, byte determinism, and the emitted
 formats, driven through main() with in-process capture."""
 
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -290,6 +291,12 @@ def test_sweep_family_cap_failure_exits_one(capsys):
     assert code == 1 and "witness" in err
 
 
+def test_sweep_rejects_a_negative_family_cap(capsys):
+    code, out, err = run(capsys, "sweep", "--budgets", "5", "--family-cap", "-3")
+    assert (code, out) == (1, "")
+    assert "family_cap must be a nonnegative integer" in err
+
+
 # -- plumbing ----------------------------------------------------------------------
 
 
@@ -385,3 +392,22 @@ def test_stdout_bytes_are_frozen(capsys, mover, argv, want):
     argv = [mover if arg == "MOVER" else arg for arg in argv]
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (0, want, "")
+
+
+# The exact-label scan of scan-20 on a 14-cycle: 2318 lines, 1516 of them
+# mid-pulse closed-form weight sums, too long to keep inline; its SHA-256
+# was recorded from the output before labels were compared by their fields.
+FROZEN_EXACT_TRACE_SHA256 = "f90b866a9d42635b9081c206e92539aa6e40b34a71083e5de346f64810fd5516"
+
+
+def test_exact_label_trace_bytes_are_frozen(capsys):
+    from importlib import resources
+
+    machine = Path(str(resources.files("pulsehit"))) / "corpus" / "scan-20.tm"
+    code, out, err = run(
+        capsys, "trace", str(machine), "--clock", "cyclic:7", "--grid", "5",
+        "--target", "exact:30", "--horizon", "400",
+    )
+    assert (code, err) == (0, "")
+    assert out.count("\n") == 2318
+    assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_EXACT_TRACE_SHA256

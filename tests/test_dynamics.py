@@ -463,6 +463,21 @@ def test_cycle_of_refusals():
         cycle_of(step_c, labels[3], cap=3)
 
 
+@pytest.mark.parametrize("cap", [0, -1, 2.5, "4", None])
+def test_cycle_of_rejects_a_cap_that_is_not_a_positive_int(cap):
+    step = BeaconStep(MOVE_RIGHT_3, Cyclic(3))
+    halted = walk(step, step.initial_label(), 3)[3]
+    with pytest.raises(ParameterRangeError, match="cycle cap"):
+        cycle_of(step, halted, cap=cap)
+
+
+@pytest.mark.parametrize("horizon", [-1, 2.5, "3", None])
+def test_enumerate_reachable_rejects_a_horizon_that_is_not_a_nonnegative_int(horizon):
+    step = BeaconStep(MOVE_RIGHT_3, Cyclic(3))
+    with pytest.raises(ParameterRangeError, match="horizon"):
+        enumerate_reachable(step, step.initial_label(), horizon)
+
+
 def test_enumerate_reachable_saturates_on_cycles():
     step = BeaconStep(HALT_NOW, Cyclic(2))
     got = enumerate_reachable(step, step.initial_label(), 10)

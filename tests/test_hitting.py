@@ -17,7 +17,14 @@ from hypothesis import strategies as st
 from oracles import transfer_amplitudes_oracle
 from support import machines
 
-from pulsehit.dynamics import PulseSchedule, SparseState, evolve_to, subspace_fidelity
+from pulsehit.dynamics import (
+    PulseSchedule,
+    SparseState,
+    approx_unitary,
+    cycle_of,
+    evolve_to,
+    subspace_fidelity,
+)
 from pulsehit.errors import ParameterRangeError
 from pulsehit.hitting import (
     Exhausted,
@@ -30,7 +37,14 @@ from pulsehit.hitting import (
     uhit_semidecide,
 )
 from pulsehit.machine import Halted, classical_run, parse_machine
-from pulsehit.reversible import BeaconStep, BeaconSubspace, Cyclic, ExactLabel, Unbounded
+from pulsehit.reversible import (
+    BeaconStep,
+    BeaconSubspace,
+    Cyclic,
+    ExactLabel,
+    ExtendedBasisState,
+    Unbounded,
+)
 
 MOVE_RIGHT_3 = parse_machine(
     """\
@@ -250,6 +264,37 @@ def test_scanner_fidelities_match_dynamics_route(clock, target_steps, grid):
             assert abs(fid - want) < 1e-12
             mid_points += 1
     assert mid_points > 0
+
+
+def test_scans_and_certified_route_never_build_serial_bytes(monkeypatch):
+    # label identity is the fields: the exact-label predicate, the cycle
+    # engine and approx_unitary's basis index never build the O(history)
+    # byte form, and give the same answers as before it was taken away
+    clock = Cyclic(7)
+    step = BeaconStep(MOVE_RIGHT_3, clock)
+    sched = PulseSchedule(HALF, clock)
+    phi = _walk(step, step.initial_label(), 10)  # post-halt, on a 14-cycle
+    exact = InstanceDescriptor(MOVE_RIGHT_3, QUARTER, sched, ExactLabel(phi), 40, 5)
+    beacon = beacon_instance(MOVE_RIGHT_3, clock, 40, grid=5)
+    cycle = cycle_of(step, phi)
+
+    def run():
+        return (
+            fidelity_trace(exact),
+            fidelity_trace(beacon),
+            approx_unitary(step, sched, cycle, Fraction(21, 5), 30).entries,
+        )
+
+    want = run()
+
+    def refuse(_label):
+        raise AssertionError("serial bytes were built")
+
+    monkeypatch.setattr(ExtendedBasisState, "serial", property(refuse))
+    got = run()
+    assert got == want
+    assert len(cycle) == 14
+    assert any(0 < f < 1 for t, f in got[0] if t.denominator == 10)
 
 
 def test_looper_trace_is_identically_zero():

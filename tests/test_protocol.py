@@ -202,6 +202,12 @@ def test_sweep_raises_when_the_family_cap_is_too_small():
         adversarial_sweep([ProtocolBudget(50, 50)], family_cap=10)
 
 
+@pytest.mark.parametrize("family_cap", [-1, 2.5, "10", None])
+def test_sweep_rejects_a_family_cap_that_is_not_a_nonnegative_int(family_cap):
+    with pytest.raises(ParameterRangeError, match="family_cap"):
+        adversarial_sweep([ProtocolBudget(5, 5)], family_cap=family_cap)
+
+
 def test_sweep_report_json_is_frozen_and_deterministic():
     witnesses = adversarial_sweep([ProtocolBudget(10, 10)])
     text = sweep_report_json(witnesses)

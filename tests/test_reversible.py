@@ -369,6 +369,75 @@ def test_equal_labels_from_different_construction_paths():
     assert walked.serial == built.serial
 
 
+def _one_field_mutants(step, lab):
+    """Labels that differ from ``lab`` in exactly one field, built directly
+    (they need not be reachable or well formed)."""
+    spec = step.spec
+    tape = dict(lab.tape)
+    if lab.head in tape:
+        del tape[lab.head]
+    else:
+        tape[lab.head] = spec.alphabet[-1]
+    hists = [lab.hist.append(0)]
+    if len(lab.hist):
+        # same length, last rule index changed
+        hists.append(history_of(list(lab.hist)[:-1] + [lab.hist.last + 1]))
+    fields = (lab.state, lab.head, lab.tape, lab.hist, lab.tau, lab.h, lab.b)
+    changes = [
+        (0, next(q for q in spec.states if q != lab.state)),
+        (1, lab.head + 1),
+        (2, tape),
+        *((3, hist) for hist in hists),
+        (4, lab.tau + 1),
+        (5, lab.h ^ 1),
+        (6, lab.b ^ 1),
+    ]
+    out = []
+    for pos, value in changes:
+        changed = list(fields)
+        changed[pos] = value
+        out.append(ExtendedBasisState(*changed))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    machines(total=True),
+    st.sampled_from([None, 2, 3, 4, 5]),
+    st.integers(0, 12),
+    st.data(),
+)
+def test_label_identity_agrees_with_serial_bytes(spec, period, steps, data):
+    # equality and hashing use the fields; serial is the canonical byte form
+    # of the same identity, so the two must never disagree
+    step = BeaconStep(spec, Unbounded() if period is None else Cyclic(period))
+    orbit = walk(step, step.initial_label(), steps)
+    lab = data.draw(st.sampled_from(orbit))
+    twin = step.make_label(
+        lab.state, lab.head, lab.tape, history_of(list(lab.hist)), lab.tau, lab.h, lab.b
+    )
+    assert twin is not lab
+    mutants = _one_field_mutants(step, lab)
+    pool = orbit + [twin] + mutants
+    for a in pool:
+        for b in pool:
+            assert (a == b) == (a.serial == b.serial)
+            if a == b:
+                assert hash(a) == hash(b)
+    assert twin == lab
+    assert all(mutant != lab for mutant in mutants)
+
+
+def test_labels_differing_only_in_tape_are_distinct_keys():
+    step = BeaconStep(BINARY_INC, Unbounded())
+    a = step.make_label("q0", 0, {0: "1"}, [], 0, 0, 0)
+    b = step.make_label("q0", 0, {0: "0"}, [], 0, 0, 0)
+    assert a != b and not a == b
+    keyed = {a: "a", b: "b"}
+    assert len(keyed) == 2
+    assert keyed[step.make_label("q0", 0, {0: "0"}, [], 0, 0, 0)] == "b"
+
+
 def test_target_predicates():
     step = BeaconStep(MOVE_RIGHT_3, Unbounded())
     labels = walk(step, step.initial_label(), 4)
