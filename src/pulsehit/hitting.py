@@ -7,6 +7,12 @@ ascending, and reports the first point whose fidelity reaches 1 - epsilon,
 or exhaustion of the horizon.  Exhaustion is a statement about the scanned
 range only, never a claim that no hit exists later.
 
+The scan carries each point as the integer pair (n, j), 0 <= j <= G: j = 0
+is the integer time n and j = G the end of the pulse that starts there.
+An exact ``Fraction`` time is built only for a point that is reported (a
+hit, a protocol's spent time, a trace row), so the time is never a float
+and the per-point cost is integer work.
+
 Grid points that land strictly inside a pulse are only evaluable where the
 support orbit closes (a halted label on a cyclic clock); everywhere else
 they are skipped rather than guessed, so a reported hit is always a
@@ -135,28 +141,43 @@ def _sin2_pi(x: Fraction) -> Number:
 
 class _MidPulse:
     """Mid-pulse fidelities on closed cycles: the cycle engine finds the
-    orbits; this keeps each cycle's truth table and alternating flag, keyed
-    by the cycle's index in the engine, and the weights per (length, j)."""
+    orbits; this keeps each cycle's truth table, the offsets where it is
+    true and its alternating flag, keyed by the cycle's index in the
+    engine, the weights per (length, j), and the finished row of G - 1
+    points per cycle position, which every later visit reuses."""
 
-    def __init__(self, step: BeaconStep, pred, grid: int):
+    def __init__(self, step: BeaconStep, pred, grid: int, threshold: Fraction):
         self.pred = pred
         self.grid = grid
+        self.threshold = threshold
         # a post-halt cycle visits each clock residue at both beacon
         # parities, so its length is exactly lcm(period, 2)
         self.index = _CycleIndex(step, 2 * step.clock.period + 2)
-        self._tables: dict[int, tuple[tuple[bool, ...], bool]] = {}
+        self._tables: dict[int, tuple[tuple[bool, ...], tuple[int, ...], bool]] = {}
         self._weights: dict[tuple[int, int], list[float]] = {}
+        self._rows: dict[tuple[int, int], tuple[tuple[int, Number, bool], ...]] = {}
 
-    def fid(self, label: ExtendedBasisState, j: int) -> Number:
-        ci, pos = self.index.locate(label)
+    def row(self, label: ExtendedBasisState) -> tuple[tuple[int, Number, bool], ...]:
+        """(j, fidelity, fidelity >= threshold) at the mid-pulse points
+        0 < j < G of the pulse that starts from ``label``."""
+        key = self.index.locate(label)
+        row = self._rows.get(key)
+        if row is None:
+            fids = [self._fid(*key, j) for j in range(1, self.grid)]
+            row = tuple((j, f, f >= self.threshold) for j, f in enumerate(fids, 1))
+            self._rows[key] = row
+        return row
+
+    def _fid(self, ci: int, pos: int, j: int) -> Number:
         table = self._tables.get(ci)
         if table is None:
             truth = tuple(bool(self.pred(lab)) for lab in self.index.cycles[ci])
             alternating = len(truth) % 2 == 0 and all(
                 truth[r] != truth[r - 1] for r in range(len(truth))
             )
-            table = self._tables[ci] = (truth, alternating)
-        truth, alternating = table
+            lit = tuple(q for q, on in enumerate(truth) if on)
+            table = self._tables[ci] = (truth, lit, alternating)
+        truth, lit, alternating = table
         k = len(truth)
         if alternating:
             s2 = _sin2_pi(Fraction(j, 2 * self.grid))
@@ -167,39 +188,63 @@ class _MidPulse:
             g, _ = fractional_coeffs(k, Fraction(j, self.grid))
             weights = [abs(z) ** 2 for z in g]
             self._weights[key] = weights
-        return math.fsum(
-            weights[r] for r in range(k) if truth[(pos + r) % k]
-        )
+        # weight r carries position pos to pos + r, so the lit offsets q
+        # collect the weights at r = q - pos; fsum rounds the exact sum
+        # once, whatever the order of its terms
+        return math.fsum(weights[(q - pos) % k] for q in lit)
 
 
-def _scan(inst: InstanceDescriptor) -> Iterator[tuple[Fraction, Number, tuple[Fraction, Fraction]]]:
-    """Yield (t, fidelity, enclosing pulse window) for every evaluable
-    grid point in ascending order."""
+def _scan(inst: InstanceDescriptor) -> Iterator[tuple[int, int, Number, bool]]:
+    """Yield (n, j, fidelity, reached) for every evaluable grid point in
+    ascending order, where the point is t = n + j*delta/G: j = 0 is the
+    integer point n, j = G the end of the pulse that starts there, and
+    0 < j < G a mid-pulse point.  ``reached`` is fidelity >= 1 - epsilon,
+    decided exactly.
+
+    Points are carried as these integer ticks; :func:`_time` and
+    :func:`_hit` build the ``Fraction`` time and window of the few points
+    that are reported."""
     step = BeaconStep(inst.machine, inst.schedule.clock)
     pred = step.target_predicate(inst.target)
-    delta = inst.schedule.delta
+    threshold = 1 - inst.epsilon
     grid = inst.grid
+    horizon = inst.horizon
     cyclic = isinstance(step.clock, Cyclic)
-    mid = _MidPulse(step, pred, grid) if cyclic and grid > 1 else None
-    offsets = [Fraction(j, grid) * delta for j in range(1, grid)]
+    mid = _MidPulse(step, pred, grid, threshold) if cyclic and grid > 1 else None
 
+    # integer and pulse-end points are 0/1 projections, and 0 < 1 - epsilon
+    # < 1, so the projection itself says whether the threshold is reached;
+    # the label at n + delta is the one at n + 1 (the line idles between)
     cur = step.initial_label()
-    for n in range(inst.horizon + 1):
-        t = Fraction(n)
-        if n:
-            window = (Fraction(n - 1), n - 1 + delta)
-        else:
-            window = (t, t)  # nothing was pulsed before t = 0
-        yield t, (1 if pred(cur) else 0), window
-        if n == inst.horizon:
+    lit = pred(cur)
+    for n in range(horizon + 1):
+        yield n, 0, 1 if lit else 0, lit
+        if n == horizon:
             return
-        pulse_window = (Fraction(n), n + delta)
         if mid is not None and cur.h == 1:
-            for j, offset in enumerate(offsets, 1):
-                yield n + offset, mid.fid(cur, j), pulse_window
-        nxt = step.forward(cur)
-        yield n + delta, (1 if pred(nxt) else 0), pulse_window
-        cur = nxt
+            for j, fid, reached in mid.row(cur):
+                yield n, j, fid, reached
+        cur = step.forward(cur)
+        lit = pred(cur)
+        yield n, grid, 1 if lit else 0, lit
+
+
+def _time(inst: InstanceDescriptor, n: int, j: int) -> Fraction:
+    """The time n + j*delta/G of the grid point (n, j)."""
+    return n + Fraction(j, inst.grid) * inst.schedule.delta
+
+
+def _hit(inst: InstanceDescriptor, n: int, j: int, fid: Number) -> Hit:
+    """The report of grid point (n, j), with the pulse window that encloses
+    it: the pulse from n for j > 0, else the one that ended before n."""
+    delta = inst.schedule.delta
+    if j:
+        window = (Fraction(n), n + delta)
+    elif n:
+        window = (Fraction(n - 1), n - 1 + delta)
+    else:
+        window = (Fraction(0), Fraction(0))  # nothing was pulsed before t = 0
+    return Hit(_time(inst, n, j), fid, window)
 
 
 def uhit_semidecide(inst: InstanceDescriptor) -> HitReport:
@@ -211,11 +256,10 @@ def uhit_semidecide(inst: InstanceDescriptor) -> HitReport:
     threshold without rounding the threshold, so a float within rounding
     of 1 - epsilon can decide the comparison wrongly (see the certified
     threshold comparisons item in ROADMAP.md)."""
-    threshold = 1 - inst.epsilon
     best: Number = 0
-    for t, fid, window in _scan(inst):
-        if fid >= threshold:
-            return Hit(t, fid, window)
+    for n, j, fid, reached in _scan(inst):
+        if reached:
+            return _hit(inst, n, j, fid)
         if fid > best:
             best = fid
     return Exhausted(inst.horizon, best)
@@ -223,7 +267,8 @@ def uhit_semidecide(inst: InstanceDescriptor) -> HitReport:
 
 def fidelity_trace(inst: InstanceDescriptor) -> list[tuple[Fraction, float]]:
     """All evaluated grid points with their fidelities, as floats."""
-    return [(t, float(fid)) for t, fid, _ in _scan(inst)]
+    offsets = [Fraction(j, inst.grid) * inst.schedule.delta for j in range(inst.grid + 1)]
+    return [(n + offsets[j], float(fid)) for n, j, fid, _ in _scan(inst)]
 
 
 # ---------------------------------------------------------------------------

@@ -302,10 +302,20 @@ def classical_step(
     back wrapped in :class:`HaltedMarker`.  Raises
     :class:`IllFormedMachineError` when a live state has no rule for the
     scanned symbol."""
+    return _step(spec, rule_table(spec), c)
+
+
+def _step(
+    spec: MachineSpec,
+    table: dict[tuple[str, str], tuple[int, Rule]],
+    c: Configuration,
+) -> Union[Configuration, HaltedMarker]:
+    """:func:`classical_step` with the machine's rule table built by the
+    caller, so a trace builds it once."""
     if c.state == spec.halt_state:
         return HaltedMarker(c)
     read = c.tape.get(c.head, spec.blank)
-    hit = rule_table(spec).get((c.state, read))
+    hit = table.get((c.state, read))
     if hit is None:
         raise IllFormedMachineError(
             f"no rule for ({c.state!r}, {read!r}) at step {c.step_count}"
@@ -369,10 +379,11 @@ def classical_run(
 def classical_trace(spec: MachineSpec, n: int) -> Iterator[Configuration]:
     """Yield configurations 0..n (or up to the halting configuration if it
     comes first; the halted configuration is yielded once)."""
+    table = rule_table(spec)
     c = initial_configuration(spec)
     yield c
     for _ in range(n):
-        nxt = classical_step(spec, c)
+        nxt = _step(spec, table, c)
         if isinstance(nxt, HaltedMarker):
             return
         c = nxt

@@ -33,8 +33,16 @@ from .errors import (
     ParameterRangeError,
     SearchRangeExhaustedError,
 )
-from .hitting import Exhausted, Hit, HitReport, InstanceDescriptor, _scan, uhit_semidecide
-from .machine import Halted, classical_run
+from .hitting import (
+    Exhausted,
+    HitReport,
+    InstanceDescriptor,
+    _hit,
+    _scan,
+    _time,
+    uhit_semidecide,
+)
+from .machine import Halted, MachineSpec, classical_run
 from .reduction import counter_family, encode
 from .reversible import BeaconSubspace, Unbounded
 
@@ -97,18 +105,23 @@ def run_bounded_protocol(inst: InstanceDescriptor, budget: ProtocolBudget) -> Pr
     exceed tau_max or e_max, the scan stops and reports unreachable with
     the resources actually spent.  A verdict therefore never overdraws,
     which the returned resources make checkable."""
-    spent = Resources(Fraction(0), 0)
-    threshold = 1 - inst.epsilon
-    for t, fid, _window in _scan(inst):
-        work = work_to_reach(t)
-        if t > budget.tau_max or work > budget.e_max:
+    delta = inst.schedule.delta
+    ticks = inst.grid * delta.denominator  # grid ticks per unit of time
+    # the point (n, j) lies n*ticks + j*num(delta) ticks in, so it is past
+    # tau_max iff that count exceeds floor(tau_max*ticks); it has begun n
+    # pulses, plus one if j > 0 (delta < 1 keeps it inside pulse n)
+    tick_limit = math.floor(budget.tau_max * ticks)
+    at, found = (0, 0), False  # observing the initial state is free
+    for n, j, _fid, reached in _scan(inst):
+        if n * ticks + j * delta.numerator > tick_limit or n + (j > 0) > budget.e_max:
             break
-        spent = Resources(t, work)
-        if fid >= threshold:
-            outcome = ProtocolOutcome(ReachableAt(t), spent)
-            _assert_compliant(outcome, budget)
-            return outcome
-    outcome = ProtocolOutcome(ReportedUnreachable(), spent)
+        at = (n, j)
+        if reached:
+            found = True
+            break
+    t = _time(inst, *at)
+    verdict = ReachableAt(t) if found else ReportedUnreachable()
+    outcome = ProtocolOutcome(verdict, Resources(t, work_to_reach(t)))
     _assert_compliant(outcome, budget)
     return outcome
 
@@ -133,6 +146,35 @@ class SweepWitness:
     outcome: ProtocolOutcome
 
 
+def _member(n: int) -> tuple[MachineSpec, int]:
+    """Counter-family member n and its halting step, confirmed by running
+    it classically."""
+    machine = counter_family(n)
+    run = classical_run(machine, n + 2)
+    if not isinstance(run, Halted):
+        raise AssertionError("counter family member failed to halt")
+    return machine, run.steps
+
+
+def _first_past(tau_max: Fraction, family_cap: int) -> int:
+    """Least family index in 0..family_cap whose halting step exceeds
+    tau_max, or family_cap + 1 if there is none.  The halting step grows
+    with the index, so a doubling search brackets the index and a bisection
+    closes the bracket, with O(log tau_max) classical runs."""
+    below, hi = -1, 0  # every index <= below halts by tau_max
+    while _member(hi)[1] <= tau_max:
+        if hi == family_cap:
+            return family_cap + 1
+        below, hi = hi, min(2 * hi + 1, family_cap)
+    while hi - below > 1:
+        mid = (below + hi) // 2
+        if _member(mid)[1] <= tau_max:
+            below = mid
+        else:
+            hi = mid
+    return hi
+
+
 def adversarial_sweep(
     budgets: Sequence[ProtocolBudget],
     *,
@@ -143,7 +185,8 @@ def adversarial_sweep(
     """For each budget, the minimal counter-family index whose halting
     step exceeds tau_max and whose budgeted run misclassifies it.
 
-    The family's halting step grows one per index, so the search walks
+    The family's halting step grows one per index, so a galloping search
+    finds the first index past tau_max; from there the search walks
     upward, confirms each candidate's step count classically, runs the
     protocol, and keeps the first incorrect outcome.  A cap on the family
     index turns a fruitless search into a typed error rather than a hang."""
@@ -154,14 +197,11 @@ def adversarial_sweep(
     witnesses = []
     for budget in budgets:
         found = None
-        for n in range(family_cap + 1):
-            machine = counter_family(n)
-            run = classical_run(machine, n + 2)
-            if not isinstance(run, Halted):
-                raise AssertionError("counter family member failed to halt")
-            if run.steps <= budget.tau_max:
+        for n in range(_first_past(budget.tau_max, family_cap), family_cap + 1):
+            machine, steps = _member(n)
+            if steps <= budget.tau_max:
                 continue
-            horizon = max(math.ceil(budget.tau_max) + 2, run.steps + 2)
+            horizon = max(math.ceil(budget.tau_max) + 2, steps + 2)
             inst = encode(machine, epsilon, delta, Unbounded(), BeaconSubspace(), horizon)
             outcome = run_bounded_protocol(inst, budget)
             # ground truth: the machine halts, so the beacon is reachable
@@ -171,7 +211,7 @@ def adversarial_sweep(
                     budget=budget,
                     name=f"counter-{n}",
                     n=n,
-                    halting_step=run.steps,
+                    halting_step=steps,
                     outcome=replace(outcome, correct=False),
                 )
                 break
@@ -248,11 +288,11 @@ def classify_with_noise(inst: InstanceDescriptor, noise: NoiseModel) -> HitRepor
     gamma = float(noise.gamma)
     threshold = 1 - inst.epsilon - noise.gamma
     best = 0.0
-    for t, fid, window in _scan(inst):
+    for n, j, fid, _reached in _scan(inst):
         wobble = rng.uniform(-gamma, gamma)
         noisy = min(1.0, max(0.0, float(fid) + wobble))
         if noisy >= threshold:
-            return Hit(t, noisy, window)
+            return _hit(inst, n, j, noisy)
         if noisy > best:
             best = noisy
     return Exhausted(inst.horizon, best)

@@ -411,3 +411,22 @@ def test_exact_label_trace_bytes_are_frozen(capsys):
     assert (code, err) == (0, "")
     assert out.count("\n") == 2318
     assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_EXACT_TRACE_SHA256
+
+
+# The same exact-label scan on a 2048-cycle (period 1024): 17918 lines whose
+# mid-pulse values sum only the lit offsets of each cycle; the MD5 was
+# recorded from the output when every point summed all 2048 weights.
+FROZEN_LONG_CYCLE_TRACE_MD5 = "e416b369404abf883248ab57080c74ff"
+
+
+def test_long_cycle_exact_label_trace_bytes_are_frozen(capsys):
+    from importlib import resources
+
+    machine = Path(str(resources.files("pulsehit"))) / "corpus" / "scan-20.tm"
+    code, out, err = run(
+        capsys, "trace", str(machine), "--clock", "cyclic:1024", "--grid", "5",
+        "--target", "exact:30", "--horizon", "3000",
+    )
+    assert (code, err) == (0, "")
+    assert out.count("\n") == 17918
+    assert hashlib.md5(out.encode()).hexdigest() == FROZEN_LONG_CYCLE_TRACE_MD5

@@ -203,6 +203,39 @@ def test_trace_point_counts_reflect_skips():
         assert t - t.numerator // t.denominator <= HALF
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    machines(total=True),
+    st.sampled_from([None, 2, 3, 5]),
+    st.fractions(min_value=0, max_value=1).filter(lambda d: 0 < d < 1),
+    st.integers(1, 7),
+    st.integers(1, 12),
+)
+def test_trace_times_are_the_grid_points(spec, period, delta, grid, horizon):
+    # the scan carries points as integer ticks; its times must be exactly
+    # {n + j*delta/G}, enumerated here from the halting step alone: the
+    # integer n, the pulse end n + delta, and on a cyclic clock the G - 1
+    # mid-pulse points of every pulse from a label with the halt flag set,
+    # which the step sets on reaching the halt state (n >= K), or on its
+    # first step for a machine that starts there (K = 0)
+    clock = Unbounded() if period is None else Cyclic(period)
+    inst = beacon_instance(spec, clock, horizon, delta=delta, grid=grid)
+    run = classical_run(spec, horizon)
+    halted_from = max(run.steps, 1) if isinstance(run, Halted) else horizon + 1
+    want = []
+    for n in range(horizon + 1):
+        want.append(Fraction(n))
+        if n == horizon:
+            break
+        if period is not None and n >= halted_from:
+            want.extend(n + Fraction(j * delta.numerator, grid * delta.denominator)
+                        for j in range(1, grid))
+        want.append(n + delta)
+    got = [t for t, _ in fidelity_trace(inst)]
+    assert got == want
+    assert all(type(t) is Fraction for t in got)
+
+
 def test_first_integer_hit_is_k_plus_one():
     tr = fidelity_trace(beacon_instance(MOVE_RIGHT_3, Unbounded(), 10))
     integers = [(t, f) for t, f in tr if t.denominator == 1]

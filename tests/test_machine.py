@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from support import machines
 
+from pulsehit import machine
 from pulsehit.errors import (
     IllFormedMachineError,
     MachineSemanticsError,
@@ -196,6 +197,26 @@ def test_trace_truncates_at_bound():
     cs = list(classical_trace(spec, 4))
     assert len(cs) == 5
     assert all(c.state == "q0" for c in cs)
+
+
+def test_trace_builds_the_rule_table_once_and_matches_stepping(monkeypatch):
+    spec = parse_machine(BINARY_INC)
+    stepped = [initial_configuration(spec)]
+    while len(stepped) <= 20:
+        nxt = classical_step(spec, stepped[-1])
+        if isinstance(nxt, HaltedMarker):
+            break
+        stepped.append(nxt)
+    builds = []
+    real = machine.rule_table
+
+    def counting_table(s):
+        builds.append(s)
+        return real(s)
+
+    monkeypatch.setattr(machine, "rule_table", counting_table)
+    assert list(classical_trace(spec, 20)) == stepped
+    assert len(builds) == 1
 
 
 def test_same_snapshot_ignores_step_count():

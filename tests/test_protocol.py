@@ -8,10 +8,12 @@ index sits right above the time budget.
 """
 
 import json
+import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pulsehit.dynamics import PulseSchedule
@@ -20,8 +22,16 @@ from pulsehit.errors import (
     ParameterRangeError,
     SearchRangeExhaustedError,
 )
-from pulsehit.hitting import Exhausted, Hit, InstanceDescriptor, grid_for, uhit_semidecide
-from pulsehit.machine import Halted, classical_run, parse_machine
+from pulsehit.hitting import (
+    Exhausted,
+    Hit,
+    InstanceDescriptor,
+    fidelity_trace,
+    grid_for,
+    uhit_semidecide,
+)
+from pulsehit import protocol
+from pulsehit.machine import Halted, StillRunning, classical_run, parse_machine
 from pulsehit.protocol import (
     NoiseModel,
     ProtocolBudget,
@@ -29,13 +39,14 @@ from pulsehit.protocol import (
     ReachableAt,
     ReportedUnreachable,
     Resources,
+    SweepWitness,
     adversarial_sweep,
     classify_with_noise,
     run_bounded_protocol,
     sweep_report_json,
     work_to_reach,
 )
-from pulsehit.reduction import counter_family
+from pulsehit.reduction import counter_family, encode
 from pulsehit.reversible import BeaconStep, BeaconSubspace, Cyclic, ExactLabel, Unbounded
 
 MOVE_RIGHT_3 = parse_machine(
@@ -160,6 +171,45 @@ def test_budget_compliance_and_exact_verdict_boundary(tau_num, e_max):
         assert out.verdict == ReportedUnreachable()
 
 
+def _fraction_gated_protocol(inst, budget):
+    """The budgeted scan walked over the trace's Fraction times: a point is
+    gated by t > tau_max or ceil(t) pulses > e_max, and the first point at
+    or past 1 - epsilon is the verdict."""
+    threshold = 1 - inst.epsilon
+    spent = Resources(Fraction(0), 0)
+    for t, fid in fidelity_trace(inst):
+        work = math.ceil(t)
+        if t > budget.tau_max or work > budget.e_max:
+            break
+        spent = Resources(t, work)
+        if fid >= threshold:
+            return ProtocolOutcome(ReachableAt(t), spent)
+    return ProtocolOutcome(ReportedUnreachable(), spent)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([MOVE_RIGHT_3, HALT_NOW, LOOP_STAY]),
+    st.sampled_from([Unbounded(), Cyclic(2), Cyclic(3)]),
+    st.fractions(min_value=0, max_value=1, max_denominator=12).filter(lambda d: 0 < d < 1),
+    st.integers(1, 7),
+    st.data(),
+)
+def test_time_gate_at_a_grid_point_and_a_tick_either_side(spec, clock, delta, grid, data):
+    # the protocol gates in integer ticks of 1/(G den(delta)); set tau_max
+    # on a grid point, one tick and half a tick either side of it, with the
+    # work budget at, below and well above the point's pulse count
+    inst = beacon_instance(spec, clock, 6, delta=delta, grid=grid)
+    t = data.draw(st.sampled_from([t for t, _ in fidelity_trace(inst)][1:]))
+    tick = Fraction(1, grid * delta.denominator)
+    for tau_max in (t - tick, t - tick / 2, t, t + tick / 2, t + tick):
+        for e_max in {max(1, math.ceil(t) - 1), math.ceil(t), 100}:
+            if tau_max <= 0:
+                continue
+            budget = ProtocolBudget(tau_max, e_max)
+            assert run_bounded_protocol(inst, budget) == _fraction_gated_protocol(inst, budget)
+
+
 # -- the adversarial sweep --------------------------------------------------------
 
 
@@ -220,6 +270,74 @@ def test_sweep_report_json_is_frozen_and_deterministic():
     assert sweep_report_json(adversarial_sweep([ProtocolBudget(10, 10)])) == text
     for line in text.splitlines():
         json.loads(line)
+
+
+def _linear_sweep(budget, family_cap):
+    """The witness search as an upward walk over every family index."""
+    for n in range(family_cap + 1):
+        machine = counter_family(n)
+        run = classical_run(machine, n + 2)
+        if run.steps <= budget.tau_max:
+            continue
+        horizon = max(math.ceil(budget.tau_max) + 2, run.steps + 2)
+        inst = encode(machine, QUARTER, HALF, Unbounded(), BeaconSubspace(), horizon)
+        outcome = run_bounded_protocol(inst, budget)
+        if not isinstance(outcome.verdict, ReachableAt):
+            return SweepWitness(budget, f"counter-{n}", n, run.steps,
+                                replace(outcome, correct=False))
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.fractions(min_value=0, max_value=60, max_denominator=6).filter(lambda t: t > 0),
+    st.integers(1, 70),
+    st.integers(0, 70),
+)
+def test_galloping_sweep_matches_a_linear_walk(tau_max, e_max, family_cap):
+    budget = ProtocolBudget(tau_max, e_max)
+    want = _linear_sweep(budget, family_cap)
+    if want is None:
+        with pytest.raises(SearchRangeExhaustedError):
+            adversarial_sweep([budget], family_cap=family_cap)
+    else:
+        assert adversarial_sweep([budget], family_cap=family_cap) == [want]
+
+
+@pytest.mark.parametrize(
+    "budget",
+    [ProtocolBudget(Fraction(3, 2), 1), ProtocolBudget(1, 1), ProtocolBudget(10, 10),
+     ProtocolBudget(Fraction(21, 2), 50), ProtocolBudget(100, 7)],
+    ids=["3/2", "1", "10", "21/2", "100-work-7"],
+)
+def test_family_cap_at_the_witness_finds_it_and_one_below_raises(budget):
+    (w,) = adversarial_sweep([budget])
+    assert adversarial_sweep([budget], family_cap=w.n) == [w]
+    with pytest.raises(SearchRangeExhaustedError, match=f"0..{w.n - 1}$"):
+        adversarial_sweep([budget], family_cap=w.n - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3000))
+def test_counter_family_member_n_halts_in_n_plus_one_steps(n):
+    # the sweep's galloping search relies on this growing with n
+    run = classical_run(counter_family(n), n + 2)
+    assert isinstance(run, Halted) and run.steps == n + 1
+    assert isinstance(classical_run(counter_family(n), n), StillRunning)
+
+
+@pytest.mark.parametrize("tau_max", [1, 10, 100, 1000, 10_000])
+def test_sweep_runs_logarithmically_many_classical_runs(monkeypatch, tau_max):
+    calls = []
+
+    def counting_run(machine, max_steps):
+        calls.append(max_steps)
+        return classical_run(machine, max_steps)
+
+    monkeypatch.setattr(protocol, "classical_run", counting_run)
+    (w,) = adversarial_sweep([ProtocolBudget(tau_max, tau_max)], family_cap=20_000)
+    assert w.n == tau_max
+    assert len(calls) <= 2 * tau_max.bit_length() + 4
 
 
 # -- noise ------------------------------------------------------------------------
