@@ -58,7 +58,6 @@ from .dynamics import (
     SparseState,
     approx_unitary,
     cycle_of,
-    enumerate_reachable,
     evolve_integer,
     evolve_to,
     fidelity,

@@ -190,9 +190,6 @@ class SparseState:
     def amplitude(self, label: ExtendedBasisState) -> Optional[Amplitude]:
         return self._amps.get(label)
 
-    def labels(self) -> list[ExtendedBasisState]:
-        return [lab for lab, _ in self.items()]
-
     @property
     def support_size(self) -> int:
         return len(self._amps)
@@ -251,7 +248,7 @@ class PulseSchedule:
     def __post_init__(self):
         object.__setattr__(self, "delta", _as_fraction(self.delta, "delta"))
         if not 0 < self.delta < 1:
-            raise ParameterRangeError(f"pulse width must lie in (0,1), got {self.delta}")
+            raise ParameterRangeError(f"delta must lie in (0, 1), got {self.delta}")
         if not isinstance(self.clock, (Unbounded, Cyclic)):
             raise ParameterRangeError(f"unknown clock mode {self.clock!r}")
 
@@ -275,26 +272,6 @@ def evolve_integer(step: BeaconStep, psi: SparseState, n: int) -> SparseState:
             label = step.forward(label)
         pairs.append((label, amp))
     return SparseState(pairs, psi.time_tag + n, _check_norm=False)
-
-
-def enumerate_reachable(
-    step: BeaconStep, seed: ExtendedBasisState, horizon: int
-) -> list[ExtendedBasisState]:
-    """Labels forward^k(seed) for 0 <= k <= horizon, first-reach order,
-    deduplicated (cyclic orbits saturate at their finite size)."""
-    if not isinstance(horizon, int) or horizon < 0:
-        raise ParameterRangeError(
-            f"horizon must be a nonnegative integer, got {horizon!r}"
-        )
-    seen = {seed}
-    out = [seed]
-    cur = seed
-    for _ in range(horizon):
-        cur = step.forward(cur)
-        if cur not in seen:
-            seen.add(cur)
-            out.append(cur)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -563,23 +540,6 @@ class RationalMatrix:
 
     def column(self, j: int) -> list[tuple[Fraction, Fraction]]:
         return [row[j] for row in self.entries]
-
-    def apply(
-        self, vec: Sequence[tuple[Fraction, Fraction]]
-    ) -> list[tuple[Fraction, Fraction]]:
-        if len(vec) != len(self.basis):
-            raise ParameterRangeError(
-                f"vector length {len(vec)} does not match basis size {len(self.basis)}"
-            )
-        out = []
-        for row in self.entries:
-            re = Fraction(0)
-            im = Fraction(0)
-            for (mre, mim), (vre, vim) in zip(row, vec):
-                re += mre * vre - mim * vim
-                im += mre * vim + mim * vre
-            out.append((re, im))
-        return out
 
 
 def approx_unitary(

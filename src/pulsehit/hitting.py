@@ -66,6 +66,11 @@ def grid_for(epsilon: Fraction, delta: Fraction) -> int:
     return max(2, math.ceil(2.0 / ramp - 1e-9))
 
 
+def _require_positive_int(name: str, value) -> None:
+    if not isinstance(value, int) or value < 1:
+        raise ParameterRangeError(f"{name} must be a positive integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class InstanceDescriptor:
     """One hitting problem: machine, threshold margin, schedule, target,
@@ -90,14 +95,8 @@ class InstanceDescriptor:
             raise ParameterRangeError(f"not a schedule: {self.schedule!r}")
         if not isinstance(self.target, (BeaconSubspace, ExactLabel)):
             raise ParameterRangeError(f"unknown target {self.target!r}")
-        if not isinstance(self.horizon, int) or self.horizon < 1:
-            raise ParameterRangeError(
-                f"horizon must be a positive integer, got {self.horizon!r}"
-            )
-        if not isinstance(self.grid, int) or self.grid < 1:
-            raise ParameterRangeError(
-                f"grid must be a positive integer, got {self.grid!r}"
-            )
+        _require_positive_int("horizon", self.horizon)
+        _require_positive_int("grid", self.grid)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+from .dynamics import PulseSchedule
 from .errors import (
     NoiseMarginError,
     ParameterRangeError,
@@ -40,6 +41,7 @@ from .hitting import (
     _hit,
     _scan,
     _time,
+    grid_for,
     uhit_semidecide,
 )
 from .machine import Halted, MachineSpec, classical_run
@@ -189,11 +191,15 @@ def adversarial_sweep(
     finds the first index past tau_max; from there the search walks
     upward, confirms each candidate's step count classically, runs the
     protocol, and keeps the first incorrect outcome.  A cap on the family
-    index turns a fruitless search into a typed error rather than a hang."""
+    index turns a fruitless search into a typed error rather than a hang.
+    The parameters are checked before any search, so a bad one is rejected
+    even when the cap leaves nothing to search."""
     if not isinstance(family_cap, int) or family_cap < 0:
         raise ParameterRangeError(
             f"family_cap must be a nonnegative integer, got {family_cap!r}"
         )
+    grid = grid_for(epsilon, delta)
+    PulseSchedule(delta, Unbounded())
     witnesses = []
     for budget in budgets:
         found = None
@@ -202,7 +208,7 @@ def adversarial_sweep(
             if steps <= budget.tau_max:
                 continue
             horizon = max(math.ceil(budget.tau_max) + 2, steps + 2)
-            inst = encode(machine, epsilon, delta, Unbounded(), BeaconSubspace(), horizon)
+            inst = encode(machine, epsilon, delta, Unbounded(), BeaconSubspace(), horizon, grid)
             outcome = run_bounded_protocol(inst, budget)
             # ground truth: the machine halts, so the beacon is reachable
             correct = isinstance(outcome.verdict, ReachableAt)

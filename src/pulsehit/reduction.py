@@ -30,6 +30,7 @@ from .hitting import (
     InstanceDescriptor,
     grid_for,
     _report_payload,
+    _require_positive_int,
     uhit_semidecide,
 )
 from .machine import (
@@ -70,7 +71,6 @@ class CorpusEntry:
 @dataclass(frozen=True)
 class ReductionReport:
     entry: CorpusEntry
-    expected: GroundTruth
     observed: HitReport
     verdict: str  # "agree" | "disagree"
 
@@ -190,19 +190,24 @@ def verify_corpus(
     target: Union[BeaconSubspace, ExactLabel],
     horizon: int,
 ) -> list[ReductionReport]:
-    """Replay every certificate, scan every instance, compare the two."""
+    """Replay every certificate, scan every instance, compare the two.
+
+    The parameters are checked once, before any replay or scan, so a bad
+    one is rejected even for an empty corpus."""
     epsilon = Fraction(epsilon)
     delta = Fraction(delta)
+    grid = grid_for(epsilon, delta)
+    PulseSchedule(delta, mode)
+    _require_positive_int("horizon", horizon)
     reports = []
     for entry in corpus:
         validate_entry(entry)
-        inst = encode(entry.machine, epsilon, delta, mode, target, horizon)
+        inst = encode(entry.machine, epsilon, delta, mode, target, horizon, grid)
         observed = uhit_semidecide(inst)
         agree = _agrees(entry.ground_truth, observed, epsilon, delta, horizon)
         reports.append(
             ReductionReport(
                 entry=entry,
-                expected=entry.ground_truth,
                 observed=observed,
                 verdict="agree" if agree else "disagree",
             )
@@ -224,7 +229,7 @@ def reduction_report_json(reports: Sequence[ReductionReport]) -> str:
             json.dumps(
                 {
                     "name": rep.entry.name,
-                    "expected": _truth_payload(rep.expected),
+                    "expected": _truth_payload(rep.entry.ground_truth),
                     "observed": _report_payload(rep.observed),
                     "verdict": rep.verdict,
                 },
@@ -287,14 +292,14 @@ def _corpus_from(manifest_text: str, read_file: Callable[[str], str]) -> list[Co
     seen = set()
     for row in rows:
         name = row.get("name") if isinstance(row, dict) else None
-        if not isinstance(name, str) or "machine_file" not in row:
+        if not isinstance(name, str) or not isinstance(row.get("machine_file"), str):
             raise CorpusBugError(f"malformed manifest row {row!r}")
         if name in seen:
             raise CorpusBugError(f"duplicate corpus entry name {name!r}")
         seen.add(name)
         machine = parse_machine(read_file(row["machine_file"]))
         entries.append(
-            CorpusEntry(name, machine, _parse_ground_truth(name, row["ground_truth"]))
+            CorpusEntry(name, machine, _parse_ground_truth(name, row.get("ground_truth")))
         )
     return entries
 

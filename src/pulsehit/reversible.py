@@ -105,10 +105,6 @@ class HistChain:
             raise LabelError("cannot pop an empty history")
         return self.rule_index, self.prev
 
-    @property
-    def last(self) -> Optional[int]:
-        return self.rule_index
-
     def __len__(self) -> int:
         return self.length
 

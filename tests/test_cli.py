@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from pulsehit.cli import RunConfig, main
-from pulsehit.errors import ParameterRangeError
+from pulsehit.cli import main
+from pulsehit.reversible import BeaconStep
 
 MOVE_RIGHT_3 = """\
 states: q0 q1 q2 qH
@@ -44,25 +44,89 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-# -- config boundary ---------------------------------------------------------------
+# -- range checks ------------------------------------------------------------------
+
+# The shortest valid invocation of each command; MOVER and EMPTY stand for
+# a machine file and an empty corpus manifest.
+BASE = {
+    "compile": ("compile", "MOVER"),
+    "hit": ("hit", "MOVER"),
+    "trace": ("trace", "MOVER"),
+    "evolve": ("evolve", "MOVER", "--time", "1"),
+    "verify": ("verify",),
+    "sweep": ("sweep", "--budgets", "10"),
+}
 
 
-def test_run_config_revalidates_ranges():
-    RunConfig(command="hit", epsilon=Fraction(1, 3))
-    with pytest.raises(ParameterRangeError):
-        RunConfig(command="explode")
-    with pytest.raises(ParameterRangeError):
-        RunConfig(command="hit", epsilon=Fraction(1, 2))
-    with pytest.raises(ParameterRangeError):
-        RunConfig(command="hit", delta=Fraction(1))
-    with pytest.raises(ParameterRangeError):
-        RunConfig(command="hit", horizon=0)
-    with pytest.raises(ParameterRangeError):
-        RunConfig(command="hit", grid=0)
-    with pytest.raises(ParameterRangeError):
-        RunConfig(command="evolve", time=Fraction(-1, 2))
-    with pytest.raises(ParameterRangeError):
-        RunConfig(command="hit", format="xml")
+def _case(cmd, *flags, want):
+    return pytest.param((*BASE[cmd], *flags), want, id=" ".join((cmd, *flags)))
+
+
+# Each flag value below parses, and is then rejected by the library's own
+# typed check: the CLI adds no range check of its own.
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        *(
+            _case(cmd, "--epsilon", eps, want="pulsehit: error: epsilon must")
+            for cmd in ("compile", "hit", "trace", "verify", "sweep")
+            for eps in ("1/2", "0")
+        ),
+        *(
+            _case(cmd, "--delta", "1", want="pulsehit: error: delta must")
+            for cmd in ("compile", "hit", "trace", "evolve", "verify", "sweep")
+        ),
+        *(
+            _case(cmd, "--horizon", "0", want="pulsehit: error: horizon must")
+            for cmd in ("compile", "hit", "trace", "verify")
+        ),
+        *(
+            _case(cmd, "--grid", "0", want="pulsehit: error: grid must")
+            for cmd in ("compile", "hit", "trace")
+        ),
+        _case("hit", "--epsilon", "1/2", "--grid", "3", want="pulsehit: error: epsilon must"),
+        pytest.param(("evolve", "MOVER", "--time=-1/2"), "pulsehit: error: time must",
+                     id="evolve --time=-1/2"),
+        _case("trace", "--format", "xml",
+              want="pulsehit trace: error: argument --format: invalid choice: 'xml'"),
+        _case("verify", "--corpus", "EMPTY", "--delta", "1", want="pulsehit: error: delta must"),
+        _case("verify", "--corpus", "EMPTY", "--epsilon", "1/2",
+              want="pulsehit: error: epsilon must"),
+        _case("verify", "--corpus", "EMPTY", "--horizon", "0",
+              want="pulsehit: error: horizon must"),
+        _case("sweep", "--budgets", "100", "--family-cap", "5", "--epsilon", "1/2",
+              want="pulsehit: error: epsilon must"),
+    ],
+)
+def test_out_of_range_flags_exit_one_naming_the_parameter(capsys, mover, tmp_path, argv, want):
+    empty = tmp_path / "empty.json"
+    empty.write_text("[]")
+    argv = [{"MOVER": mover, "EMPTY": str(empty)}.get(arg, arg) for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert any(line.startswith(want) for line in err.splitlines()), err
+
+
+def test_parameters_are_checked_before_an_exact_target_walks(capsys, mover, monkeypatch):
+    def no_walk(self, label):
+        raise AssertionError("stepped before the range check")
+
+    monkeypatch.setattr(BeaconStep, "forward", no_walk)
+    code, out, err = run(capsys, "hit", mover, "--target", "exact:5", "--epsilon", "1/2")
+    assert (code, out) == (1, "")
+    assert "pulsehit: error: epsilon must" in err
+
+
+@pytest.mark.parametrize(
+    "cmd, flag, value",
+    [(cmd, "--format", "json") for cmd in ("compile", "hit", "evolve", "verify", "sweep")]
+    + [("verify", "--grid", "3"), ("verify", "--target", "beacon")],
+)
+def test_flags_a_command_does_not_read_are_rejected(capsys, mover, cmd, flag, value):
+    argv = [mover if arg == "MOVER" else arg for arg in (*BASE[cmd], flag, value)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert f"pulsehit: error: unrecognized arguments: {flag} {value}" in err
 
 
 # -- compile -----------------------------------------------------------------------
@@ -196,8 +260,11 @@ def test_trace_json_format(capsys, mover):
 
 
 def test_csv_format_is_only_for_trace(capsys, mover):
-    code, _out, err = run(capsys, "hit", mover, "--format", "csv")
-    assert code == 1 and "trace" in err
+    _code, default, _err = run(capsys, "trace", mover, "--horizon", "5")
+    assert run(capsys, "trace", mover, "--horizon", "5", "--format", "csv") == (0, default, "")
+    code, out, err = run(capsys, "hit", mover, "--format", "csv")
+    assert (code, out) == (1, "")
+    assert "pulsehit: error: unrecognized arguments: --format csv" in err
 
 
 # -- evolve ------------------------------------------------------------------------
@@ -228,8 +295,9 @@ def test_evolve_requires_a_time(capsys, mover):
 
 
 def test_evolve_rejects_negative_time(capsys, mover):
-    code, _out, err = run(capsys, "evolve", mover, "--time", "-1/2")
-    assert code == 1 and "time" in err
+    code, out, err = run(capsys, "evolve", mover, "--time=-1/2")
+    assert (code, out) == (1, "")
+    assert "pulsehit: error: time must be nonnegative, got -1/2" in err
 
 
 def test_evolve_mid_pulse_refusal_exits_one(capsys, mover):

@@ -258,6 +258,16 @@ def test_sweep_rejects_a_family_cap_that_is_not_a_nonnegative_int(family_cap):
         adversarial_sweep([ProtocolBudget(5, 5)], family_cap=family_cap)
 
 
+@pytest.mark.parametrize(
+    "epsilon, delta, name",
+    [(Fraction(1, 2), Fraction(1, 2), "epsilon"), (Fraction(1, 4), Fraction(1), "delta")],
+)
+def test_sweep_rejects_bad_parameters_before_searching(epsilon, delta, name):
+    # a cap of 5 ends the search for budget 100 before any member is encoded
+    with pytest.raises(ParameterRangeError, match=name):
+        adversarial_sweep([ProtocolBudget(100, 100)], epsilon=epsilon, delta=delta, family_cap=5)
+
+
 def test_sweep_report_json_is_frozen_and_deterministic():
     witnesses = adversarial_sweep([ProtocolBudget(10, 10)])
     text = sweep_report_json(witnesses)

@@ -5,6 +5,7 @@ are re-verified mechanically by certificate replay before every scan, so a
 drift between file and manifest surfaces as a corpus bug, not a verdict).
 """
 
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pulsehit
+from pulsehit.cli import main
 from pulsehit.errors import CorpusBugError, ParameterRangeError
 from pulsehit.hitting import Exhausted, Hit, uhit_semidecide
 from pulsehit.machine import Halted, classical_run
@@ -127,9 +129,9 @@ def test_verify_corpus_all_agree_unbounded():
     assert len(reports) == 17
     for rep in reports:
         assert rep.verdict == "agree", rep.entry.name
-        if isinstance(rep.expected, Halts):
+        if isinstance(rep.entry.ground_truth, Halts):
             assert isinstance(rep.observed, Hit)
-            assert rep.observed.t_hit == rep.expected.steps + HALF
+            assert rep.observed.t_hit == rep.entry.ground_truth.steps + HALF
             assert rep.observed.fidelity_at_hit == 1
         else:
             assert isinstance(rep.observed, Exhausted)
@@ -142,8 +144,8 @@ def test_verify_corpus_all_agree_cyclic():
     )
     for rep in reports:
         assert rep.verdict == "agree", rep.entry.name
-        if isinstance(rep.expected, Halts):
-            k = rep.expected.steps
+        if isinstance(rep.entry.ground_truth, Halts):
+            k = rep.entry.ground_truth.steps
             assert Fraction(k) <= rep.observed.t_hit <= k + HALF
 
 
@@ -183,6 +185,29 @@ def test_verify_corpus_rejects_corpus_bugs_before_scanning():
     bad = CorpusEntry("bad", entries["loop-stay"].machine, Halts(3))
     with pytest.raises(CorpusBugError):
         verify_corpus([bad], QUARTER, HALF, Unbounded(), BeaconSubspace(), 50)
+
+
+@pytest.mark.parametrize(
+    "epsilon, delta, mode, horizon, name",
+    [
+        (HALF, HALF, Unbounded(), 50, "epsilon"),
+        (QUARTER, Fraction(1), Unbounded(), 50, "delta"),
+        (QUARTER, HALF, "cyclic", 50, "clock"),
+        (QUARTER, HALF, Unbounded(), 0, "horizon"),
+        (QUARTER, HALF, Unbounded(), 2.5, "horizon"),
+    ],
+    ids=["epsilon", "delta", "clock", "horizon-0", "horizon-float"],
+)
+@pytest.mark.parametrize("corpus", ["empty", "corpus-bug"])
+def test_verify_corpus_rejects_bad_parameters_before_any_replay(
+    epsilon, delta, mode, horizon, name, corpus
+):
+    # an empty corpus has nothing to encode, and a lying certificate would
+    # raise CorpusBugError if it were replayed first
+    lying = CorpusEntry("bad", by_name(builtin_corpus())["loop-stay"].machine, Halts(3))
+    rows = {"empty": [], "corpus-bug": [lying]}[corpus]
+    with pytest.raises(ParameterRangeError, match=name):
+        verify_corpus(rows, epsilon, delta, mode, BeaconSubspace(), horizon)
 
 
 # -- encode ----------------------------------------------------------------------
@@ -310,3 +335,27 @@ def test_load_corpus_rejects_malformed_manifests(tmp_path):
     )
     with pytest.raises(CorpusBugError, match="revisit"):
         load_corpus(tmp_path / "manifest.json")
+
+
+GOOD_ROW = {"name": "m", "machine_file": "m.tm", "ground_truth": {"kind": "halts", "K": 0}}
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        {"name": "m", "machine_file": "m.tm"},
+        {**GOOD_ROW, "machine_file": 5},
+        {**GOOD_ROW, "name": 7},
+    ],
+    ids=["no-ground-truth", "int-machine-file", "int-name"],
+)
+def test_malformed_manifest_rows_are_corpus_bugs(tmp_path, capsys, row):
+    (tmp_path / "m.tm").write_text("states: q0\nalphabet: _\nstart: q0\nhalt: q0\n")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([GOOD_ROW | {"name": "ok"}, row]))
+    with pytest.raises(CorpusBugError, match="malformed"):
+        load_corpus(manifest)
+    code = main(["verify", "--corpus", str(manifest), "--horizon", "5"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith("pulsehit: error: ") and "malformed" in captured.err

@@ -322,7 +322,7 @@ def test_hist_chain_behaviour():
     h3 = history_of([2, 0, 1])
     assert len(h3) == 3
     assert list(h3) == [2, 0, 1]
-    assert h3.last == 1
+    assert h3.rule_index == 1
     idx, prev = h3.pop()
     assert idx == 1 and list(prev) == [2, 0]
     assert history_of([2, 0, 1]) == h3
@@ -381,7 +381,7 @@ def _one_field_mutants(step, lab):
     hists = [lab.hist.append(0)]
     if len(lab.hist):
         # same length, last rule index changed
-        hists.append(history_of(list(lab.hist)[:-1] + [lab.hist.last + 1]))
+        hists.append(history_of(list(lab.hist)[:-1] + [lab.hist.rule_index + 1]))
     fields = (lab.state, lab.head, lab.tape, lab.hist, lab.tau, lab.h, lab.b)
     changes = [
         (0, next(q for q in spec.states if q != lab.state)),
