@@ -119,10 +119,7 @@ def _instance(args: argparse.Namespace):
     if kind == "beacon":
         return inst
     step = BeaconStep(machine, args.clock)
-    label = step.initial_label()
-    for _ in range(steps):
-        label = step.forward(label)
-    return replace(inst, target=ExactLabel(label))
+    return replace(inst, target=ExactLabel(step.advance(step.initial_label(), steps)))
 
 
 def _emit(text: str, args: argparse.Namespace) -> None:

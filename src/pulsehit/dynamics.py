@@ -39,8 +39,6 @@ from .errors import (
 )
 from .reversible import BeaconStep, ClockMode, Cyclic, ExtendedBasisState, Unbounded
 
-CYCLE_CAP = 1 << 16
-
 _EPS = 2.220446049250313e-16  # double-precision unit roundoff (2^-52)
 
 Rational = Union[Fraction, int]
@@ -253,24 +251,37 @@ class PulseSchedule:
             raise ParameterRangeError(f"unknown clock mode {self.clock!r}")
 
 
-def _split_time(t: Fraction) -> tuple[int, Fraction]:
+def _pulsed_time(
+    step: BeaconStep, sched: PulseSchedule, t, m, *, m_optional: bool = False
+) -> tuple[Fraction, int, Fraction]:
+    """The checks :func:`evolve_to` and :func:`approx_unitary` share
+    (matching clocks, a precision exponent m >= 1, a rational time t >= 0),
+    then t, and its split t = n + s with n integer and 0 <= s < 1."""
+    if sched.clock != step.clock:
+        raise ParameterRangeError(
+            f"schedule clock {sched.clock!r} does not match step clock {step.clock!r}"
+        )
+    if not (m is None and m_optional or isinstance(m, int) and m >= 1):
+        raise ParameterRangeError(f"precision exponent must be a positive integer, got {m!r}")
+    t = _as_fraction(t, "t")
+    if t < 0:
+        raise ParameterRangeError(f"time must be nonnegative, got {t}")
     n = t.numerator // t.denominator
-    return n, t - n
+    return t, n, t - n
 
 
 def evolve_integer(step: BeaconStep, psi: SparseState, n: int) -> SparseState:
-    """Apply the step permutation ``n`` times; amplitudes ride unchanged."""
+    """Apply the step permutation ``n`` times; amplitudes ride unchanged.
+    Each label takes :meth:`BeaconStep.advance`, so on a cyclic clock the
+    cost is O(K + cycle length) per label whatever ``n`` is, the cycle
+    length coming from the step."""
     if not isinstance(n, int) or n < 0:
         raise ParameterRangeError(f"step count must be a nonnegative integer, got {n!r}")
     if psi.time_tag.denominator != 1:
         raise TimeTagError(
             f"cannot integer-evolve a state tagged mid-pulse at t={psi.time_tag}"
         )
-    pairs = []
-    for label, amp in psi.items():
-        for _ in range(n):
-            label = step.forward(label)
-        pairs.append((label, amp))
+    pairs = [(step.advance(label, n), amp) for label, amp in psi.items()]
     return SparseState(pairs, psi.time_tag + n, _check_norm=False)
 
 
@@ -278,9 +289,7 @@ def evolve_integer(step: BeaconStep, psi: SparseState, n: int) -> SparseState:
 # cycles and fractional powers
 
 
-def cycle_of(
-    step: BeaconStep, label: ExtendedBasisState, cap: int = CYCLE_CAP
-) -> list[ExtendedBasisState]:
+def cycle_of(step: BeaconStep, label: ExtendedBasisState) -> list[ExtendedBasisState]:
     """The forward orbit of ``label`` as a closed cycle starting at
     ``label``, or a typed refusal when the orbit does not close.
 
@@ -288,25 +297,21 @@ def cycle_of(
     increases).  On a cyclic clock a label recurs iff its halt flag is set:
     a closed loop cannot contain a rule step (histories only grow), so
     every step on it is a post-halt toggle, which forces h = 1 throughout.
+    The cycle length comes from the step (:attr:`BeaconStep.cycle_length`);
+    one more step checks that the walk closed.
     """
-    if not isinstance(cap, int) or cap < 1:
-        raise ParameterRangeError(f"cycle cap must be an integer >= 1, got {cap!r}")
-    if isinstance(step.clock, Unbounded):
-        raise OrbitNotClosedError(
-            "unbounded clock strictly increases; no orbit closes at any cap"
-        )
+    if step.cycle_length is None:
+        raise OrbitNotClosedError("unbounded clock strictly increases; no orbit closes")
     if label.h == 0:
         raise OrbitNotClosedError(
             "pre-halt label: its history grows every step, so the orbit "
             "cannot return (halt the machine or use an integer time)"
         )
     out = [label]
-    cur = step.forward(label)
-    while cur != label:
-        out.append(cur)
-        if len(out) > cap:
-            raise OrbitNotClosedError(f"orbit did not close within cap={cap} labels")
-        cur = step.forward(cur)
+    while len(out) < step.cycle_length:
+        out.append(step.forward(out[-1]))
+    if step.forward(out[-1]) != label:
+        raise OrbitNotClosedError(f"orbit did not close after {len(out)} labels")
     return out
 
 
@@ -384,14 +389,13 @@ def _rational_coeffs(k: int, alpha: Fraction, entry_bits: int) -> list[tuple[Fra
 
 class _CycleIndex:
     """The cycle engine: discovers each orbit cycle once, with
-    :func:`cycle_of` under the caller's cap, and maps every member label
-    (keyed by the label itself) to its cycle and position.  Cycles are
-    numbered in discovery order, so callers can key their own per-cycle
-    data by that index."""
+    :func:`cycle_of` (whose length comes from the step), and maps every
+    member label (keyed by the label itself) to its cycle and position.
+    Cycles are numbered in discovery order, so callers can key their own
+    per-cycle data by that index."""
 
-    def __init__(self, step: BeaconStep, cap: int):
+    def __init__(self, step: BeaconStep):
         self.step = step
-        self.cap = cap
         self.cycles: list[list[ExtendedBasisState]] = []
         self._position: dict[ExtendedBasisState, tuple[int, int]] = {}
 
@@ -400,7 +404,7 @@ class _CycleIndex:
         hit = self._position.get(label)
         if hit is not None:
             return hit
-        cyc = cycle_of(self.step, label, self.cap)
+        cyc = cycle_of(self.step, label)
         ci = len(self.cycles)
         self.cycles.append(cyc)
         for pos, lab in enumerate(cyc):
@@ -413,7 +417,7 @@ def _mid_pulse_pairs(
     pairs: list[tuple[ExtendedBasisState, Amplitude]],
     alpha: Fraction,
 ) -> list[tuple[ExtendedBasisState, Amplitude]]:
-    index = _CycleIndex(step, CYCLE_CAP)
+    index = _CycleIndex(step)
     coeffs: dict[int, tuple[list[complex], float]] = {}
     acc: dict[ExtendedBasisState, Amplitude] = {}
     for label, amp in pairs:
@@ -448,18 +452,11 @@ def evolve_to(
     given, a tracked floating error above 2^-m raises
     :class:`PrecisionBudgetError`.
     """
-    if sched.clock != step.clock:
-        raise ParameterRangeError(
-            f"schedule clock {sched.clock!r} does not match step clock {step.clock!r}"
-        )
-    t = _as_fraction(t, "t")
-    if t < 0:
-        raise ParameterRangeError(f"time must be nonnegative, got {t}")
+    t, n, s = _pulsed_time(step, sched, t, m, m_optional=True)
     if psi0.time_tag != 0:
         raise TimeTagError(
             f"evolve_to starts from the t=0 state, got time_tag {psi0.time_tag}"
         )
-    n, s = _split_time(t)
     if s == 0:
         return evolve_integer(step, psi0, n)
     if s >= sched.delta:
@@ -556,15 +553,7 @@ def approx_unitary(
     orbit cycles for mid-pulse times); anything else is a
     :class:`BasisNotClosedError`, never a silent truncation.
     """
-    if sched.clock != step.clock:
-        raise ParameterRangeError(
-            f"schedule clock {sched.clock!r} does not match step clock {step.clock!r}"
-        )
-    if not isinstance(m, int) or m < 1:
-        raise ParameterRangeError(f"precision exponent must be a positive integer, got {m!r}")
-    t = _as_fraction(t, "t")
-    if t < 0:
-        raise ParameterRangeError(f"time must be nonnegative, got {t}")
+    t, n, s = _pulsed_time(step, sched, t, m)
     basis = tuple(basis)
     size = len(basis)
     if size == 0:
@@ -575,7 +564,6 @@ def approx_unitary(
             raise LabelError(f"duplicate basis label {lab!r}")
         index[lab] = i
 
-    n, s = _split_time(t)
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -586,10 +574,7 @@ def approx_unitary(
         ]
         taken: dict[int, int] = {}
         for j, lab in enumerate(basis):
-            cur = lab
-            for _ in range(steps):
-                cur = step.forward(cur)
-            i = index.get(cur)
+            i = index.get(step.advance(lab, steps))
             if i is None:
                 raise BasisNotClosedError(
                     f"image of basis label {j} at t={t} leaves the basis"
@@ -613,7 +598,7 @@ def approx_unitary(
     # operator-norm bound ||A||_2 <= size * max|entry error| lands under 2^-m
     entry_bits = m + size.bit_length() + 1
     alpha = s / sched.delta
-    cycle_index = _CycleIndex(step, CYCLE_CAP)
+    cycle_index = _CycleIndex(step)
     coeff_cache: dict[int, list[tuple[Fraction, Fraction]]] = {}
     # basis position of every member of each cycle, resolved once per cycle
     rows: dict[int, list[int]] = {}

@@ -42,23 +42,18 @@ from typing import Iterator, Union
 from .dynamics import PulseSchedule, _CycleIndex, fractional_coeffs
 from .errors import ParameterRangeError
 from .machine import MachineSpec
-from .reversible import (
-    BeaconStep,
-    BeaconSubspace,
-    Cyclic,
-    ExactLabel,
-    ExtendedBasisState,
-)
+from .reversible import BeaconStep, BeaconSubspace, ExactLabel, ExtendedBasisState
 
 Number = Union[int, float, Fraction]
 
 
-def grid_for(epsilon: Fraction, delta: Fraction) -> int:
+def grid_for(epsilon: Fraction) -> int:
     """Grid refinement fine enough that a fidelity ramp from 0 to 1 over
     one pulse cannot step over the 1 - epsilon threshold between samples:
     G = max(2, ceil(2*delta / (delta - (2*delta/pi) asin sqrt(1-eps))));
-    the pulse width cancels.  The ceiling is nudged so a value that is
-    mathematically an integer is not pushed up by float rounding."""
+    the pulse width cancels, so only epsilon is taken.  The ceiling is
+    nudged so a value that is mathematically an integer is not pushed up by
+    float rounding."""
     epsilon = Fraction(epsilon)
     if not 0 < epsilon < Fraction(1, 2):
         raise ParameterRangeError(f"epsilon must lie in (0, 1/2), got {epsilon}")
@@ -149,9 +144,7 @@ class _MidPulse:
         self.pred = pred
         self.grid = grid
         self.threshold = threshold
-        # a post-halt cycle visits each clock residue at both beacon
-        # parities, so its length is exactly lcm(period, 2)
-        self.index = _CycleIndex(step, 2 * step.clock.period + 2)
+        self.index = _CycleIndex(step)
         self._tables: dict[int, tuple[tuple[bool, ...], tuple[int, ...], bool]] = {}
         self._weights: dict[tuple[int, int], list[float]] = {}
         self._rows: dict[tuple[int, int], tuple[tuple[int, Number, bool], ...]] = {}
@@ -208,8 +201,7 @@ def _scan(inst: InstanceDescriptor) -> Iterator[tuple[int, int, Number, bool]]:
     threshold = 1 - inst.epsilon
     grid = inst.grid
     horizon = inst.horizon
-    cyclic = isinstance(step.clock, Cyclic)
-    mid = _MidPulse(step, pred, grid, threshold) if cyclic and grid > 1 else None
+    mid = _MidPulse(step, pred, grid, threshold) if step.cycle_length and grid > 1 else None
 
     # integer and pulse-end points are 0/1 projections, and 0 < 1 - epsilon
     # < 1, so the projection itself says whether the threshold is reached;

@@ -198,7 +198,7 @@ def adversarial_sweep(
         raise ParameterRangeError(
             f"family_cap must be a nonnegative integer, got {family_cap!r}"
         )
-    grid = grid_for(epsilon, delta)
+    grid = grid_for(epsilon)
     PulseSchedule(delta, Unbounded())
     witnesses = []
     for budget in budgets:

@@ -89,7 +89,7 @@ def encode(
     threshold crossing within a pulse."""
     epsilon = Fraction(epsilon)
     if grid is None:
-        grid = grid_for(epsilon, Fraction(delta))
+        grid = grid_for(epsilon)
     return InstanceDescriptor(
         machine=machine,
         epsilon=epsilon,
@@ -196,7 +196,7 @@ def verify_corpus(
     one is rejected even for an empty corpus."""
     epsilon = Fraction(epsilon)
     delta = Fraction(delta)
-    grid = grid_for(epsilon, delta)
+    grid = grid_for(epsilon)
     PulseSchedule(delta, mode)
     _require_positive_int("horizon", horizon)
     reports = []

@@ -25,6 +25,7 @@ verified by re-applying the forward map.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
 
@@ -291,6 +292,13 @@ class BeaconStep:
     A live label whose (state, symbol) pair has no rule raises
     :class:`IllFormedMachineError`; machines fed to the dynamics are
     expected to be total along their reachable configurations.
+
+    The step also owns its orbit facts: :attr:`cycle_length` is the length
+    lcm(L, 2) of every post-halt orbit on a ``Cyclic(L)`` clock (the clock
+    ticks modulo L and the beacon toggles modulo 2 while the work half is
+    frozen), or ``None`` on an unbounded clock, where no orbit closes; and
+    :meth:`advance` uses it, so n steps along a run that halts at step K
+    cost O(K + L) forward calls however large n is.
     """
 
     def __init__(self, spec: MachineSpec, clock: ClockMode):
@@ -308,6 +316,7 @@ class BeaconStep:
         self._blank = spec.blank
         self._halt = spec.halt_state
         self._cyclic = clock.period if isinstance(clock, Cyclic) else None
+        self.cycle_length = None if self._cyclic is None else math.lcm(self._cyclic, 2)
 
     # -- construction helpers ------------------------------------------------
 
@@ -391,6 +400,22 @@ class BeaconStep:
             h,
             x.b,
         )
+
+    def advance(self, x: ExtendedBasisState, n: int) -> ExtendedBasisState:
+        """The label ``n`` forward steps from ``x``.  Once the halt flag is
+        set on a cyclic clock the orbit is a cycle of :attr:`cycle_length`
+        labels, so only ``n`` mod that length of the remaining steps are
+        taken."""
+        if not isinstance(n, int) or n < 0:
+            raise ParameterRangeError(f"step count must be a nonnegative integer, got {n!r}")
+        if self.cycle_length is not None:
+            while n and not x.h:
+                x = self.forward(x)
+                n -= 1
+            n %= self.cycle_length
+        for _ in range(n):
+            x = self.forward(x)
+        return x
 
     # -- backward ----------------------------------------------------------------
 

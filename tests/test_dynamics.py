@@ -374,6 +374,10 @@ def test_evolve_to_validation():
     late = SparseState.basis_state(step.initial_label(), 1)
     with pytest.raises(TimeTagError):
         evolve_to(step, sched, late, 2)
+    # the precision budget is checked the way approx_unitary checks it
+    for m in ("20", 0, -5, 2.5):
+        with pytest.raises(ParameterRangeError, match="precision exponent"):
+            evolve_to(step, sched, psi, Fraction(13, 4), m=m)
 
 
 def test_evolve_to_two_cycle_profile_matches_frozen_and_oracle():
@@ -457,17 +461,57 @@ def test_cycle_of_refusals():
     step_c = BeaconStep(MOVE_RIGHT_3, Cyclic(3))
     with pytest.raises(OrbitNotClosedError):
         cycle_of(step_c, step_c.initial_label())
+    # the walk takes the step's cycle length on trust and checks it closed
     labels = walk(step_c, step_c.initial_label(), 3)
-    with pytest.raises(OrbitNotClosedError, match="did not close within cap=3"):
-        cycle_of(step_c, labels[3], cap=3)
+    step_c.cycle_length = 5
+    with pytest.raises(OrbitNotClosedError, match="did not close after 5 labels"):
+        cycle_of(step_c, labels[3])
 
 
-@pytest.mark.parametrize("cap", [0, -1, 2.5, "4", None])
-def test_cycle_of_rejects_a_cap_that_is_not_a_positive_int(cap):
+def test_cycle_of_walks_cycles_past_any_fixed_cap():
+    step = BeaconStep(MOVE_RIGHT_3, Cyclic(32769))
+    halted = step.advance(step.initial_label(), 3)
+    cyc = cycle_of(step, halted)
+    assert len(cyc) == 65538
+    assert step.forward(cyc[-1]) == halted
+
+
+def _count_forward(monkeypatch):
+    calls = []
+    forward = BeaconStep.forward
+
+    def counting_forward(self, x):
+        calls.append(x)
+        return forward(self, x)
+
+    monkeypatch.setattr(BeaconStep, "forward", counting_forward)
+    return calls
+
+
+def test_integer_evolution_on_a_cyclic_clock_costs_the_cycle_not_the_time(monkeypatch):
+    # move-right-3 halts at K = 3; on Cyclic(3) its orbit then has 6 labels
     step = BeaconStep(MOVE_RIGHT_3, Cyclic(3))
-    halted = walk(step, step.initial_label(), 3)[3]
-    with pytest.raises(ParameterRangeError, match="cycle cap"):
-        cycle_of(step, halted, cap=cap)
+    psi = SparseState.basis_state(step.initial_label())
+    want = evolve_integer(step, psi, 10**6 % 6 + 6)
+    calls = _count_forward(monkeypatch)
+    got = evolve_integer(step, psi, 10**6)
+    assert len(calls) <= 3 + 2 * 6
+    assert got.items() == want.items()
+
+
+def test_certified_route_on_a_cyclic_clock_costs_the_cycle_not_the_time(monkeypatch):
+    step = BeaconStep(MOVE_RIGHT_3, Cyclic(3))
+    sched = PulseSchedule(HALF, Cyclic(3))
+    basis = cycle_of(step, step.advance(step.initial_label(), 3))
+    calls = _count_forward(monkeypatch)
+    matrix = approx_unitary(step, sched, basis, 10**6, 20)
+    # each basis label is advanced on its own, and each is already halted
+    assert len(calls) <= len(basis) * (3 + 2 * 6)
+    # 10^6 = 4 (mod 6): basis label j is carried to basis label j + 4
+    assert all(matrix.column(j)[(j + 4) % 6] == (1, 0) for j in range(6))
+    del calls[:]
+    approx_unitary(step, sched, basis, 10**6 + Fraction(1, 5), 20)
+    assert len(calls) <= len(basis) * (3 + 2 * 6)
 
 
 def test_forward_walk_saturates_on_cycles():

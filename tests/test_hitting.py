@@ -71,7 +71,7 @@ HALF = Fraction(1, 2)
 def beacon_instance(spec, clock, horizon, *, epsilon=QUARTER, delta=HALF, grid=None):
     sched = PulseSchedule(delta, clock)
     if grid is None:
-        grid = grid_for(epsilon, delta)
+        grid = grid_for(epsilon)
     return InstanceDescriptor(spec, epsilon, sched, BeaconSubspace(), horizon, grid)
 
 
@@ -88,18 +88,13 @@ def test_grid_for_frozen_values():
         (Fraction(49, 100), 5),
         (Fraction(1, 100), 32),
     ]:
-        assert grid_for(eps, HALF) == want
-
-
-def test_grid_for_is_pulse_width_independent():
-    for delta in (Fraction(1, 5), HALF, Fraction(9, 10)):
-        assert grid_for(Fraction(1, 8), delta) == 9
+        assert grid_for(eps) == want
 
 
 def test_grid_for_rejects_bad_epsilon():
     for eps in (Fraction(0), Fraction(1, 2), Fraction(3, 4)):
         with pytest.raises(ParameterRangeError):
-            grid_for(eps, HALF)
+            grid_for(eps)
 
 
 # -- instance validation ---------------------------------------------------------

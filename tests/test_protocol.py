@@ -74,7 +74,7 @@ HALF = Fraction(1, 2)
 def beacon_instance(spec, clock, horizon, *, epsilon=QUARTER, delta=HALF, grid=None):
     sched = PulseSchedule(delta, clock)
     if grid is None:
-        grid = grid_for(epsilon, delta)
+        grid = grid_for(epsilon)
     return InstanceDescriptor(spec, epsilon, sched, BeaconSubspace(), horizon, grid)
 
 

@@ -551,3 +551,30 @@ def test_beacon_parity_matches_classical_halting_step(spec, n):
                 assert lab.h == (1 if 0 < out.steps <= i else 0)
             else:
                 assert lab.h == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(machines(total=True), st.sampled_from([None, 2, 3, 4, 5, 6]), st.data())
+def test_advance_equals_repeated_forward(spec, period, data):
+    # the test-local loop is the reference: up to three cycles past the halt
+    step = BeaconStep(spec, Unbounded() if period is None else Cyclic(period))
+    run = classical_run(spec, 30)
+    halt = run.steps if isinstance(run, Halted) else 30
+    n = data.draw(st.integers(0, halt + 1 + 3 * (step.cycle_length or 12)))
+    want = step.initial_label()
+    for _ in range(n):
+        want = step.forward(want)
+    assert step.advance(step.initial_label(), n) == want
+
+
+@pytest.mark.parametrize("period,want", [(None, None), (2, 2), (3, 6), (4, 4), (7, 14)])
+def test_cycle_length_is_lcm_of_period_and_two(period, want):
+    step = BeaconStep(MOVE_RIGHT_3, Unbounded() if period is None else Cyclic(period))
+    assert step.cycle_length == want
+
+
+@pytest.mark.parametrize("n", [-1, 2.5, "3"])
+def test_advance_rejects_a_step_count_that_is_not_a_nonnegative_int(n):
+    step = BeaconStep(MOVE_RIGHT_3, Cyclic(3))
+    with pytest.raises(ParameterRangeError, match="step count"):
+        step.advance(step.initial_label(), n)
