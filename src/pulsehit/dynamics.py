@@ -418,15 +418,14 @@ def _mid_pulse_pairs(
     alpha: Fraction,
 ) -> list[tuple[ExtendedBasisState, Amplitude]]:
     index = _CycleIndex(step)
-    coeffs: dict[int, tuple[list[complex], float]] = {}
+    located = [(index.locate(label), amp) for label, amp in pairs]
+    # every post-halt cycle has step.cycle_length labels, so one vector
+    # serves them all; locating first keeps the refusals of cycle_of
+    k = step.cycle_length
+    g, gerr = fractional_coeffs(k, alpha)
     acc: dict[ExtendedBasisState, Amplitude] = {}
-    for label, amp in pairs:
-        ci, pos = index.locate(label)
+    for (ci, pos), amp in located:
         cyc = index.cycles[ci]
-        k = len(cyc)
-        if k not in coeffs:
-            coeffs[k] = fractional_coeffs(k, alpha)
-        g, gerr = coeffs[k]
         for r in range(k):
             target = cyc[(pos + r) % k]
             part = amp.mul_complex(g[r], gerr)
@@ -599,7 +598,7 @@ def approx_unitary(
     entry_bits = m + size.bit_length() + 1
     alpha = s / sched.delta
     cycle_index = _CycleIndex(step)
-    coeff_cache: dict[int, list[tuple[Fraction, Fraction]]] = {}
+    g = None  # one vector serves every cycle: each has step.cycle_length labels
     # basis position of every member of each cycle, resolved once per cycle
     rows: dict[int, list[int]] = {}
     cols = [[(zero, zero)] * size for _ in range(size)]
@@ -614,9 +613,8 @@ def approx_unitary(
                 )
             rows[ci] = row
         k = len(row)
-        if k not in coeff_cache:
-            coeff_cache[k] = _rational_coeffs(k, alpha, entry_bits)
-        g = coeff_cache[k]
+        if g is None:
+            g = _rational_coeffs(k, alpha, entry_bits)
         # the permutation part of n whole steps just rotates the cycle
         shift = (pos + n) % k
         for r in range(k):

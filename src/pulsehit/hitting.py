@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
 
-from .dynamics import PulseSchedule, _CycleIndex, fractional_coeffs
+from .dynamics import PulseSchedule, _as_fraction, _CycleIndex, fractional_coeffs
 from .errors import ParameterRangeError
 from .machine import MachineSpec
 from .reversible import BeaconStep, BeaconSubspace, ExactLabel, ExtendedBasisState
@@ -54,11 +54,16 @@ def grid_for(epsilon: Fraction) -> int:
     the pulse width cancels, so only epsilon is taken.  The ceiling is
     nudged so a value that is mathematically an integer is not pushed up by
     float rounding."""
-    epsilon = Fraction(epsilon)
-    if not 0 < epsilon < Fraction(1, 2):
-        raise ParameterRangeError(f"epsilon must lie in (0, 1/2), got {epsilon}")
+    epsilon = _as_epsilon(epsilon)
     ramp = 1.0 - (2.0 / math.pi) * math.asin(math.sqrt(1.0 - float(epsilon)))
     return max(2, math.ceil(2.0 / ramp - 1e-9))
+
+
+def _as_epsilon(epsilon) -> Fraction:
+    epsilon = _as_fraction(epsilon, "epsilon")
+    if not 0 < epsilon < Fraction(1, 2):
+        raise ParameterRangeError(f"epsilon must lie in (0, 1/2), got {epsilon}")
+    return epsilon
 
 
 def _require_positive_int(name: str, value) -> None:
@@ -79,11 +84,7 @@ class InstanceDescriptor:
     grid: int
 
     def __post_init__(self):
-        object.__setattr__(self, "epsilon", Fraction(self.epsilon))
-        if not 0 < self.epsilon < Fraction(1, 2):
-            raise ParameterRangeError(
-                f"epsilon must lie in (0, 1/2), got {self.epsilon}"
-            )
+        object.__setattr__(self, "epsilon", _as_epsilon(self.epsilon))
         if not isinstance(self.machine, MachineSpec):
             raise ParameterRangeError(f"not a machine: {self.machine!r}")
         if not isinstance(self.schedule, PulseSchedule):
@@ -137,8 +138,9 @@ class _MidPulse:
     """Mid-pulse fidelities on closed cycles: the cycle engine finds the
     orbits; this keeps each cycle's truth table, the offsets where it is
     true and its alternating flag, keyed by the cycle's index in the
-    engine, the weights per (length, j), and the finished row of G - 1
-    points per cycle position, which every later visit reuses."""
+    engine, the weights per j (every cycle has the step's cycle_length
+    labels), and the finished row of G - 1 points per cycle position,
+    which every later visit reuses."""
 
     def __init__(self, step: BeaconStep, pred, grid: int, threshold: Fraction):
         self.pred = pred
@@ -146,7 +148,7 @@ class _MidPulse:
         self.threshold = threshold
         self.index = _CycleIndex(step)
         self._tables: dict[int, tuple[tuple[bool, ...], tuple[int, ...], bool]] = {}
-        self._weights: dict[tuple[int, int], list[float]] = {}
+        self._weights: dict[int, list[float]] = {}
         self._rows: dict[tuple[int, int], tuple[tuple[int, Number, bool], ...]] = {}
 
     def row(self, label: ExtendedBasisState) -> tuple[tuple[int, Number, bool], ...]:
@@ -174,12 +176,11 @@ class _MidPulse:
         if alternating:
             s2 = _sin2_pi(Fraction(j, 2 * self.grid))
             return 1 - s2 if truth[pos] else s2
-        key = (k, j)
-        weights = self._weights.get(key)
+        weights = self._weights.get(j)
         if weights is None:
             g, _ = fractional_coeffs(k, Fraction(j, self.grid))
             weights = [abs(z) ** 2 for z in g]
-            self._weights[key] = weights
+            self._weights[j] = weights
         # weight r carries position pos to pos + r, so the lit offsets q
         # collect the weights at r = q - pos; fsum rounds the exact sum
         # once, whatever the order of its terms

@@ -9,9 +9,11 @@ past its budget; observing the initial state at t = 0 is free.
 Within any fixed budget there are halting machines whose beacon lights
 only after the budget is spent: the unary counter family pushes its
 halting step past any tau_max, and the protocol must then report the
-beacon unreachable even though it is hit slightly later.  The sweep
-locates the minimal such witness per budget.  The reported-unreachable
-verdict is the honest one: these protocols never guess.
+beacon unreachable even though it is hit slightly later.  Member n
+halts at step n + 1, so the sweep names the minimal such witness per
+budget, counter-floor(tau_max), and confirms it with two classical runs.
+The reported-unreachable verdict is the honest one: these protocols
+never guess.
 
 Noise is modelled as a seeded uniform perturbation of each sampled
 fidelity by at most gamma, compared against the relaxed threshold
@@ -28,7 +30,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .dynamics import PulseSchedule
+from .dynamics import PulseSchedule, _as_fraction
 from .errors import (
     NoiseMarginError,
     ParameterRangeError,
@@ -57,7 +59,7 @@ class ProtocolBudget:
     e_max: int
 
     def __post_init__(self):
-        object.__setattr__(self, "tau_max", Fraction(self.tau_max))
+        object.__setattr__(self, "tau_max", _as_fraction(self.tau_max, "tau_max"))
         if self.tau_max <= 0:
             raise ParameterRangeError(f"tau_max must be positive, got {self.tau_max}")
         if not isinstance(self.e_max, int) or self.e_max < 1:
@@ -93,7 +95,7 @@ class ProtocolOutcome:
 def work_to_reach(t: Fraction) -> int:
     """Pulses begun by time t: one per completed unit interval, plus one
     when t lands inside or at the end of a pulse window."""
-    t = Fraction(t)
+    t = _as_fraction(t, "t")
     if t < 0:
         raise ParameterRangeError(f"time must be nonnegative, got {t}")
     whole = t.numerator // t.denominator
@@ -158,25 +160,6 @@ def _member(n: int) -> tuple[MachineSpec, int]:
     return machine, run.steps
 
 
-def _first_past(tau_max: Fraction, family_cap: int) -> int:
-    """Least family index in 0..family_cap whose halting step exceeds
-    tau_max, or family_cap + 1 if there is none.  The halting step grows
-    with the index, so a doubling search brackets the index and a bisection
-    closes the bracket, with O(log tau_max) classical runs."""
-    below, hi = -1, 0  # every index <= below halts by tau_max
-    while _member(hi)[1] <= tau_max:
-        if hi == family_cap:
-            return family_cap + 1
-        below, hi = hi, min(2 * hi + 1, family_cap)
-    while hi - below > 1:
-        mid = (below + hi) // 2
-        if _member(mid)[1] <= tau_max:
-            below = mid
-        else:
-            hi = mid
-    return hi
-
-
 def adversarial_sweep(
     budgets: Sequence[ProtocolBudget],
     *,
@@ -185,15 +168,16 @@ def adversarial_sweep(
     family_cap: int = 10_000,
 ) -> list[SweepWitness]:
     """For each budget, the minimal counter-family index whose halting
-    step exceeds tau_max and whose budgeted run misclassifies it.
+    step exceeds tau_max, with the budgeted run that misclassifies it.
 
-    The family's halting step grows one per index, so a galloping search
-    finds the first index past tau_max; from there the search walks
-    upward, confirms each candidate's step count classically, runs the
-    protocol, and keeps the first incorrect outcome.  A cap on the family
-    index turns a fruitless search into a typed error rather than a hang.
-    The parameters are checked before any search, so a bad one is rejected
-    even when the cap leaves nothing to search."""
+    Member n halts at step n + 1, so the witness is n = floor(tau_max):
+    two classical runs confirm that it halts past tau_max and that member
+    n - 1 halts within it, which with the family's growth makes it minimal.
+    Its beacon first lights at K + delta > tau_max, so the gated protocol
+    must report it unreachable.  The scan costs O(tau_max), so a cap on the
+    family index turns an oversized witness into a typed error before any
+    machine is built.  The parameters are checked before any budget, so a
+    bad one is rejected even when the cap leaves no witness."""
     if not isinstance(family_cap, int) or family_cap < 0:
         raise ParameterRangeError(
             f"family_cap must be a nonnegative integer, got {family_cap!r}"
@@ -202,31 +186,30 @@ def adversarial_sweep(
     PulseSchedule(delta, Unbounded())
     witnesses = []
     for budget in budgets:
-        found = None
-        for n in range(_first_past(budget.tau_max, family_cap), family_cap + 1):
-            machine, steps = _member(n)
-            if steps <= budget.tau_max:
-                continue
-            horizon = max(math.ceil(budget.tau_max) + 2, steps + 2)
-            inst = encode(machine, epsilon, delta, Unbounded(), BeaconSubspace(), horizon, grid)
-            outcome = run_bounded_protocol(inst, budget)
-            # ground truth: the machine halts, so the beacon is reachable
-            correct = isinstance(outcome.verdict, ReachableAt)
-            if not correct:
-                found = SweepWitness(
-                    budget=budget,
-                    name=f"counter-{n}",
-                    n=n,
-                    halting_step=steps,
-                    outcome=replace(outcome, correct=False),
-                )
-                break
-        if found is None:
+        n = math.floor(budget.tau_max)
+        if n > family_cap:
             raise SearchRangeExhaustedError(
                 f"no witness with halting step past {budget.tau_max} and an "
                 f"incorrect verdict within family indices 0..{family_cap}"
             )
-        witnesses.append(found)
+        machine, steps = _member(n)
+        if steps <= budget.tau_max or (n and _member(n - 1)[1] > budget.tau_max):
+            raise AssertionError(f"counter-{n} is not the least member past {budget.tau_max}")
+        inst = encode(machine, epsilon, delta, Unbounded(), BeaconSubspace(), steps + 2, grid)
+        outcome = run_bounded_protocol(inst, budget)
+        # the machine halts, so the beacon is reachable: the unreachable
+        # report the gate forces is the misclassification
+        if isinstance(outcome.verdict, ReachableAt):
+            raise AssertionError("protocol saw a beacon that lights past its budget")
+        witnesses.append(
+            SweepWitness(
+                budget=budget,
+                name=f"counter-{n}",
+                n=n,
+                halting_step=steps,
+                outcome=replace(outcome, correct=False),
+            )
+        )
     return witnesses
 
 
@@ -271,7 +254,7 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", Fraction(self.gamma))
+        object.__setattr__(self, "gamma", _as_fraction(self.gamma, "gamma"))
         if self.gamma < 0:
             raise ParameterRangeError(f"gamma must be nonnegative, got {self.gamma}")
         if not isinstance(self.seed, int):

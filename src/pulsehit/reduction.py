@@ -21,7 +21,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Sequence, Union
 
-from .dynamics import PulseSchedule
+from .dynamics import PulseSchedule, _as_fraction
 from .errors import CorpusBugError, ParameterRangeError
 from .hitting import (
     Exhausted,
@@ -87,13 +87,12 @@ def encode(
     """The hitting instance of one halting question.  The grid refinement
     defaults to the epsilon-dependent value that cannot step over the
     threshold crossing within a pulse."""
-    epsilon = Fraction(epsilon)
     if grid is None:
         grid = grid_for(epsilon)
     return InstanceDescriptor(
         machine=machine,
         epsilon=epsilon,
-        schedule=PulseSchedule(Fraction(delta), mode),
+        schedule=PulseSchedule(delta, mode),
         target=target,
         horizon=horizon,
         grid=grid,
@@ -194,10 +193,9 @@ def verify_corpus(
 
     The parameters are checked once, before any replay or scan, so a bad
     one is rejected even for an empty corpus."""
-    epsilon = Fraction(epsilon)
-    delta = Fraction(delta)
+    epsilon = _as_fraction(epsilon, "epsilon")
     grid = grid_for(epsilon)
-    PulseSchedule(delta, mode)
+    delta = PulseSchedule(delta, mode).delta
     _require_positive_int("horizon", horizon)
     reports = []
     for entry in corpus:
@@ -245,7 +243,9 @@ def reduction_report_json(reports: Sequence[ReductionReport]) -> str:
 
 def counter_family(n: int) -> MachineSpec:
     """Unary right-scanner over n ones: halts after exactly n + 1 steps,
-    so the halting step grows without bound along the family."""
+    so the halting step grows without bound along the family.  The
+    adversarial sweep relies on this count to name its witness for a time
+    budget tau_max as member floor(tau_max)."""
     if not isinstance(n, int) or n < 0:
         raise ParameterRangeError(f"family index must be a nonnegative integer, got {n!r}")
     return MachineSpec(

@@ -46,7 +46,7 @@ from pulsehit.protocol import (
     sweep_report_json,
     work_to_reach,
 )
-from pulsehit.reduction import counter_family, encode
+from pulsehit.reduction import counter_family, encode, verify_corpus
 from pulsehit.reversible import BeaconStep, BeaconSubspace, Cyclic, ExactLabel, Unbounded
 
 MOVE_RIGHT_3 = parse_machine(
@@ -92,6 +92,35 @@ def test_budget_validation():
         ProtocolBudget(10, 0)
     with pytest.raises(ParameterRangeError):
         ProtocolBudget(10, 10.0)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: encode(MOVE_RIGHT_3, QUARTER, "nonsense", Unbounded(), BeaconSubspace(), 10),
+         "delta"),
+        (lambda: encode(MOVE_RIGHT_3, "nonsense", HALF, Unbounded(), BeaconSubspace(), 10),
+         "epsilon"),
+        (lambda: grid_for("nonsense"), "epsilon"),
+        (lambda: InstanceDescriptor(MOVE_RIGHT_3, "x", PulseSchedule(HALF, Unbounded()),
+                                    BeaconSubspace(), 10, 2), "epsilon"),
+        (lambda: verify_corpus([], "nonsense", HALF, Unbounded(), BeaconSubspace(), 10),
+         "epsilon"),
+        (lambda: verify_corpus([], QUARTER, "nonsense", Unbounded(), BeaconSubspace(), 10),
+         "delta"),
+        (lambda: adversarial_sweep([ProtocolBudget(5, 5)], epsilon="nonsense"), "epsilon"),
+        (lambda: ProtocolBudget("nonsense", 3), "tau_max"),
+        (lambda: ProtocolBudget(None, 3), "tau_max"),
+        (lambda: NoiseModel("nonsense"), "gamma"),
+        (lambda: work_to_reach("nonsense"), "t"),
+    ],
+    ids=["encode-delta", "encode-epsilon", "grid_for", "InstanceDescriptor",
+         "verify_corpus-epsilon", "verify_corpus-delta", "adversarial_sweep",
+         "ProtocolBudget-str", "ProtocolBudget-None", "NoiseModel", "work_to_reach"],
+)
+def test_a_parameter_that_is_not_rational_is_a_typed_error(call, name):
+    with pytest.raises(ParameterRangeError, match=f"^{name} must be rational, got "):
+        call()
 
 
 def test_work_to_reach_counts_begun_pulses():
@@ -263,7 +292,7 @@ def test_sweep_rejects_a_family_cap_that_is_not_a_nonnegative_int(family_cap):
     [(Fraction(1, 2), Fraction(1, 2), "epsilon"), (Fraction(1, 4), Fraction(1), "delta")],
 )
 def test_sweep_rejects_bad_parameters_before_searching(epsilon, delta, name):
-    # a cap of 5 ends the search for budget 100 before any member is encoded
+    # a cap of 5 rules out the witness for budget 100 before any member is built
     with pytest.raises(ParameterRangeError, match=name):
         adversarial_sweep([ProtocolBudget(100, 100)], epsilon=epsilon, delta=delta, family_cap=5)
 
@@ -304,7 +333,7 @@ def _linear_sweep(budget, family_cap):
     st.integers(1, 70),
     st.integers(0, 70),
 )
-def test_galloping_sweep_matches_a_linear_walk(tau_max, e_max, family_cap):
+def test_sweep_matches_a_linear_walk(tau_max, e_max, family_cap):
     budget = ProtocolBudget(tau_max, e_max)
     want = _linear_sweep(budget, family_cap)
     if want is None:
@@ -330,14 +359,14 @@ def test_family_cap_at_the_witness_finds_it_and_one_below_raises(budget):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 3000))
 def test_counter_family_member_n_halts_in_n_plus_one_steps(n):
-    # the sweep's galloping search relies on this growing with n
+    # the sweep names counter-floor(tau_max) as its witness because of this
     run = classical_run(counter_family(n), n + 2)
     assert isinstance(run, Halted) and run.steps == n + 1
     assert isinstance(classical_run(counter_family(n), n), StillRunning)
 
 
-@pytest.mark.parametrize("tau_max", [1, 10, 100, 1000, 10_000])
-def test_sweep_runs_logarithmically_many_classical_runs(monkeypatch, tau_max):
+@pytest.mark.parametrize("tau_max", [Fraction(1, 2), 1, 10, 100, 1000, 10_000], ids=str)
+def test_sweep_makes_two_classical_runs_per_budget(monkeypatch, tau_max):
     calls = []
 
     def counting_run(machine, max_steps):
@@ -345,9 +374,25 @@ def test_sweep_runs_logarithmically_many_classical_runs(monkeypatch, tau_max):
         return classical_run(machine, max_steps)
 
     monkeypatch.setattr(protocol, "classical_run", counting_run)
-    (w,) = adversarial_sweep([ProtocolBudget(tau_max, tau_max)], family_cap=20_000)
-    assert w.n == tau_max
-    assert len(calls) <= 2 * tau_max.bit_length() + 4
+    (w,) = adversarial_sweep([ProtocolBudget(tau_max, 20_000)], family_cap=20_000)
+    assert w.n == math.floor(tau_max)
+    # the witness, and the member below it when there is one
+    assert calls == ([w.n + 2, w.n + 1] if w.n else [2])
+
+
+@pytest.mark.parametrize(
+    "name, sabotage",
+    [
+        ("counter_family", lambda n: counter_family(n + 1)),
+        ("run_bounded_protocol",
+         lambda inst, budget: ProtocolOutcome(ReachableAt(Fraction(1)), Resources(1, 1))),
+    ],
+    ids=["family-halts-a-step-late", "protocol-reports-a-hit"],
+)
+def test_sweep_asserts_what_the_construction_guarantees(monkeypatch, name, sabotage):
+    monkeypatch.setattr(protocol, name, sabotage)
+    with pytest.raises(AssertionError):
+        adversarial_sweep([ProtocolBudget(10, 10)])
 
 
 # -- noise ------------------------------------------------------------------------
