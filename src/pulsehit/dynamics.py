@@ -9,12 +9,16 @@ therefore exist only where the support's orbits close into finite cycles,
 which on a cyclic clock happens exactly for halted labels; everywhere else
 the evaluation refuses with a typed error instead of truncating.
 
-Two computations of the same mid-pulse operator are provided:
-:func:`evolve_to` evaluates the closed form of the fractional cycle power in
+Every post-halt cycle of a cyclic clock has the step's ``cycle_length``
+labels, and :func:`cycle_of` is the only code that walks one; callers
+place a label's cycle mates by their position in its walk.  The fractional
+cycle power has a closed form whose arguments are reduced exactly, one
+offset at a time, by :func:`_closed_form_arg`.  Two computations of the
+same mid-pulse operator are built on it: :func:`evolve_to` evaluates it in
 floating point with tracked absolute error bounds, and
-:func:`approx_unitary` evaluates the same closed form in high-precision
-arithmetic and rounds dyadically, returning an exact rational matrix with a
-certified operator-norm distance to the true evolution.
+:func:`approx_unitary` evaluates it in high-precision arithmetic and rounds
+dyadically, returning an exact rational matrix with a certified
+operator-norm distance to the true evolution.
 """
 
 from __future__ import annotations
@@ -144,8 +148,12 @@ _NORM_TOL = 1e-12
 class SparseState:
     """Finitely supported assignment of amplitudes to basis labels, tagged
     with the time it represents.  Amplitudes are keyed by the labels
-    themselves; iteration order is the canonical byte order of label
-    serializations, so floating sums are reproducible."""
+    themselves.  :meth:`items` yields the canonical byte order of label
+    serializations, which the sums whose floating result depends on their
+    order read (the mid-pulse accumulation, :func:`fidelity`, and
+    :func:`state_to_json`); the ``math.fsum`` sums of :meth:`norm2` and
+    :func:`subspace_fidelity` are correctly rounded whatever the order, so
+    they skip the sort."""
 
     __slots__ = ("_amps", "time_tag")
 
@@ -202,7 +210,7 @@ class SparseState:
             for amp in self._amps.values():
                 total += amp.abs2()
             return total
-        return math.fsum(float(amp.abs2()) for _, amp in self.items())
+        return math.fsum(float(amp.abs2()) for amp in self._amps.values())
 
     def max_err(self) -> float:
         return max((amp.err for amp in self._amps.values()), default=0.0)
@@ -298,7 +306,8 @@ def cycle_of(step: BeaconStep, label: ExtendedBasisState) -> list[ExtendedBasisS
     a closed loop cannot contain a rule step (histories only grow), so
     every step on it is a post-halt toggle, which forces h = 1 throughout.
     The cycle length comes from the step (:attr:`BeaconStep.cycle_length`);
-    one more step checks that the walk closed.
+    one more step checks that the walk closed.  This is the only walk of a
+    cycle: the label n steps after ``label`` is entry n mod k of it.
     """
     if step.cycle_length is None:
         raise OrbitNotClosedError("unbounded clock strictly increases; no orbit closes")
@@ -315,22 +324,30 @@ def cycle_of(step: BeaconStep, label: ExtendedBasisState) -> list[ExtendedBasisS
     return out
 
 
-def _closed_form_args(k: int, alpha: Fraction) -> tuple[Fraction, list[tuple[Fraction, Fraction]]]:
-    """Exact arguments of the alpha-th principal power of a k-cycle,
-    0 < alpha < 1.  Summing its eigenvalue powers as two geometric series
-    (angles -2 pi j/k for j < J = ceil(k/2), shifted by 2 pi from there on)
-    gives the amplitude to offset r as e^{i pi p_r} sin(pi a) / (k sin(pi y_r))
-    with x = (r - alpha)/k, p_r = (2J - 1) x + alpha + 1 mod 2 (in (-1, 1]),
-    a = min(alpha, 1 - alpha) and y_r = min(x, 1 - x).  Returns a and every
-    (p_r, y_r): the reductions are exact and keep every sine argument in
+def _closed_form_arg(k: int, alpha: Fraction, r: int) -> tuple[Fraction, Fraction]:
+    """Exact arguments of offset r of the alpha-th principal power of a
+    k-cycle, 0 < alpha < 1.  Summing its eigenvalue powers as two geometric
+    series (angles -2 pi j/k for j < J = ceil(k/2), shifted by 2 pi from
+    there on) gives the amplitude to offset r as
+    e^{i pi p_r} sin(pi a) / (k sin(pi y_r)) with x = (r - alpha)/k,
+    p_r = (2J - 1) x + alpha + 1 mod 2 (in (-1, 1]), a = min(alpha, 1 - alpha)
+    and y_r = min(x, 1 - x).  Returns (p_r, y_r); a is the caller's, once
+    per vector.  The reductions are exact and keep every sine argument in
     [-pi/2, pi/2], where rounding it costs no relative accuracy."""
-    half = (k + 1) // 2
-    args = []
-    for r in range(k):
-        x = (r - alpha) / k
-        p = ((2 * half - 1) * x + alpha + 1) % 2
-        args.append((p - 2 if p > 1 else p, min(x, 1 - x)))
-    return min(alpha, 1 - alpha), args
+    x = (r - alpha) / k
+    p = ((2 * ((k + 1) // 2) - 1) * x + alpha + 1) % 2
+    return p - 2 if p > 1 else p, min(x, 1 - x)
+
+
+def _float_coeffs(k: int, alpha: Fraction, offsets: Iterable[int]) -> list[complex]:
+    """The closed form of :func:`_closed_form_arg` in floats at the given
+    offsets of a k-cycle, 0 < alpha < 1."""
+    scale = math.sin(math.pi * float(min(alpha, 1 - alpha))) / k
+    out = []
+    for r in offsets:
+        p, y = _closed_form_arg(k, alpha, r)
+        out.append(cmath.rect(scale / math.sin(math.pi * float(y)), math.pi * float(p)))
+    return out
 
 
 def fractional_coeffs(k: int, alpha) -> tuple[list[complex], float]:
@@ -338,8 +355,9 @@ def fractional_coeffs(k: int, alpha) -> tuple[list[complex], float]:
     alpha rational (or a finite float, taken exactly) in [0, 1]: entry r is
     carried from any cycle position p to p + r (mod k); alpha = 0 and 1 give
     e_0 and e_1 exactly.  Otherwise the closed form of
-    :func:`_closed_form_args` in floats; the returned scalar bounds every
-    entry's absolute error (a few rounded operations on magnitudes <= 1)."""
+    :func:`_closed_form_arg` in floats at every offset; the returned scalar
+    bounds every entry's absolute error (a few rounded operations on
+    magnitudes <= 1)."""
     if not isinstance(k, int) or k < 1:
         raise ParameterRangeError(f"cycle length must be a positive integer, got {k!r}")
     alpha = _as_fraction(alpha, "alpha")
@@ -348,13 +366,7 @@ def fractional_coeffs(k: int, alpha) -> tuple[list[complex], float]:
     err = (6.0 + math.log2(k)) * 1e-15
     if alpha.denominator == 1:
         return [1 + 0j if r == alpha % k else 0j for r in range(k)], err
-    a, args = _closed_form_args(k, alpha)
-    scale = math.sin(math.pi * float(a)) / k
-    g = [
-        cmath.rect(scale / math.sin(math.pi * float(y)), math.pi * float(p))
-        for p, y in args
-    ]
-    return g, err
+    return _float_coeffs(k, alpha, range(k)), err
 
 
 def _mpf(q: Fraction) -> "mpmath.mpf":
@@ -373,11 +385,11 @@ def _rational_coeffs(k: int, alpha: Fraction, entry_bits: int) -> list[tuple[Fra
     2^-entry_bits of the true value."""
     # error budget: a few operations of relative error 2^(1-prec) per entry
     # of magnitude <= 1, far below the final rounding of 2^-(entry_bits+1)
-    a, args = _closed_form_args(k, alpha)
     with mpmath.workprec(entry_bits + 32):
-        scale = mpmath.sinpi(_mpf(a)) / k
+        scale = mpmath.sinpi(_mpf(min(alpha, 1 - alpha))) / k
         out = []
-        for p, y in args:
+        for r in range(k):
+            p, y = _closed_form_arg(k, alpha, r)
             z = mpmath.expjpi(_mpf(p)) * (scale / mpmath.sinpi(_mpf(y)))
             out.append((_dyadic(z.real, entry_bits), _dyadic(z.imag, entry_bits)))
     return out
@@ -387,48 +399,20 @@ def _rational_coeffs(k: int, alpha: Fraction, entry_bits: int) -> list[tuple[Fra
 # continuous-time evolution
 
 
-class _CycleIndex:
-    """The cycle engine: discovers each orbit cycle once, with
-    :func:`cycle_of` (whose length comes from the step), and maps every
-    member label (keyed by the label itself) to its cycle and position.
-    Cycles are numbered in discovery order, so callers can key their own
-    per-cycle data by that index."""
-
-    def __init__(self, step: BeaconStep):
-        self.step = step
-        self.cycles: list[list[ExtendedBasisState]] = []
-        self._position: dict[ExtendedBasisState, tuple[int, int]] = {}
-
-    def locate(self, label: ExtendedBasisState) -> tuple[int, int]:
-        """(index of the label's cycle in ``cycles``, position on it)."""
-        hit = self._position.get(label)
-        if hit is not None:
-            return hit
-        cyc = cycle_of(self.step, label)
-        ci = len(self.cycles)
-        self.cycles.append(cyc)
-        for pos, lab in enumerate(cyc):
-            self._position[lab] = (ci, pos)
-        return ci, 0
-
-
 def _mid_pulse_pairs(
     step: BeaconStep,
     pairs: list[tuple[ExtendedBasisState, Amplitude]],
     alpha: Fraction,
 ) -> list[tuple[ExtendedBasisState, Amplitude]]:
-    index = _CycleIndex(step)
-    located = [(index.locate(label), amp) for label, amp in pairs]
-    # every post-halt cycle has step.cycle_length labels, so one vector
-    # serves them all; locating first keeps the refusals of cycle_of
-    k = step.cycle_length
-    g, gerr = fractional_coeffs(k, alpha)
+    # each walk starts at its support label, so entry r of the one vector
+    # (every post-halt cycle has step.cycle_length labels) carries the label
+    # to member r; walking them all first keeps the refusals of cycle_of
+    walks = [(cycle_of(step, label), amp) for label, amp in pairs]
+    g, gerr = fractional_coeffs(step.cycle_length, alpha)
     acc: dict[ExtendedBasisState, Amplitude] = {}
-    for (ci, pos), amp in located:
-        cyc = index.cycles[ci]
-        for r in range(k):
-            target = cyc[(pos + r) % k]
-            part = amp.mul_complex(g[r], gerr)
+    for cyc, amp in walks:
+        for target, z in zip(cyc, g):
+            part = amp.mul_complex(z, gerr)
             prev = acc.get(target)
             acc[target] = part if prev is None else prev.add(part)
     return list(acc.items())
@@ -507,16 +491,11 @@ def subspace_fidelity(
     alpha: SparseState, predicate: Callable[[ExtendedBasisState], bool]
 ) -> Union[Fraction, float]:
     """Total squared weight of the labels satisfying the predicate."""
+    # both sums are exact or correctly rounded, so the label order is free
+    lit = [amp.abs2() for lab, amp in alpha._amps.items() if predicate(lab)]
     if alpha.is_exact:
-        total = Fraction(0)
-        for lab, amp in alpha.items():
-            if predicate(lab):
-                total += amp.abs2()
-        return total
-    total = math.fsum(
-        float(amp.abs2()) for lab, amp in alpha.items() if predicate(lab)
-    )
-    return _clamp01(total)
+        return sum(lit, Fraction(0))
+    return _clamp01(math.fsum(map(float, lit)))
 
 
 # ---------------------------------------------------------------------------
@@ -565,12 +544,10 @@ def approx_unitary(
 
     zero = Fraction(0)
     one = Fraction(1)
+    rows = [[(zero, zero)] * size for _ in range(size)]
 
     if s == 0 or s >= sched.delta:
         steps = n if s == 0 else n + 1
-        cols: list[list[tuple[Fraction, Fraction]]] = [
-            [(zero, zero)] * size for _ in range(size)
-        ]
         taken: dict[int, int] = {}
         for j, lab in enumerate(basis):
             i = index.get(step.advance(lab, steps))
@@ -587,37 +564,31 @@ def approx_unitary(
                     "restrict the basis to one side of the halt entry"
                 )
             taken[i] = j
-            cols[j][i] = (one, zero)
-        entries = tuple(
-            tuple(cols[j][i] for j in range(size)) for i in range(size)
-        )
-        return RationalMatrix(basis, entries, Fraction(1, 2**m), t)
+            rows[i][j] = (one, zero)
+        return RationalMatrix(basis, tuple(map(tuple, rows)), Fraction(1, 2**m), t)
 
     # mid-pulse: entrywise precision gets log2(size) headroom so the
     # operator-norm bound ||A||_2 <= size * max|entry error| lands under 2^-m
     entry_bits = m + size.bit_length() + 1
     alpha = s / sched.delta
-    cycle_index = _CycleIndex(step)
     g = None  # one vector serves every cycle: each has step.cycle_length labels
-    # basis position of every member of each cycle, resolved once per cycle
-    rows: dict[int, list[int]] = {}
-    cols = [[(zero, zero)] * size for _ in range(size)]
+    placed: set[int] = set()
     for j, lab in enumerate(basis):
-        ci, pos = cycle_index.locate(lab)
-        row = rows.get(ci)
-        if row is None:
-            row = [index.get(member) for member in cycle_index.cycles[ci]]
-            if None in row:
-                raise BasisNotClosedError(
-                    f"cycle of basis label {j} is not contained in the basis"
-                )
-            rows[ci] = row
-        k = len(row)
+        if j in placed:
+            continue
+        # basis positions of the cycle's members, from its one walk
+        members = [index.get(member) for member in cycle_of(step, lab)]
+        if None in members:
+            raise BasisNotClosedError(
+                f"cycle of basis label {j} is not contained in the basis"
+            )
+        k = len(members)
         if g is None:
             g = _rational_coeffs(k, alpha, entry_bits)
-        # the permutation part of n whole steps just rotates the cycle
-        shift = (pos + n) % k
-        for r in range(k):
-            cols[j][row[(shift + r) % k]] = g[r]
-    entries = tuple(tuple(cols[j][i] for j in range(size)) for i in range(size))
-    return RationalMatrix(basis, entries, Fraction(1, 2**m), t)
+        # U(t) carries member c to member c + n + r with amplitude g[r]: the
+        # permutation part of n whole steps just rotates the cycle
+        for c, col in enumerate(members):
+            for r, coeff in enumerate(g):
+                rows[members[(c + n + r) % k]][col] = coeff
+        placed.update(members)
+    return RationalMatrix(basis, tuple(map(tuple, rows)), Fraction(1, 2**m), t)

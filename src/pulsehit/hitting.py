@@ -19,10 +19,14 @@ they are skipped rather than guessed, so a reported hit is always a
 certified fidelity value.  Integer and pulse-end points are exact 0/1
 projections and are available in every mode.
 
-Mid-pulse beacon fidelities on a closed cycle have a closed form: the
-beacon alternates around any post-halt cycle, and pairing each cycle
-eigenvalue with its antipode shows the odd-offset weight of the fractional
-power is exactly sin^2(pi j / 2G).  Where that value is itself rational
+A scan follows one orbit, and past the halt on a cyclic clock that orbit
+is one closed cycle, walked once at the first halted label; each later
+pulse starts at a known position on it.  Mid-pulse beacon fidelities on
+that cycle have a closed form: the beacon alternates around any post-halt
+cycle, and pairing each cycle eigenvalue with its antipode shows the
+odd-offset weight of the fractional power is exactly sin^2(pi j / 2G).
+An exact-label fidelity is the squared transfer amplitude to the one
+offset where the label sits, evaluated at that offset alone.  Where that value is itself rational
 (only at 0, 1/4, 1/2, 3/4, 1, by Niven's theorem) the scanner compares it
 to the threshold exactly, so grid hits that tie the threshold do not
 depend on floating rounding.  Every other mid-pulse value (the remaining
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
 
-from .dynamics import PulseSchedule, _as_fraction, _CycleIndex, fractional_coeffs
+from .dynamics import PulseSchedule, _as_fraction, _float_coeffs, cycle_of
 from .errors import ParameterRangeError
 from .machine import MachineSpec
 from .reversible import BeaconStep, BeaconSubspace, ExactLabel, ExtendedBasisState
@@ -135,56 +139,55 @@ def _sin2_pi(x: Fraction) -> Number:
 
 
 class _MidPulse:
-    """Mid-pulse fidelities on closed cycles: the cycle engine finds the
-    orbits; this keeps each cycle's truth table, the offsets where it is
-    true and its alternating flag, keyed by the cycle's index in the
-    engine, the weights per j (every cycle has the step's cycle_length
-    labels), and the finished row of G - 1 points per cycle position,
-    which every later visit reuses."""
+    """Mid-pulse fidelities on the scan's one post-halt cycle.  A scan
+    follows one orbit, which from its first halted label (``n_first``
+    steps in) never leaves the cycle :func:`cycle_of` walks from there, so
+    the pulse that starts n steps in starts at position (n - n_first) mod k.
+    That one walk gives the truth table, the lit offsets (the positions
+    where the target holds) and the alternating flag; the finished row of
+    G - 1 points is kept per position, which every later visit reuses."""
 
-    def __init__(self, step: BeaconStep, pred, grid: int, threshold: Fraction):
-        self.pred = pred
+    def __init__(
+        self,
+        step: BeaconStep,
+        pred,
+        label: ExtendedBasisState,
+        n_first: int,
+        grid: int,
+        threshold: Fraction,
+    ):
+        self.truth = [bool(pred(lab)) for lab in cycle_of(step, label)]
+        k = len(self.truth)
+        self.lit = [q for q, on in enumerate(self.truth) if on]
+        self.alternating = k % 2 == 0 and all(
+            self.truth[r] != self.truth[r - 1] for r in range(k)
+        )
+        self.n_first = n_first
         self.grid = grid
         self.threshold = threshold
-        self.index = _CycleIndex(step)
-        self._tables: dict[int, tuple[tuple[bool, ...], tuple[int, ...], bool]] = {}
-        self._weights: dict[int, list[float]] = {}
-        self._rows: dict[tuple[int, int], tuple[tuple[int, Number, bool], ...]] = {}
+        self._rows: dict[int, tuple[tuple[int, Number, bool], ...]] = {}
 
-    def row(self, label: ExtendedBasisState) -> tuple[tuple[int, Number, bool], ...]:
+    def row(self, n: int) -> tuple[tuple[int, Number, bool], ...]:
         """(j, fidelity, fidelity >= threshold) at the mid-pulse points
-        0 < j < G of the pulse that starts from ``label``."""
-        key = self.index.locate(label)
-        row = self._rows.get(key)
+        0 < j < G of the pulse that starts n steps into the scan."""
+        pos = (n - self.n_first) % len(self.truth)
+        row = self._rows.get(pos)
         if row is None:
-            fids = [self._fid(*key, j) for j in range(1, self.grid)]
+            fids = [self._fid(pos, j) for j in range(1, self.grid)]
             row = tuple((j, f, f >= self.threshold) for j, f in enumerate(fids, 1))
-            self._rows[key] = row
+            self._rows[pos] = row
         return row
 
-    def _fid(self, ci: int, pos: int, j: int) -> Number:
-        table = self._tables.get(ci)
-        if table is None:
-            truth = tuple(bool(self.pred(lab)) for lab in self.index.cycles[ci])
-            alternating = len(truth) % 2 == 0 and all(
-                truth[r] != truth[r - 1] for r in range(len(truth))
-            )
-            lit = tuple(q for q, on in enumerate(truth) if on)
-            table = self._tables[ci] = (truth, lit, alternating)
-        truth, lit, alternating = table
-        k = len(truth)
-        if alternating:
+    def _fid(self, pos: int, j: int) -> Number:
+        if self.alternating:
             s2 = _sin2_pi(Fraction(j, 2 * self.grid))
-            return 1 - s2 if truth[pos] else s2
-        weights = self._weights.get(j)
-        if weights is None:
-            g, _ = fractional_coeffs(k, Fraction(j, self.grid))
-            weights = [abs(z) ** 2 for z in g]
-            self._weights[j] = weights
+            return 1 - s2 if self.truth[pos] else s2
         # weight r carries position pos to pos + r, so the lit offsets q
         # collect the weights at r = q - pos; fsum rounds the exact sum
         # once, whatever the order of its terms
-        return math.fsum(weights[(q - pos) % k] for q in lit)
+        k = len(self.truth)
+        g = _float_coeffs(k, Fraction(j, self.grid), [(q - pos) % k for q in self.lit])
+        return math.fsum(abs(z) ** 2 for z in g)
 
 
 def _scan(inst: InstanceDescriptor) -> Iterator[tuple[int, int, Number, bool]]:
@@ -202,7 +205,10 @@ def _scan(inst: InstanceDescriptor) -> Iterator[tuple[int, int, Number, bool]]:
     threshold = 1 - inst.epsilon
     grid = inst.grid
     horizon = inst.horizon
-    mid = _MidPulse(step, pred, grid, threshold) if step.cycle_length and grid > 1 else None
+    # mid-pulse points are evaluable only past the halt on a cyclic clock;
+    # their rows come from the cycle walked at the first halted label
+    cyclic = step.cycle_length is not None and grid > 1
+    mid = None
 
     # integer and pulse-end points are 0/1 projections, and 0 < 1 - epsilon
     # < 1, so the projection itself says whether the threshold is reached;
@@ -213,8 +219,10 @@ def _scan(inst: InstanceDescriptor) -> Iterator[tuple[int, int, Number, bool]]:
         yield n, 0, 1 if lit else 0, lit
         if n == horizon:
             return
-        if mid is not None and cur.h == 1:
-            for j, fid, reached in mid.row(cur):
+        if cyclic and cur.h == 1:
+            if mid is None:
+                mid = _MidPulse(step, pred, cur, n, grid, threshold)
+            for j, fid, reached in mid.row(n):
                 yield n, j, fid, reached
         cur = step.forward(cur)
         lit = pred(cur)

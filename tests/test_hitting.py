@@ -23,6 +23,7 @@ from pulsehit.dynamics import (
     approx_unitary,
     cycle_of,
     evolve_to,
+    fractional_coeffs,
     subspace_fidelity,
 )
 from pulsehit.errors import ParameterRangeError
@@ -247,21 +248,26 @@ def _walk(step, label, n):
     return label
 
 
-# (clock, target: None for the beacon or N for the label N steps in, grid)
+# (clock, target: None for the beacon or N for the label N steps in, grid,
+# horizon); the -wraps cases run three or more whole post-halt cycles past
+# the halt at step 3, so the scan's cycle position wraps around
 SCANNER_ROUTE_CASES = {
-    "beacon-cyclic2": (Cyclic(2), None, 6),
-    "beacon-cyclic3-grid5": (Cyclic(3), None, 5),
-    "exact5-cyclic3-grid5": (Cyclic(3), 5, 5),
-    "exact5-cyclic4-grid5": (Cyclic(4), 5, 5),
+    "beacon-cyclic2": (Cyclic(2), None, 6, 8),
+    "beacon-cyclic3-grid5": (Cyclic(3), None, 5, 8),
+    "exact5-cyclic3-grid5": (Cyclic(3), 5, 5, 8),
+    "exact5-cyclic4-grid5": (Cyclic(4), 5, 5, 8),
+    "exact7-cyclic5-grid5-wraps": (Cyclic(5), 7, 5, 36),
+    "beacon-cyclic5-grid4-wraps": (Cyclic(5), None, 4, 36),
+    "exact12-cyclic3-grid4-wraps": (Cyclic(3), 12, 4, 24),
 }
 
 
 @pytest.mark.parametrize(
-    "clock, target_steps, grid",
+    "clock, target_steps, grid, horizon",
     list(SCANNER_ROUTE_CASES.values()),
     ids=list(SCANNER_ROUTE_CASES),
 )
-def test_scanner_fidelities_match_dynamics_route(clock, target_steps, grid):
+def test_scanner_fidelities_match_dynamics_route(clock, target_steps, grid, horizon):
     # every evaluated grid point, recomputed through evolve_to; each
     # mid-pulse point also against the eigendecomposition oracle, on a
     # cycle found here by walking the step, so the check shares no cycle
@@ -273,7 +279,7 @@ def test_scanner_fidelities_match_dynamics_route(clock, target_steps, grid):
     else:
         target = ExactLabel(_walk(step, start, target_steps))
     sched = PulseSchedule(HALF, clock)
-    inst = InstanceDescriptor(MOVE_RIGHT_3, QUARTER, sched, target, 8, grid)
+    inst = InstanceDescriptor(MOVE_RIGHT_3, QUARTER, sched, target, horizon, grid)
     pred = step.target_predicate(target)
     psi0 = SparseState.basis_state(start)
     mid_points = 0
@@ -292,6 +298,31 @@ def test_scanner_fidelities_match_dynamics_route(clock, target_steps, grid):
             assert abs(fid - want) < 1e-12
             mid_points += 1
     assert mid_points > 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(3, 9), st.integers(3, 40), st.integers(2, 8))
+def test_mid_pulse_values_match_the_full_coefficient_vector_exactly(period, target_steps, grid):
+    # the scan evaluates an exact-label row only at its lit offset; each
+    # value must still be, to the last bit, the squared modulus of that
+    # entry of the whole fractional_coeffs vector.  The target sits
+    # target_steps >= K = 3 steps in, so it is on the post-halt cycle, and
+    # the horizon runs two whole cycles past it
+    clock = Cyclic(period)
+    step = BeaconStep(MOVE_RIGHT_3, clock)
+    k = step.cycle_length
+    target = ExactLabel(_walk(step, step.initial_label(), target_steps))
+    sched = PulseSchedule(HALF, clock)
+    horizon = target_steps + 2 * k
+    inst = InstanceDescriptor(MOVE_RIGHT_3, QUARTER, sched, target, horizon, grid)
+    mid_points = 0
+    for t, fid in fidelity_trace(inst):
+        n, s = divmod(t, 1)
+        if 0 < s < HALF:
+            g, _ = fractional_coeffs(k, s / HALF)
+            assert fid == abs(g[(target_steps - n) % k]) ** 2
+            mid_points += 1
+    assert mid_points == (horizon - 3) * (grid - 1)
 
 
 def test_scans_and_certified_route_never_build_serial_bytes(monkeypatch):
