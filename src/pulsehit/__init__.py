@@ -28,14 +28,11 @@ from .errors import (
 from .machine import (
     Configuration,
     Halted,
-    HaltedMarker,
     MachineSpec,
     Rule,
     StillRunning,
     classical_run,
-    classical_step,
     classical_trace,
-    initial_configuration,
     parse_machine,
     serialize_machine,
 )

@@ -196,7 +196,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         args.epsilon,
         args.delta,
         args.clock,
-        BeaconSubspace(),
         args.horizon,
     )
     _emit(reduction_report_json(reports), args)

@@ -74,6 +74,8 @@ class Amplitude:
             raise LabelError("amplitude parts must be both exact or both floating")
         if exact and self.err != 0.0:
             raise LabelError("exact amplitudes carry no error bound")
+        if not exact and not (math.isfinite(self.re) and math.isfinite(self.im)):
+            raise LabelError(f"non-finite amplitude {self.re!r} + {self.im!r}i")
         if self.err < 0.0 or not math.isfinite(self.err):
             raise LabelError(f"bad amplitude error bound {self.err!r}")
 

@@ -30,7 +30,8 @@ identity on accepted documents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from typing import Iterator, Union
 
 from .errors import (
@@ -103,14 +104,6 @@ class Configuration:
 
 
 @dataclass(frozen=True)
-class HaltedMarker:
-    """Returned by :func:`classical_step` when asked to step a halted
-    configuration; carries the configuration unchanged."""
-
-    config: Configuration
-
-
-@dataclass(frozen=True)
 class Halted:
     steps: int
     final: Configuration
@@ -130,18 +123,7 @@ def _tokenize(text: str) -> Iterator[tuple[int, list[tuple[int, str]]]]:
     with comments stripped.  Lines and columns are 1-based."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
-        toks = []
-        col = 0
-        i = 0
-        while i < len(line):
-            if line[i].isspace():
-                i += 1
-                continue
-            j = i
-            while j < len(line) and not line[j].isspace():
-                j += 1
-            toks.append((i + 1, line[i:j]))
-            i = j
+        toks = [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", line)]
         if toks:
             yield lineno, toks
 
@@ -290,49 +272,6 @@ def serialize_machine(spec: MachineSpec) -> str:
 # classical execution
 
 
-def initial_configuration(spec: MachineSpec) -> Configuration:
-    tape = {i: sym for i, sym in enumerate(spec.input_word)}
-    return Configuration(spec.start_state, 0, tape, 0)
-
-
-def classical_step(
-    spec: MachineSpec, c: Configuration
-) -> Union[Configuration, HaltedMarker]:
-    """Advance one step.  A halted configuration is absorbing and comes
-    back wrapped in :class:`HaltedMarker`.  Raises
-    :class:`IllFormedMachineError` when a live state has no rule for the
-    scanned symbol."""
-    return _step(spec, rule_table(spec), c)
-
-
-def _step(
-    spec: MachineSpec,
-    table: dict[tuple[str, str], tuple[int, Rule]],
-    c: Configuration,
-) -> Union[Configuration, HaltedMarker]:
-    """:func:`classical_step` with the machine's rule table built by the
-    caller, so a trace builds it once."""
-    if c.state == spec.halt_state:
-        return HaltedMarker(c)
-    read = c.tape.get(c.head, spec.blank)
-    hit = table.get((c.state, read))
-    if hit is None:
-        raise IllFormedMachineError(
-            f"no rule for ({c.state!r}, {read!r}) at step {c.step_count}"
-        )
-    _, rule = hit
-    tape = c.tape
-    if rule.write != read:
-        tape = dict(tape)
-        if rule.write == spec.blank:
-            tape.pop(c.head, None)
-        else:
-            tape[c.head] = rule.write
-    return Configuration(
-        rule.next_state, c.head + _OFFSET[rule.move], tape, c.step_count + 1
-    )
-
-
 def classical_run(
     spec: MachineSpec, max_steps: int
 ) -> Union[Halted, StillRunning]:
@@ -378,13 +317,28 @@ def classical_run(
 
 def classical_trace(spec: MachineSpec, n: int) -> Iterator[Configuration]:
     """Yield configurations 0..n (or up to the halting configuration if it
-    comes first; the halted configuration is yielded once)."""
+    comes first; the halted configuration is yielded once).  Snapshots
+    share a tape until a step writes to it."""
     table = rule_table(spec)
-    c = initial_configuration(spec)
+    blank = spec.blank
+    c = Configuration(spec.start_state, 0, dict(enumerate(spec.input_word)), 0)
     yield c
-    for _ in range(n):
-        nxt = _step(spec, table, c)
-        if isinstance(nxt, HaltedMarker):
+    for k in range(n):
+        if c.state == spec.halt_state:
             return
-        c = nxt
+        read = c.tape.get(c.head, blank)
+        hit = table.get((c.state, read))
+        if hit is None:
+            raise IllFormedMachineError(
+                f"no rule for ({c.state!r}, {read!r}) at step {k}"
+            )
+        _, rule = hit
+        tape = c.tape
+        if rule.write != read:
+            tape = dict(tape)
+            if rule.write == blank:
+                tape.pop(c.head, None)
+            else:
+                tape[c.head] = rule.write
+        c = Configuration(rule.next_state, c.head + _OFFSET[rule.move], tape, k + 1)
         yield c

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 from .dynamics import PulseSchedule, _as_fraction
 from .errors import CorpusBugError, ParameterRangeError
@@ -33,13 +33,7 @@ from .hitting import (
     _require_positive_int,
     uhit_semidecide,
 )
-from .machine import (
-    Configuration,
-    MachineSpec,
-    Rule,
-    classical_trace,
-    parse_machine,
-)
+from .machine import MachineSpec, Rule, classical_trace, parse_machine
 from .reversible import BeaconSubspace, ClockMode, ExactLabel
 
 
@@ -125,19 +119,15 @@ def _replay_loops(entry: CorpusEntry, claim: LoopsForever) -> None:
     r, r2 = claim.revisit
     if not (isinstance(r, int) and isinstance(r2, int) and 0 <= r < r2):
         raise CorpusBugError(f"{entry.name}: malformed revisit pair {claim.revisit}")
-    snapshots: dict[int, Configuration] = {}
+    # the trace stops short of r2 only at a halt, which is rejected here
     for cfg in classical_trace(entry.machine, r2):
         if cfg.state == entry.machine.halt_state:
             raise CorpusBugError(
                 f"{entry.name}: halts at step {cfg.step_count}, cannot loop"
             )
-        if cfg.step_count in (r, r2):
-            snapshots[cfg.step_count] = cfg
-    if len(snapshots) != 2:
-        raise CorpusBugError(
-            f"{entry.name}: trace too short to reach revisit step {r2}"
-        )
-    if not snapshots[r].same_snapshot(snapshots[r2]):
+        if cfg.step_count == r:
+            at_r = cfg
+    if not at_r.same_snapshot(cfg):
         raise CorpusBugError(
             f"{entry.name}: configurations at steps {r} and {r2} differ, "
             "revisit certificate is false"
@@ -186,10 +176,10 @@ def verify_corpus(
     epsilon: Fraction,
     delta: Fraction,
     mode: ClockMode,
-    target: Union[BeaconSubspace, ExactLabel],
     horizon: int,
 ) -> list[ReductionReport]:
-    """Replay every certificate, scan every instance, compare the two.
+    """Replay every certificate, scan every instance for the beacon
+    subspace, compare the two.
 
     The parameters are checked once, before any replay or scan, so a bad
     one is rejected even for an empty corpus."""
@@ -200,7 +190,7 @@ def verify_corpus(
     reports = []
     for entry in corpus:
         validate_entry(entry)
-        inst = encode(entry.machine, epsilon, delta, mode, target, horizon, grid)
+        inst = encode(entry.machine, epsilon, delta, mode, BeaconSubspace(), horizon, grid)
         observed = uhit_semidecide(inst)
         agree = _agrees(entry.ground_truth, observed, epsilon, delta, horizon)
         reports.append(
@@ -261,12 +251,17 @@ def counter_family(n: int) -> MachineSpec:
     )
 
 
+def _is_count(x) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_ground_truth(name: str, raw) -> GroundTruth:
     if not isinstance(raw, dict) or "kind" not in raw:
         raise CorpusBugError(f"{name}: malformed ground truth {raw!r}")
     if raw["kind"] == "halts":
         steps = raw.get("K")
-        if not isinstance(steps, int):
+        if not _is_count(steps):
             raise CorpusBugError(f"{name}: halting entry needs an integer K")
         return Halts(steps)
     if raw["kind"] == "loops":
@@ -274,16 +269,19 @@ def _parse_ground_truth(name: str, raw) -> GroundTruth:
         if (
             not isinstance(pair, list)
             or len(pair) != 2
-            or not all(isinstance(x, int) for x in pair)
+            or not all(_is_count(x) for x in pair)
         ):
             raise CorpusBugError(f"{name}: looping entry needs revisit [r, r']")
         return LoopsForever((pair[0], pair[1]))
     raise CorpusBugError(f"{name}: unknown ground truth kind {raw['kind']!r}")
 
 
-def _corpus_from(manifest_text: str, read_file: Callable[[str], str]) -> list[CorpusEntry]:
+def _corpus_from(root, manifest: str) -> list[CorpusEntry]:
+    """Corpus from the manifest named ``manifest`` under ``root``, a
+    :class:`Path` or an ``importlib.resources`` Traversable; machine files
+    are resolved under ``root`` too."""
     try:
-        rows = json.loads(manifest_text)
+        rows = json.loads(root.joinpath(manifest).read_text())
     except json.JSONDecodeError as exc:
         raise CorpusBugError(f"manifest is not valid JSON: {exc}") from exc
     if not isinstance(rows, list):
@@ -297,7 +295,7 @@ def _corpus_from(manifest_text: str, read_file: Callable[[str], str]) -> list[Co
         if name in seen:
             raise CorpusBugError(f"duplicate corpus entry name {name!r}")
         seen.add(name)
-        machine = parse_machine(read_file(row["machine_file"]))
+        machine = parse_machine(root.joinpath(row["machine_file"]).read_text())
         entries.append(
             CorpusEntry(name, machine, _parse_ground_truth(name, row.get("ground_truth")))
         )
@@ -307,19 +305,9 @@ def _corpus_from(manifest_text: str, read_file: Callable[[str], str]) -> list[Co
 def load_corpus(manifest_path: Union[str, Path]) -> list[CorpusEntry]:
     """Corpus from a manifest file; machine files are siblings of it."""
     manifest_path = Path(manifest_path)
-    base = manifest_path.parent
-
-    def read_file(rel: str) -> str:
-        return (base / rel).read_text()
-
-    return _corpus_from(manifest_path.read_text(), read_file)
+    return _corpus_from(manifest_path.parent, manifest_path.name)
 
 
 def builtin_corpus() -> list[CorpusEntry]:
     """The corpus shipped inside the package."""
-    root = resources.files("pulsehit").joinpath("corpus")
-
-    def read_file(rel: str) -> str:
-        return root.joinpath(rel).read_text()
-
-    return _corpus_from(root.joinpath("manifest.json").read_text(), read_file)
+    return _corpus_from(resources.files("pulsehit").joinpath("corpus"), "manifest.json")

@@ -59,7 +59,7 @@ def test_criterion_1_reduction_biconditional_on_corpus():
     assert len(HALTERS) >= 10 and len(LOOPERS) >= 5
     assert all(0 <= e.ground_truth.steps <= 200 for e in HALTERS)
     started = time.monotonic()
-    reports = verify_corpus(CORPUS, EPSILON, DELTA, Unbounded(), BeaconSubspace(), 10_000)
+    reports = verify_corpus(CORPUS, EPSILON, DELTA, Unbounded(), 10_000)
     elapsed = time.monotonic() - started
     assert all(rep.verdict == "agree" for rep in reports)
     assert len(reports) == len(CORPUS)

@@ -209,6 +209,11 @@ def test_amplitude_validation():
         Amplitude(Fraction(1), Fraction(0), 1e-9)
     with pytest.raises(LabelError):
         Amplitude(0.5, 0.5, -1e-9)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(LabelError, match="non-finite"):
+            Amplitude(bad, 0.0)
+        with pytest.raises(LabelError, match="non-finite"):
+            Amplitude(0.0, bad)
 
 
 # -- sparse states -------------------------------------------------------------
@@ -253,6 +258,12 @@ def test_sparse_state_norm_enforcement():
         SparseState([(lab, Amplitude.exact(HALF))])
     with pytest.raises(StateNormError):
         SparseState([(lab, Amplitude.approx(1.0 + 1e-5j, 0.0))])
+    # a NaN squared norm compares False against the tolerance either way
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(LabelError, match="non-finite"):
+            SparseState([(lab, Amplitude(bad, 0.0))])
+        with pytest.raises(LabelError, match="non-finite"):
+            SparseState([(lab, Amplitude.approx(complex(1.0, bad), 0.0))])
     ok = SparseState([(lab, Amplitude.approx(1.0 + 0j, 1e-15))])
     assert abs(ok.norm2() - 1.0) <= 1e-12
 

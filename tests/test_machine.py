@@ -22,13 +22,10 @@ from pulsehit.errors import (
 from pulsehit.machine import (
     Configuration,
     Halted,
-    HaltedMarker,
     Rule,
     StillRunning,
     classical_run,
-    classical_step,
     classical_trace,
-    initial_configuration,
     parse_machine,
     serialize_machine,
 )
@@ -107,7 +104,7 @@ rule: q0 aa -> qH bb S
 
 def test_initial_configuration_lays_out_input_from_cell_zero():
     spec = parse_machine(BINARY_INC)
-    c = initial_configuration(spec)
+    c = next(classical_trace(spec, 10))
     assert c == Configuration("q0", 0, {0: "1", 1: "1", 2: "1"}, 0)
 
 
@@ -162,15 +159,12 @@ def test_classical_run_rejects_a_cap_that_is_not_a_nonnegative_int():
             classical_run(spec, cap)
 
 
-def test_classical_step_is_absorbing_after_halt():
+def test_trace_of_halted_start_yields_one_configuration():
     spec = parse_machine(HALT_NOW)
-    c = initial_configuration(spec)
-    out = classical_step(spec, c)
-    assert isinstance(out, HaltedMarker)
-    assert out.config == c
+    assert list(classical_trace(spec, 10)) == [Configuration("q0", 0, {}, 0)]
 
 
-def test_classical_step_missing_rule_raises():
+def test_trace_missing_rule_raises():
     doc = """\
 states: q0 qH
 alphabet: _ 1
@@ -180,8 +174,10 @@ input: 1
 rule: q0 _ -> qH _ S
 """
     spec = parse_machine(doc)
-    with pytest.raises(IllFormedMachineError, match="no rule"):
-        classical_step(spec, initial_configuration(spec))
+    trace = classical_trace(spec, 10)
+    assert next(trace) == Configuration("q0", 0, {0: "1"}, 0)
+    with pytest.raises(IllFormedMachineError, match=r"^no rule for \('q0', '1'\) at step 0$"):
+        next(trace)
 
 
 def test_classical_trace_yields_each_configuration():
@@ -200,13 +196,16 @@ def test_trace_truncates_at_bound():
 
 
 def test_trace_builds_the_rule_table_once_and_matches_stepping(monkeypatch):
+    # the hand trace of test_classical_run_binary_inc_hand_trace, one
+    # snapshot per step
     spec = parse_machine(BINARY_INC)
-    stepped = [initial_configuration(spec)]
-    while len(stepped) <= 20:
-        nxt = classical_step(spec, stepped[-1])
-        if isinstance(nxt, HaltedMarker):
-            break
-        stepped.append(nxt)
+    stepped = [
+        Configuration("q0", 0, {0: "1", 1: "1", 2: "1"}, 0),
+        Configuration("q0", 1, {0: "0", 1: "1", 2: "1"}, 1),
+        Configuration("q0", 2, {0: "0", 1: "0", 2: "1"}, 2),
+        Configuration("q0", 3, {0: "0", 1: "0", 2: "0"}, 3),
+        Configuration("qH", 3, {0: "0", 1: "0", 2: "0", 3: "1"}, 4),
+    ]
     builds = []
     real = machine.rule_table
 
@@ -235,12 +234,17 @@ def test_serialize_round_trip_on_fixture():
 # -- error reporting --------------------------------------------------------
 
 
+# tab, no-break space and em space are whitespace; each shifts a column by one
+WHITESPACE_PREFIXES = [("", 0), ("\t", 1), ("\u00a0", 1), ("\u2003", 1), (" \t\u2003", 3)]
+
+
 def test_unknown_directive_has_line_and_col():
-    with pytest.raises(MachineSyntaxError) as ei:
-        parse_machine("states: q0\nbogus: x\n")
-    assert ei.value.line == 2
-    assert ei.value.col == 1
-    assert "bogus" in str(ei.value)
+    for prefix, shift in WHITESPACE_PREFIXES:
+        with pytest.raises(MachineSyntaxError) as ei:
+            parse_machine("states: q0\n" + prefix + "bogus: x\n")
+        assert ei.value.line == 2
+        assert ei.value.col == 1 + shift
+        assert "bogus" in str(ei.value)
 
 
 def test_malformed_rule_line():
@@ -250,11 +254,13 @@ def test_malformed_rule_line():
 
 
 def test_bad_move_token_reports_column():
-    doc = "states: a h\nalphabet: _\nstart: a\nhalt: h\nrule: a _ -> h _ X\n"
-    with pytest.raises(MachineSyntaxError) as ei:
-        parse_machine(doc)
-    assert ei.value.line == 5
-    assert "'X'" in str(ei.value)
+    for prefix, shift in WHITESPACE_PREFIXES:
+        doc = "states: a h\nalphabet: _\nstart: a\nhalt: h\nrule: a _ -> h _ " + prefix + "X\n"
+        with pytest.raises(MachineSyntaxError) as ei:
+            parse_machine(doc)
+        assert ei.value.line == 5
+        assert ei.value.col == 18 + shift
+        assert "'X'" in str(ei.value)
 
 
 def test_duplicate_rule_names_the_pair():
@@ -308,14 +314,10 @@ def test_serialize_parse_round_trip(spec):
 @settings(max_examples=60)
 @given(machines(total=True), st.integers(min_value=0, max_value=30))
 def test_fast_run_agrees_with_pure_stepping(spec, n):
-    # dual route: the mutable-tape loop versus repeated pure steps
+    # dual route: the mutable-tape loop versus the last snapshot of the
+    # trace, two loops that share no code
     out = classical_run(spec, n)
-    c = initial_configuration(spec)
-    for _ in range(n):
-        if c.state == spec.halt_state:
-            break
-        c = classical_step(spec, c)
-        assert isinstance(c, Configuration)
+    *_, c = classical_trace(spec, n)
     if isinstance(out, Halted):
         assert c.state == spec.halt_state
         assert out.steps == c.step_count

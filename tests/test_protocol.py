@@ -104,9 +104,9 @@ def test_budget_validation():
         (lambda: grid_for("nonsense"), "epsilon"),
         (lambda: InstanceDescriptor(MOVE_RIGHT_3, "x", PulseSchedule(HALF, Unbounded()),
                                     BeaconSubspace(), 10, 2), "epsilon"),
-        (lambda: verify_corpus([], "nonsense", HALF, Unbounded(), BeaconSubspace(), 10),
+        (lambda: verify_corpus([], "nonsense", HALF, Unbounded(), 10),
          "epsilon"),
-        (lambda: verify_corpus([], QUARTER, "nonsense", Unbounded(), BeaconSubspace(), 10),
+        (lambda: verify_corpus([], QUARTER, "nonsense", Unbounded(), 10),
          "delta"),
         (lambda: adversarial_sweep([ProtocolBudget(5, 5)], epsilon="nonsense"), "epsilon"),
         (lambda: ProtocolBudget("nonsense", 3), "tau_max"),

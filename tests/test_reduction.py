@@ -124,7 +124,7 @@ def test_false_certificates_raise_corpus_bug():
 
 def test_verify_corpus_all_agree_unbounded():
     reports = verify_corpus(
-        builtin_corpus(), QUARTER, HALF, Unbounded(), BeaconSubspace(), 300
+        builtin_corpus(), QUARTER, HALF, Unbounded(), 300
     )
     assert len(reports) == 17
     for rep in reports:
@@ -140,7 +140,7 @@ def test_verify_corpus_all_agree_unbounded():
 
 def test_verify_corpus_all_agree_cyclic():
     reports = verify_corpus(
-        builtin_corpus(), QUARTER, HALF, Cyclic(8), BeaconSubspace(), 300
+        builtin_corpus(), QUARTER, HALF, Cyclic(8), 300
     )
     for rep in reports:
         assert rep.verdict == "agree", rep.entry.name
@@ -154,10 +154,10 @@ def test_finite_size_recovery_verdicts_match_unbounded():
     # cannot wrap before any hit, so verdicts coincide with the open line
     horizon = 600
     open_reports = verify_corpus(
-        builtin_corpus(), QUARTER, HALF, Unbounded(), BeaconSubspace(), horizon
+        builtin_corpus(), QUARTER, HALF, Unbounded(), horizon
     )
     wrapped_reports = verify_corpus(
-        builtin_corpus(), QUARTER, HALF, Cyclic(512), BeaconSubspace(), horizon
+        builtin_corpus(), QUARTER, HALF, Cyclic(512), horizon
     )
     assert [r.verdict for r in open_reports] == [r.verdict for r in wrapped_reports]
     assert all(r.verdict == "agree" for r in wrapped_reports)
@@ -184,7 +184,7 @@ def test_verify_corpus_rejects_corpus_bugs_before_scanning():
     entries = by_name(builtin_corpus())
     bad = CorpusEntry("bad", entries["loop-stay"].machine, Halts(3))
     with pytest.raises(CorpusBugError):
-        verify_corpus([bad], QUARTER, HALF, Unbounded(), BeaconSubspace(), 50)
+        verify_corpus([bad], QUARTER, HALF, Unbounded(), 50)
 
 
 @pytest.mark.parametrize(
@@ -207,7 +207,7 @@ def test_verify_corpus_rejects_bad_parameters_before_any_replay(
     lying = CorpusEntry("bad", by_name(builtin_corpus())["loop-stay"].machine, Halts(3))
     rows = {"empty": [], "corpus-bug": [lying]}[corpus]
     with pytest.raises(ParameterRangeError, match=name):
-        verify_corpus(rows, epsilon, delta, mode, BeaconSubspace(), horizon)
+        verify_corpus(rows, epsilon, delta, mode, horizon)
 
 
 # -- encode ----------------------------------------------------------------------
@@ -268,7 +268,6 @@ def test_reduction_report_json_frozen_lines():
         QUARTER,
         HALF,
         Unbounded(),
-        BeaconSubspace(),
         10,
     )
     blob = reduction_report_json(reports)
@@ -286,7 +285,6 @@ def test_reduction_report_json_frozen_lines():
             QUARTER,
             HALF,
             Unbounded(),
-            BeaconSubspace(),
             10,
         )
     )
@@ -312,6 +310,15 @@ def test_load_corpus_from_directory(tmp_path):
     corpus = load_corpus(tmp_path / "manifest.json")
     assert len(corpus) == 1
     validate_entry(corpus[0])
+    # any manifest file name is read, not a fixed manifest.json beside it
+    (tmp_path / "other.json").write_text(
+        '[{"name": "n", "machine_file": "m.tm", '
+        '"ground_truth": {"kind": "loops", "revisit": [0, 1]}}]'
+    )
+    other = load_corpus(str(tmp_path / "other.json"))
+    assert [(e.name, e.machine, e.ground_truth) for e in other] == [
+        ("n", corpus[0].machine, LoopsForever((0, 1)))
+    ]
 
 
 def test_load_corpus_rejects_malformed_manifests(tmp_path):
@@ -335,6 +342,16 @@ def test_load_corpus_rejects_malformed_manifests(tmp_path):
     )
     with pytest.raises(CorpusBugError, match="revisit"):
         load_corpus(tmp_path / "manifest.json")
+    # JSON true/false load as Python bools, which are ints: not step counts
+    for truth, message in (
+        ('{"kind": "halts", "K": true}', "integer K"),
+        ('{"kind": "loops", "revisit": [false, true]}', "revisit"),
+    ):
+        (tmp_path / "manifest.json").write_text(
+            f'[{{"name": "m", "machine_file": "m.tm", "ground_truth": {truth}}}]'
+        )
+        with pytest.raises(CorpusBugError, match=message):
+            load_corpus(tmp_path / "manifest.json")
 
 
 GOOD_ROW = {"name": "m", "machine_file": "m.tm", "ground_truth": {"kind": "halts", "K": 0}}
