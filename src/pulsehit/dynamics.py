@@ -10,8 +10,8 @@ which on a cyclic clock happens exactly for halted labels; everywhere else
 the evaluation refuses with a typed error instead of truncating.
 
 Every post-halt cycle of a cyclic clock has the step's ``cycle_length``
-labels, and :func:`cycle_of` is the only code that walks one; callers
-place a label's cycle mates by their position in its walk.  The fractional
+labels; :func:`cycle_of` is the one walk of a cycle, for callers that need
+all its members (the scan places one label by arithmetic).  The fractional
 cycle power has a closed form whose arguments are reduced exactly, one
 offset at a time, by :func:`_closed_form_arg`.  Two computations of the
 same mid-pulse operator are built on it: :func:`evolve_to` evaluates it in
@@ -40,6 +40,7 @@ from .errors import (
     PrecisionBudgetError,
     StateNormError,
     TimeTagError,
+    is_count,
 )
 from .reversible import BeaconStep, ClockMode, Cyclic, ExtendedBasisState, Unbounded
 
@@ -271,7 +272,7 @@ def _pulsed_time(
         raise ParameterRangeError(
             f"schedule clock {sched.clock!r} does not match step clock {step.clock!r}"
         )
-    if not (m is None and m_optional or isinstance(m, int) and m >= 1):
+    if not (m is None and m_optional or is_count(m) and m >= 1):
         raise ParameterRangeError(f"precision exponent must be a positive integer, got {m!r}")
     t = _as_fraction(t, "t")
     if t < 0:
@@ -285,7 +286,7 @@ def evolve_integer(step: BeaconStep, psi: SparseState, n: int) -> SparseState:
     Each label takes :meth:`BeaconStep.advance`, so on a cyclic clock the
     cost is O(K + cycle length) per label whatever ``n`` is, the cycle
     length coming from the step."""
-    if not isinstance(n, int) or n < 0:
+    if not is_count(n) or n < 0:
         raise ParameterRangeError(f"step count must be a nonnegative integer, got {n!r}")
     if psi.time_tag.denominator != 1:
         raise TimeTagError(
@@ -309,15 +310,10 @@ def cycle_of(step: BeaconStep, label: ExtendedBasisState) -> list[ExtendedBasisS
     every step on it is a post-halt toggle, which forces h = 1 throughout.
     The cycle length comes from the step (:attr:`BeaconStep.cycle_length`);
     one more step checks that the walk closed.  This is the only walk of a
-    cycle: the label n steps after ``label`` is entry n mod k of it.
+    cycle: the label n steps after ``label`` is entry n mod k of it, the
+    entry :meth:`BeaconStep.cycle_offset` computes without walking.
     """
-    if step.cycle_length is None:
-        raise OrbitNotClosedError("unbounded clock strictly increases; no orbit closes")
-    if label.h == 0:
-        raise OrbitNotClosedError(
-            "pre-halt label: its history grows every step, so the orbit "
-            "cannot return (halt the machine or use an integer time)"
-        )
+    step._require_cycle(label)
     out = [label]
     while len(out) < step.cycle_length:
         out.append(step.forward(out[-1]))
@@ -360,7 +356,7 @@ def fractional_coeffs(k: int, alpha) -> tuple[list[complex], float]:
     :func:`_closed_form_arg` in floats at every offset; the returned scalar
     bounds every entry's absolute error (a few rounded operations on
     magnitudes <= 1)."""
-    if not isinstance(k, int) or k < 1:
+    if not is_count(k) or k < 1:
         raise ParameterRangeError(f"cycle length must be a positive integer, got {k!r}")
     alpha = _as_fraction(alpha, "alpha")
     if not 0 <= alpha <= 1:

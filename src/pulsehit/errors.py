@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types and the integer-parameter rule shared across the package.
 
 Every error raised on a contract violation is a subclass of
 :class:`PulsehitError`, so callers (notably the CLI) can distinguish
@@ -75,3 +75,8 @@ class SearchRangeExhaustedError(PulsehitError):
 
 class NoiseMarginError(PulsehitError):
     """A perturbation bound is too large for the requested threshold gap."""
+
+
+def is_count(x) -> bool:
+    """An int but not a bool, the int subclass JSON true/false load as."""
+    return isinstance(x, int) and not isinstance(x, bool)

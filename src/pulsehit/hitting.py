@@ -20,18 +20,19 @@ certified fidelity value.  Integer and pulse-end points are exact 0/1
 projections and are available in every mode.
 
 A scan follows one orbit, and past the halt on a cyclic clock that orbit
-is one closed cycle, walked once at the first halted label; each later
-pulse starts at a known position on it.  Mid-pulse beacon fidelities on
+is one closed cycle; each later pulse starts at a known position on it,
+and the target's positions follow from the first halted label by
+arithmetic, without walking the cycle.  Mid-pulse beacon fidelities on
 that cycle have a closed form: the beacon alternates around any post-halt
 cycle, and pairing each cycle eigenvalue with its antipode shows the
 odd-offset weight of the fractional power is exactly sin^2(pi j / 2G).
 An exact-label fidelity is the squared transfer amplitude to the one
-offset where the label sits, evaluated at that offset alone.  Where that value is itself rational
+offset where the label sits.  Where that value is itself rational
 (only at 0, 1/4, 1/2, 3/4, 1, by Niven's theorem) the scanner compares it
 to the threshold exactly, so grid hits that tie the threshold do not
 depend on floating rounding.  Every other mid-pulse value (the remaining
-sin^2 points, and the closed-form weight sums of exact-label targets) is
-a float, so a value within rounding of the threshold is not yet certified;
+sin^2 points, and the closed-form weights of exact-label targets) is a
+float, so a value within rounding of the threshold is not yet certified;
 the certified threshold comparisons item in ROADMAP.md tracks the fix.
 """
 
@@ -41,10 +42,10 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterator, Optional, Union
 
-from .dynamics import PulseSchedule, _as_fraction, _float_coeffs, cycle_of
-from .errors import ParameterRangeError
+from .dynamics import PulseSchedule, _as_fraction, _float_coeffs
+from .errors import ParameterRangeError, is_count
 from .machine import MachineSpec
 from .reversible import BeaconStep, BeaconSubspace, ExactLabel, ExtendedBasisState
 
@@ -71,7 +72,7 @@ def _as_epsilon(epsilon) -> Fraction:
 
 
 def _require_positive_int(name: str, value) -> None:
-    if not isinstance(value, int) or value < 1:
+    if not is_count(value) or value < 1:
         raise ParameterRangeError(f"{name} must be a positive integer, got {value!r}")
 
 
@@ -139,55 +140,53 @@ def _sin2_pi(x: Fraction) -> Number:
 
 
 class _MidPulse:
-    """Mid-pulse fidelities on the scan's one post-halt cycle.  A scan
-    follows one orbit, which from its first halted label (``n_first``
-    steps in) never leaves the cycle :func:`cycle_of` walks from there, so
-    the pulse that starts n steps in starts at position (n - n_first) mod k.
-    That one walk gives the truth table, the lit offsets (the positions
-    where the target holds) and the alternating flag; the finished row of
-    G - 1 points is kept per position, which every later visit reuses."""
+    """Mid-pulse fidelities on the scan's one post-halt cycle, entered at
+    the first halted label x (``n_first`` steps in).  The target holds at
+    the positions q mod m: m = 2, q = 1 - x.b for the beacon; m = k and q
+    = :meth:`BeaconStep.cycle_offset` for an exact label (none if off the
+    cycle).  The pulse that starts n steps in starts at position
+    n - n_first, and its row of G - 1 points depends only on the offset
+    (q - position) mod m, so one row is kept per offset."""
 
     def __init__(
         self,
         step: BeaconStep,
-        pred,
+        target: Union[BeaconSubspace, ExactLabel],
         label: ExtendedBasisState,
         n_first: int,
         grid: int,
         threshold: Fraction,
     ):
-        self.truth = [bool(pred(lab)) for lab in cycle_of(step, label)]
-        k = len(self.truth)
-        self.lit = [q for q, on in enumerate(self.truth) if on]
-        self.alternating = k % 2 == 0 and all(
-            self.truth[r] != self.truth[r - 1] for r in range(k)
-        )
+        if isinstance(target, BeaconSubspace):
+            self.m, self.q = 2, 1 - label.b
+        else:
+            self.m, self.q = step.cycle_length, step.cycle_offset(label, target.phi)
         self.n_first = n_first
         self.grid = grid
         self.threshold = threshold
-        self._rows: dict[int, tuple[tuple[int, Number, bool], ...]] = {}
+        self._rows: dict[Optional[int], tuple[tuple[int, Number, bool], ...]] = {}
 
     def row(self, n: int) -> tuple[tuple[int, Number, bool], ...]:
         """(j, fidelity, fidelity >= threshold) at the mid-pulse points
         0 < j < G of the pulse that starts n steps into the scan."""
-        pos = (n - self.n_first) % len(self.truth)
-        row = self._rows.get(pos)
+        off = None if self.q is None else (self.q - n + self.n_first) % self.m
+        row = self._rows.get(off)
         if row is None:
-            fids = [self._fid(pos, j) for j in range(1, self.grid)]
+            fids = [self._fid(off, j) for j in range(1, self.grid)]
             row = tuple((j, f, f >= self.threshold) for j, f in enumerate(fids, 1))
-            self._rows[pos] = row
+            self._rows[off] = row
         return row
 
-    def _fid(self, pos: int, j: int) -> Number:
-        if self.alternating:
+    def _fid(self, off: Optional[int], j: int) -> Number:
+        if off is None:
+            return 0.0
+        # a target lit on every other position (the beacon, or an exact
+        # label on a 2-cycle) has the sin^2 closed form; otherwise weight
+        # r carries a position to the one r further on
+        if self.m == 2:
             s2 = _sin2_pi(Fraction(j, 2 * self.grid))
-            return 1 - s2 if self.truth[pos] else s2
-        # weight r carries position pos to pos + r, so the lit offsets q
-        # collect the weights at r = q - pos; fsum rounds the exact sum
-        # once, whatever the order of its terms
-        k = len(self.truth)
-        g = _float_coeffs(k, Fraction(j, self.grid), [(q - pos) % k for q in self.lit])
-        return math.fsum(abs(z) ** 2 for z in g)
+            return 1 - s2 if off == 0 else s2
+        return abs(_float_coeffs(self.m, Fraction(j, self.grid), [off])[0]) ** 2
 
 
 def _scan(inst: InstanceDescriptor) -> Iterator[tuple[int, int, Number, bool]]:
@@ -206,7 +205,7 @@ def _scan(inst: InstanceDescriptor) -> Iterator[tuple[int, int, Number, bool]]:
     grid = inst.grid
     horizon = inst.horizon
     # mid-pulse points are evaluable only past the halt on a cyclic clock;
-    # their rows come from the cycle walked at the first halted label
+    # their rows are placed on its cycle from the first halted label
     cyclic = step.cycle_length is not None and grid > 1
     mid = None
 
@@ -221,7 +220,7 @@ def _scan(inst: InstanceDescriptor) -> Iterator[tuple[int, int, Number, bool]]:
             return
         if cyclic and cur.h == 1:
             if mid is None:
-                mid = _MidPulse(step, pred, cur, n, grid, threshold)
+                mid = _MidPulse(step, inst.target, cur, n, grid, threshold)
             for j, fid, reached in mid.row(n):
                 yield n, j, fid, reached
         cur = step.forward(cur)

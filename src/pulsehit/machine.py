@@ -39,6 +39,7 @@ from .errors import (
     MachineSemanticsError,
     MachineSyntaxError,
     ParameterRangeError,
+    is_count,
 )
 
 MOVES = ("L", "R", "S")
@@ -282,7 +283,7 @@ def classical_run(
     This is the ground-truth side of every halting-versus-hitting check, so
     it deliberately shares no code with the reversible dynamics.
     """
-    if not isinstance(max_steps, int) or max_steps < 0:
+    if not is_count(max_steps) or max_steps < 0:
         raise ParameterRangeError(
             f"max_steps must be a nonnegative integer, got {max_steps!r}"
         )

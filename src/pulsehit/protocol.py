@@ -35,6 +35,7 @@ from .errors import (
     NoiseMarginError,
     ParameterRangeError,
     SearchRangeExhaustedError,
+    is_count,
 )
 from .hitting import (
     Exhausted,
@@ -62,7 +63,7 @@ class ProtocolBudget:
         object.__setattr__(self, "tau_max", _as_fraction(self.tau_max, "tau_max"))
         if self.tau_max <= 0:
             raise ParameterRangeError(f"tau_max must be positive, got {self.tau_max}")
-        if not isinstance(self.e_max, int) or self.e_max < 1:
+        if not is_count(self.e_max) or self.e_max < 1:
             raise ParameterRangeError(f"e_max must be a positive integer, got {self.e_max!r}")
 
 
@@ -178,7 +179,7 @@ def adversarial_sweep(
     family index turns an oversized witness into a typed error before any
     machine is built.  The parameters are checked before any budget, so a
     bad one is rejected even when the cap leaves no witness."""
-    if not isinstance(family_cap, int) or family_cap < 0:
+    if not is_count(family_cap) or family_cap < 0:
         raise ParameterRangeError(
             f"family_cap must be a nonnegative integer, got {family_cap!r}"
         )

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Sequence, Union
 
 from .dynamics import PulseSchedule, _as_fraction
-from .errors import CorpusBugError, ParameterRangeError
+from .errors import CorpusBugError, ParameterRangeError, is_count
 from .hitting import (
     Exhausted,
     Hit,
@@ -236,7 +236,7 @@ def counter_family(n: int) -> MachineSpec:
     so the halting step grows without bound along the family.  The
     adversarial sweep relies on this count to name its witness for a time
     budget tau_max as member floor(tau_max)."""
-    if not isinstance(n, int) or n < 0:
+    if not is_count(n) or n < 0:
         raise ParameterRangeError(f"family index must be a nonnegative integer, got {n!r}")
     return MachineSpec(
         states=("q0", "qH"),
@@ -251,17 +251,12 @@ def counter_family(n: int) -> MachineSpec:
     )
 
 
-def _is_count(x) -> bool:
-    # JSON true/false load as bool, a subclass of int
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _parse_ground_truth(name: str, raw) -> GroundTruth:
     if not isinstance(raw, dict) or "kind" not in raw:
         raise CorpusBugError(f"{name}: malformed ground truth {raw!r}")
     if raw["kind"] == "halts":
         steps = raw.get("K")
-        if not _is_count(steps):
+        if not is_count(steps):
             raise CorpusBugError(f"{name}: halting entry needs an integer K")
         return Halts(steps)
     if raw["kind"] == "loops":
@@ -269,7 +264,7 @@ def _parse_ground_truth(name: str, raw) -> GroundTruth:
         if (
             not isinstance(pair, list)
             or len(pair) != 2
-            or not all(_is_count(x) for x in pair)
+            or not all(is_count(x) for x in pair)
         ):
             raise CorpusBugError(f"{name}: looping entry needs revisit [r, r']")
         return LoopsForever((pair[0], pair[1]))

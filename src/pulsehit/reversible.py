@@ -29,7 +29,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
 
-from .errors import IllFormedMachineError, LabelError, ParameterRangeError
+from .errors import IllFormedMachineError, LabelError, OrbitNotClosedError
+from .errors import ParameterRangeError, is_count
 from .machine import MachineSpec, rule_table
 
 _OFFSET = {"L": -1, "R": 1, "S": 0}
@@ -296,9 +297,9 @@ class BeaconStep:
     The step also owns its orbit facts: :attr:`cycle_length` is the length
     lcm(L, 2) of every post-halt orbit on a ``Cyclic(L)`` clock (the clock
     ticks modulo L and the beacon toggles modulo 2 while the work half is
-    frozen), or ``None`` on an unbounded clock, where no orbit closes; and
-    :meth:`advance` uses it, so n steps along a run that halts at step K
-    cost O(K + L) forward calls however large n is.
+    frozen), or ``None`` on an unbounded clock, where no orbit closes;
+    :meth:`advance` takes n steps in O(K + L) forward calls on a run that
+    halts at step K, and :meth:`cycle_offset` places a label on a cycle.
     """
 
     def __init__(self, spec: MachineSpec, clock: ClockMode):
@@ -406,7 +407,7 @@ class BeaconStep:
         set on a cyclic clock the orbit is a cycle of :attr:`cycle_length`
         labels, so only ``n`` mod that length of the remaining steps are
         taken."""
-        if not isinstance(n, int) or n < 0:
+        if not is_count(n) or n < 0:
             raise ParameterRangeError(f"step count must be a nonnegative integer, got {n!r}")
         if self.cycle_length is not None:
             while n and not x.h:
@@ -416,6 +417,30 @@ class BeaconStep:
         for _ in range(n):
             x = self.forward(x)
         return x
+
+    def _require_cycle(self, x: ExtendedBasisState) -> None:
+        """Typed refusal of a label whose forward orbit never closes."""
+        if self.cycle_length is None:
+            raise OrbitNotClosedError("unbounded clock strictly increases; no orbit closes")
+        if x.h == 0:
+            raise OrbitNotClosedError(
+                "pre-halt label: its history grows every step, so the orbit "
+                "cannot return (halt the machine or use an integer time)"
+            )
+
+    def cycle_offset(self, x: ExtendedBasisState, y: ExtendedBasisState) -> Optional[int]:
+        """The r < :attr:`cycle_length` with ``y`` r steps after the halted
+        label ``x``, or ``None`` off x's cycle.  Member r is x's frozen work
+        half at clock (x.tau + r) mod L and beacon x.b xor (r mod 2), so r
+        follows by CRT; refuses where ``dynamics.cycle_of`` does."""
+        self._require_cycle(x)
+        period = self._cyclic
+        r = (y.tau - x.tau) % period
+        r += period * ((r ^ x.b ^ y.b) & 1)  # the other parity, on odd periods
+        member = ExtendedBasisState(
+            x.state, x.head, x.tape, x.hist, (x.tau + r) % period, 1, x.b ^ (r & 1)
+        )
+        return r if member == y else None
 
     # -- backward ----------------------------------------------------------------
 

@@ -186,10 +186,15 @@ def test_hit_exhausted_exits_two(capsys, looper):
 
 
 def test_hit_on_cyclic_clock_finds_the_mid_pulse_crossing(capsys, mover):
-    code, out, _err = run(capsys, "hit", mover, "--clock", "cyclic:2", "--horizon", "10")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["t"] == "10/3" and payload["fidelity"] == 0.75
+    # the exact label 4 steps in sits on the 2-cycle past the halt, lit on
+    # every other position like the beacon, so its crossing is the same
+    # exact Niven value
+    for extra in ([], ["--grid", "3", "--target", "exact:4"]):
+        argv = ["hit", mover, "--clock", "cyclic:2", "--horizon", "10", *extra]
+        code, out, _err = run(capsys, *argv)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["t"] == "10/3" and payload["fidelity"] == 0.75
 
 
 def test_hit_exact_targets(capsys, mover):

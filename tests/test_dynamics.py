@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import cycle_power_oracle, transfer_amplitudes_oracle, two_cycle_profile
 from support import machines
@@ -49,8 +49,14 @@ from pulsehit.errors import (
     TimeTagError,
 )
 import pulsehit
-from pulsehit.machine import parse_machine, serialize_machine
-from pulsehit.reversible import BeaconStep, BeaconSubspace, Cyclic, Unbounded
+from pulsehit.machine import Halted, classical_run, parse_machine, serialize_machine
+from pulsehit.reversible import (
+    BeaconStep,
+    BeaconSubspace,
+    Cyclic,
+    ExtendedBasisState,
+    Unbounded,
+)
 
 MOVE_RIGHT_3 = parse_machine(
     """\
@@ -477,6 +483,51 @@ def test_cycle_of_refusals():
     step_c.cycle_length = 5
     with pytest.raises(OrbitNotClosedError, match="did not close after 5 labels"):
         cycle_of(step_c, labels[3])
+
+
+def _variant(y, **fields):
+    """``y`` with the given fields replaced, built without validation so
+    that out-of-range clocks can be made."""
+    old = dict(state=y.state, head=y.head, tape=y.tape, hist=y.hist, tau=y.tau, h=y.h, b=y.b)
+    return ExtendedBasisState(**{**old, **fields})
+
+
+@settings(max_examples=60, deadline=None)
+@given(machines(total=True), st.integers(2, 41), st.data())
+def test_cycle_offset_is_the_position_in_the_cycle_walk(spec, period, data):
+    # cycle_of is the oracle: every member sits at its index in the walk
+    # from x, and no variant off the cycle is placed anywhere
+    assume(isinstance(classical_run(spec, 20), Halted))
+    step = BeaconStep(spec, Cyclic(period))
+    pre_halt = [step.initial_label()]
+    while not step.forward(pre_halt[-1]).h:
+        pre_halt.append(step.forward(pre_halt[-1]))
+    first = step.forward(pre_halt[-1])
+    x = step.advance(first, data.draw(st.integers(0, step.cycle_length - 1)))
+    cycle = cycle_of(step, x)
+    k = len(cycle)
+    for r, y in enumerate(cycle):
+        assert step.cycle_offset(x, y) == r
+        off = [
+            _variant(y, h=0),
+            _variant(y, head=y.head + 1),
+            _variant(y, tau=y.tau + period),
+            _variant(y, tau=y.tau - period),
+        ]
+        flipped = _variant(y, b=y.b ^ 1)
+        if period % 2:
+            # on an odd period the same clock recurs half way round with
+            # the other beacon parity
+            assert step.cycle_offset(x, flipped) == (r + period) % k
+        else:
+            off.append(flipped)
+        for z in off + pre_halt:
+            assert z not in cycle
+            assert step.cycle_offset(x, z) is None
+    with pytest.raises(OrbitNotClosedError, match="pre-halt"):
+        step.cycle_offset(pre_halt[-1], x)
+    with pytest.raises(OrbitNotClosedError, match="unbounded"):
+        BeaconStep(spec, Unbounded()).cycle_offset(x, x)
 
 
 def test_cycle_of_walks_cycles_past_any_fixed_cap():

@@ -9,6 +9,7 @@ the window [K, K + delta], whose first crossing of 3/4 at G = 6 is the
 Niven point j = 4, t = K + 1/3, with fidelity exactly 3/4.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -323,6 +324,39 @@ def test_mid_pulse_values_match_the_full_coefficient_vector_exactly(period, targ
             assert fid == abs(g[(target_steps - n) % k]) ** 2
             mid_points += 1
     assert mid_points == (horizon - 3) * (grid - 1)
+
+
+def test_mid_pulse_rows_cost_no_walk_of_a_long_cycle(monkeypatch):
+    # past the halt at K = 3 the target is placed on the 10^4-label cycle
+    # by arithmetic, so the only forward calls are the scan's own, one per
+    # pulse it completes before the report
+    clock = Cyclic(10**4)
+    step = BeaconStep(MOVE_RIGHT_3, clock)
+    sched = PulseSchedule(HALF, clock)
+    # (target, frozen first hit, or None for exhaustion)
+    cases = [
+        (BeaconSubspace(), Fraction(17, 5)),
+        (ExactLabel(_walk(step, step.initial_label(), 5)), Fraction(22, 5)),
+        (ExactLabel(_walk(step, step.initial_label(), 5000)), None),
+    ]
+    forward = BeaconStep.forward
+    calls = []
+
+    def counting_forward(self, x):
+        calls.append(x)
+        return forward(self, x)
+
+    monkeypatch.setattr(BeaconStep, "forward", counting_forward)
+    for target, want in cases:
+        del calls[:]
+        inst = InstanceDescriptor(MOVE_RIGHT_3, QUARTER, sched, target, 10, 5)
+        report = uhit_semidecide(inst)
+        if want is None:
+            assert isinstance(report, Exhausted)
+            assert len(calls) == inst.horizon
+        else:
+            assert report.t_hit == want
+            assert len(calls) == math.floor(report.t_hit)
 
 
 def test_scans_and_certified_route_never_build_serial_bytes(monkeypatch):

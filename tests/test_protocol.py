@@ -16,7 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pulsehit.dynamics import PulseSchedule
+from pulsehit.dynamics import (
+    PulseSchedule,
+    SparseState,
+    evolve_integer,
+    evolve_to,
+    fractional_coeffs,
+)
 from pulsehit.errors import (
     NoiseMarginError,
     ParameterRangeError,
@@ -450,3 +456,58 @@ def test_noise_is_reproducible_per_seed():
     noise = NoiseModel(Fraction(1, 8), 42)
     assert classify_with_noise(inst, noise) == classify_with_noise(inst, noise)
 
+
+
+# -- integer parameters ------------------------------------------------------------
+
+
+def _step():
+    return BeaconStep(MOVE_RIGHT_3, Cyclic(3))
+
+
+def _psi():
+    return SparseState.basis_state(_step().initial_label())
+
+
+def _instance(**kw):
+    fields = {"horizon": 10, "grid": 5, **kw}
+    sched = PulseSchedule(HALF, Unbounded())
+    return InstanceDescriptor(MOVE_RIGHT_3, QUARTER, sched, BeaconSubspace(), **fields)
+
+
+# (parameter named in the message, call taking the value); bool is a subclass
+# of int, and every one of these must refuse True and False alike
+INTEGER_PARAMETERS = {
+    "instance-horizon": ("horizon", lambda v: _instance(horizon=v)),
+    "instance-grid": ("grid", lambda v: _instance(grid=v)),
+    "encode-horizon": (
+        "horizon",
+        lambda v: encode(MOVE_RIGHT_3, QUARTER, HALF, Unbounded(), BeaconSubspace(), v),
+    ),
+    "verify-horizon": (
+        "horizon",
+        lambda v: verify_corpus([], QUARTER, HALF, Unbounded(), v),
+    ),
+    "budget-e_max": ("e_max", lambda v: ProtocolBudget(10, v)),
+    "sweep-family_cap": (
+        "family_cap",
+        lambda v: adversarial_sweep([ProtocolBudget(1, 1)], family_cap=v),
+    ),
+    "advance-steps": ("step count", lambda v: _step().advance(_step().initial_label(), v)),
+    "evolve-steps": ("step count", lambda v: evolve_integer(_step(), _psi(), v)),
+    "evolve-precision": (
+        "precision exponent",
+        lambda v: evolve_to(_step(), PulseSchedule(HALF, Cyclic(3)), _psi(), 1, m=v),
+    ),
+    "classical-max_steps": ("max_steps", lambda v: classical_run(MOVE_RIGHT_3, v)),
+    "family-index": ("family index", lambda v: counter_family(v)),
+    "coeffs-cycle-length": ("cycle length", lambda v: fractional_coeffs(v, HALF)),
+}
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("case", sorted(INTEGER_PARAMETERS))
+def test_booleans_are_not_integer_parameters(case, value):
+    name, call = INTEGER_PARAMETERS[case]
+    with pytest.raises(ParameterRangeError, match=name):
+        call(value)
