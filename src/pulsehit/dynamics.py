@@ -12,10 +12,10 @@ the evaluation refuses with a typed error instead of truncating.
 Every post-halt cycle of a cyclic clock has the step's ``cycle_length``
 labels; :func:`cycle_of` is the one walk of a cycle, for callers that need
 all its members (the scan places one label by arithmetic).  The fractional
-cycle power has a closed form whose arguments are reduced exactly, one
-offset at a time, by :func:`_closed_form_arg`.  Two computations of the
-same mid-pulse operator are built on it: :func:`evolve_to` evaluates it in
-floating point with tracked absolute error bounds, and
+cycle power has a closed form whose arguments share one denominator and are
+reduced exactly in integers by :func:`_closed_form_arg`.  Two computations
+of the same mid-pulse operator are built on it: :func:`evolve_to` evaluates
+it in floating point with tracked absolute error bounds, and
 :func:`approx_unitary` evaluates it in high-precision arithmetic and rounds
 dyadically, returning an exact rational matrix with a certified
 operator-norm distance to the true evolution.
@@ -262,9 +262,7 @@ class PulseSchedule:
             raise ParameterRangeError(f"unknown clock mode {self.clock!r}")
 
 
-def _pulsed_time(
-    step: BeaconStep, sched: PulseSchedule, t, m, *, m_optional: bool = False
-) -> tuple[Fraction, int, Fraction]:
+def _pulsed_time(step: BeaconStep, sched: PulseSchedule, t, m) -> tuple[Fraction, int, Fraction]:
     """The checks :func:`evolve_to` and :func:`approx_unitary` share
     (matching clocks, a precision exponent m >= 1, a rational time t >= 0),
     then t, and its split t = n + s with n integer and 0 <= s < 1."""
@@ -272,7 +270,7 @@ def _pulsed_time(
         raise ParameterRangeError(
             f"schedule clock {sched.clock!r} does not match step clock {step.clock!r}"
         )
-    if not (m is None and m_optional or is_count(m) and m >= 1):
+    if not (is_count(m) and m >= 1):
         raise ParameterRangeError(f"precision exponent must be a positive integer, got {m!r}")
     t = _as_fraction(t, "t")
     if t < 0:
@@ -322,29 +320,33 @@ def cycle_of(step: BeaconStep, label: ExtendedBasisState) -> list[ExtendedBasisS
     return out
 
 
-def _closed_form_arg(k: int, alpha: Fraction, r: int) -> tuple[Fraction, Fraction]:
+def _closed_form_arg(k: int, a: int, g: int, r: int) -> tuple[int, int]:
     """Exact arguments of offset r of the alpha-th principal power of a
-    k-cycle, 0 < alpha < 1.  Summing its eigenvalue powers as two geometric
-    series (angles -2 pi j/k for j < J = ceil(k/2), shifted by 2 pi from
-    there on) gives the amplitude to offset r as
-    e^{i pi p_r} sin(pi a) / (k sin(pi y_r)) with x = (r - alpha)/k,
-    p_r = (2J - 1) x + alpha + 1 mod 2 (in (-1, 1]), a = min(alpha, 1 - alpha)
-    and y_r = min(x, 1 - x).  Returns (p_r, y_r); a is the caller's, once
-    per vector.  The reductions are exact and keep every sine argument in
+    k-cycle, alpha = a/g in (0, 1) (a/g need not be reduced), as integer
+    numerators over the one denominator D = k g.  Summing its eigenvalue
+    powers as two geometric series (angles -2 pi j/k for j < J = ceil(k/2),
+    shifted by 2 pi from there on) gives the amplitude to offset r as
+    e^{i pi P/D} sin(pi s) / (k sin(pi Y/D)) with X = r g - a,
+    P = (2J - 1) X + a k + D mod 2D (in (-D, D]), Y = min(X, D - X) and
+    s = min(alpha, 1 - alpha).  Returns (P, Y); s is the caller's, once per
+    vector.  The reductions are exact and keep every sine argument in
     [-pi/2, pi/2], where rounding it costs no relative accuracy."""
-    x = (r - alpha) / k
-    p = ((2 * ((k + 1) // 2) - 1) * x + alpha + 1) % 2
-    return p - 2 if p > 1 else p, min(x, 1 - x)
+    d = k * g
+    x = r * g - a
+    p = ((2 * ((k + 1) // 2) - 1) * x + a * k + d) % (2 * d)
+    return p - 2 * d if p > d else p, min(x, d - x)
 
 
-def _float_coeffs(k: int, alpha: Fraction, offsets: Iterable[int]) -> list[complex]:
+def _float_coeffs(k: int, a: int, g: int, offsets: Iterable[int]) -> list[complex]:
     """The closed form of :func:`_closed_form_arg` in floats at the given
-    offsets of a k-cycle, 0 < alpha < 1."""
-    scale = math.sin(math.pi * float(min(alpha, 1 - alpha))) / k
+    offsets of a k-cycle, alpha = a/g in (0, 1); each argument is one
+    correctly rounded division of integers."""
+    d = k * g
+    scale = math.sin(math.pi * (min(a, g - a) / g)) / k
     out = []
     for r in offsets:
-        p, y = _closed_form_arg(k, alpha, r)
-        out.append(cmath.rect(scale / math.sin(math.pi * float(y)), math.pi * float(p)))
+        p, y = _closed_form_arg(k, a, g, r)
+        out.append(cmath.rect(scale / math.sin(math.pi * (y / d)), math.pi * (p / d)))
     return out
 
 
@@ -364,11 +366,7 @@ def fractional_coeffs(k: int, alpha) -> tuple[list[complex], float]:
     err = (6.0 + math.log2(k)) * 1e-15
     if alpha.denominator == 1:
         return [1 + 0j if r == alpha % k else 0j for r in range(k)], err
-    return _float_coeffs(k, alpha, range(k)), err
-
-
-def _mpf(q: Fraction) -> "mpmath.mpf":
-    return mpmath.mpf(q.numerator) / q.denominator
+    return _float_coeffs(k, alpha.numerator, alpha.denominator, range(k)), err
 
 
 def _dyadic(x: "mpmath.mpf", bits: int) -> Fraction:
@@ -383,12 +381,14 @@ def _rational_coeffs(k: int, alpha: Fraction, entry_bits: int) -> list[tuple[Fra
     2^-entry_bits of the true value."""
     # error budget: a few operations of relative error 2^(1-prec) per entry
     # of magnitude <= 1, far below the final rounding of 2^-(entry_bits+1)
+    a, g = alpha.numerator, alpha.denominator
+    d = k * g
     with mpmath.workprec(entry_bits + 32):
-        scale = mpmath.sinpi(_mpf(min(alpha, 1 - alpha))) / k
+        scale = mpmath.sinpi(mpmath.mpf(min(a, g - a)) / g) / k
         out = []
         for r in range(k):
-            p, y = _closed_form_arg(k, alpha, r)
-            z = mpmath.expjpi(_mpf(p)) * (scale / mpmath.sinpi(_mpf(y)))
+            p, y = _closed_form_arg(k, a, g, r)
+            z = mpmath.expjpi(mpmath.mpf(p) / d) * (scale / mpmath.sinpi(mpmath.mpf(y) / d))
             out.append((_dyadic(z.real, entry_bits), _dyadic(z.imag, entry_bits)))
     return out
 
@@ -433,7 +433,7 @@ def evolve_to(
     given, a tracked floating error above 2^-m raises
     :class:`PrecisionBudgetError`.
     """
-    t, n, s = _pulsed_time(step, sched, t, m, m_optional=True)
+    t, n, s = _pulsed_time(step, sched, t, 1 if m is None else m)
     if psi0.time_tag != 0:
         raise TimeTagError(
             f"evolve_to starts from the t=0 state, got time_tag {psi0.time_tag}"

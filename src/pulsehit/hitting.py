@@ -186,7 +186,7 @@ class _MidPulse:
         if self.m == 2:
             s2 = _sin2_pi(Fraction(j, 2 * self.grid))
             return 1 - s2 if off == 0 else s2
-        return abs(_float_coeffs(self.m, Fraction(j, self.grid), [off])[0]) ** 2
+        return abs(_float_coeffs(self.m, j, self.grid, [off])[0]) ** 2
 
 
 def _scan(inst: InstanceDescriptor) -> Iterator[tuple[int, int, Number, bool]]:

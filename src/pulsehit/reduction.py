@@ -98,8 +98,8 @@ def encode(
 
 
 def _replay_halts(entry: CorpusEntry, claim: Halts) -> None:
-    if claim.steps < 0:
-        raise CorpusBugError(f"{entry.name}: negative step count {claim.steps}")
+    if not is_count(claim.steps) or claim.steps < 0:
+        raise CorpusBugError(f"{entry.name}: not a nonnegative step count: {claim.steps!r}")
     last = None
     for cfg in classical_trace(entry.machine, claim.steps):
         last = cfg
@@ -117,7 +117,7 @@ def _replay_halts(entry: CorpusEntry, claim: Halts) -> None:
 
 def _replay_loops(entry: CorpusEntry, claim: LoopsForever) -> None:
     r, r2 = claim.revisit
-    if not (isinstance(r, int) and isinstance(r2, int) and 0 <= r < r2):
+    if not (is_count(r) and is_count(r2) and 0 <= r < r2):
         raise CorpusBugError(f"{entry.name}: malformed revisit pair {claim.revisit}")
     # the trace stops short of r2 only at a halt, which is rejected here
     for cfg in classical_trace(entry.machine, r2):

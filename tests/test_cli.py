@@ -486,20 +486,27 @@ def test_exact_label_trace_bytes_are_frozen(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_EXACT_TRACE_SHA256
 
 
-# The same exact-label scan on a 2048-cycle (period 1024): 17918 lines whose
-# mid-pulse values sum only the lit offsets of each cycle; the MD5 was
-# recorded from the output when every point summed all 2048 weights.
-FROZEN_LONG_CYCLE_TRACE_MD5 = "e416b369404abf883248ab57080c74ff"
-
-
-def test_long_cycle_exact_label_trace_bytes_are_frozen(capsys):
+# The same exact-label scan on longer cycles, each frozen as (line count, MD5):
+# - a 2048-cycle (period 1024) at grid 5, recorded when every point summed
+#   all 2048 weights;
+# - a 194-cycle (period 97) at grid 6, where j/G reduces for j = 2, 3, 4,
+#   recorded when the closed form's arguments were reduced as Fractions.
+@pytest.mark.parametrize(
+    "period, grid, horizon, lines, md5",
+    [
+        (1024, 5, 3000, 17918, "e416b369404abf883248ab57080c74ff"),
+        (97, 6, 800, 5497, "374cee08a25f8e0211537ebac5c018dc"),
+    ],
+    ids=["cyclic:1024-grid:5", "cyclic:97-grid:6"],
+)
+def test_long_cycle_exact_label_trace_bytes_are_frozen(capsys, period, grid, horizon, lines, md5):
     from importlib import resources
 
     machine = Path(str(resources.files("pulsehit"))) / "corpus" / "scan-20.tm"
     code, out, err = run(
-        capsys, "trace", str(machine), "--clock", "cyclic:1024", "--grid", "5",
-        "--target", "exact:30", "--horizon", "3000",
+        capsys, "trace", str(machine), "--clock", f"cyclic:{period}", "--grid", str(grid),
+        "--target", "exact:30", "--horizon", str(horizon),
     )
     assert (code, err) == (0, "")
-    assert out.count("\n") == 17918
-    assert hashlib.md5(out.encode()).hexdigest() == FROZEN_LONG_CYCLE_TRACE_MD5
+    assert out.count("\n") == lines
+    assert hashlib.md5(out.encode()).hexdigest() == md5

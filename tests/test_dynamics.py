@@ -29,6 +29,8 @@ from pulsehit.dynamics import (
     Amplitude,
     PulseSchedule,
     SparseState,
+    _closed_form_arg,
+    _float_coeffs,
     _rational_coeffs,
     approx_unitary,
     cycle_of,
@@ -155,6 +157,27 @@ def test_fractional_coeffs_within_bound_of_certified_route(k):
         room = (Fraction(err) - Fraction(1, 2**60)) ** 2
         for z, (re, im) in zip(g, _rational_coeffs(k, alpha, 60), strict=True):
             assert (Fraction(z.real) - re) ** 2 + (Fraction(z.imag) - im) ** 2 <= room
+
+
+def _fraction_closed_form_arg(k, alpha, r):
+    # the closed form's argument reduction as first written, in Fractions
+    x = (r - alpha) / k
+    p = ((2 * ((k + 1) // 2) - 1) * x + alpha + 1) % 2
+    return p - 2 if p > 1 else p, min(x, 1 - x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 70000), st.integers(2, 1000), st.integers(1, 12), st.data())
+def test_integer_closed_form_arg_matches_fraction_reduction(k, g, c, data):
+    # about 40 % of the drawn a/g are unreduced, and c unreduces them further
+    a = data.draw(st.integers(1, g - 1))
+    offsets = data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=4))
+    d = k * g * c
+    for r in offsets:
+        p, y = _closed_form_arg(k, a * c, g * c, r)
+        assert -d < p <= d
+        assert (Fraction(p, d), Fraction(y, d)) == _fraction_closed_form_arg(k, Fraction(a, g), r)
+    assert _float_coeffs(k, a * c, g * c, offsets) == _float_coeffs(k, a, g, offsets)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 7, 16, 30])
