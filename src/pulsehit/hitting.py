@@ -11,7 +11,9 @@ The scan carries each point as the integer pair (n, j), 0 <= j <= G: j = 0
 is the integer time n and j = G the end of the pulse that starts there.
 An exact ``Fraction`` time is built only for a point that is reported (a
 hit, a protocol's spent time, a trace row), so the time is never a float
-and the per-point cost is integer work.
+and the per-point cost is integer work.  A trace row's time is the
+coprime pair ``Fraction(n*q + p, q)``, where p/q = (j/G)*delta is reduced
+once per j.
 
 Grid points that land strictly inside a pulse are only evaluable where the
 support orbit closes (a halted label on a cyclic clock); everywhere else
@@ -32,8 +34,11 @@ offset where the label sits.  Where that value is itself rational
 to the threshold exactly, so grid hits that tie the threshold do not
 depend on floating rounding.  Every other mid-pulse value (the remaining
 sin^2 points, and the closed-form weights of exact-label targets) is a
-float, so a value within rounding of the threshold is not yet certified;
-the certified threshold comparisons item in ROADMAP.md tracks the fix.
+float, compared against the threshold's float ceiling (the least double at
+or above it), which gives the float's exact comparison with the rational
+threshold.  The float itself is rounded, so a value within rounding of
+the threshold is not yet certified; the certified threshold comparisons
+item in ROADMAP.md tracks the fix.
 """
 
 from __future__ import annotations
@@ -132,6 +137,14 @@ _NIVEN_SIN2 = {
 }
 
 
+def _float_ceiling(x: Fraction) -> float:
+    """The least double >= x.  A double f satisfies f >= x exactly when
+    f >= _float_ceiling(x), so a float compares against a rational
+    threshold without converting itself to a Fraction."""
+    f = float(x)
+    return math.nextafter(f, math.inf) if f < x else f
+
+
 def _sin2_pi(x: Fraction) -> Number:
     exact = _NIVEN_SIN2.get(x)
     if exact is not None:
@@ -164,6 +177,7 @@ class _MidPulse:
         self.n_first = n_first
         self.grid = grid
         self.threshold = threshold
+        self.ceiling = _float_ceiling(threshold)
         self._rows: dict[Optional[int], tuple[tuple[int, Number, bool], ...]] = {}
 
     def row(self, n: int) -> tuple[tuple[int, Number, bool], ...]:
@@ -173,9 +187,16 @@ class _MidPulse:
         row = self._rows.get(off)
         if row is None:
             fids = [self._fid(off, j) for j in range(1, self.grid)]
-            row = tuple((j, f, f >= self.threshold) for j, f in enumerate(fids, 1))
+            row = tuple((j, f, self._reached(f)) for j, f in enumerate(fids, 1))
             self._rows[off] = row
         return row
+
+    def _reached(self, fid: Number) -> bool:
+        # floats compare against the threshold's float ceiling, Niven
+        # values (Fractions) against the threshold itself
+        if type(fid) is float:
+            return fid >= self.ceiling
+        return fid >= self.threshold
 
     def _fid(self, off: Optional[int], j: int) -> Number:
         if off is None:
@@ -251,10 +272,11 @@ def uhit_semidecide(inst: InstanceDescriptor) -> HitReport:
 
     Threshold comparisons are exact at integer and pulse-end points (0/1
     projections) and at Niven-point mid-pulse values (rational).  Every
-    other mid-pulse value is a float, compared against the rational
-    threshold without rounding the threshold, so a float within rounding
-    of 1 - epsilon can decide the comparison wrongly (see the certified
-    threshold comparisons item in ROADMAP.md)."""
+    other mid-pulse value is a float, compared exactly against the
+    rational threshold through its float ceiling; the float itself is
+    rounded, so one within rounding of 1 - epsilon can decide the
+    comparison wrongly (see the certified threshold comparisons item in
+    ROADMAP.md)."""
     best: Number = 0
     for n, j, fid, reached in _scan(inst):
         if reached:
@@ -265,9 +287,19 @@ def uhit_semidecide(inst: InstanceDescriptor) -> HitReport:
 
 
 def fidelity_trace(inst: InstanceDescriptor) -> list[tuple[Fraction, float]]:
-    """All evaluated grid points with their fidelities, as floats."""
+    """All evaluated grid points with their fidelities, as floats.
+
+    The offset p/q = (j/G)*delta is reduced once per j, and the row (n, j)
+    gets the time ``Fraction(n*q + p, q)``: gcd(n*q + p, q) = gcd(p, q) = 1,
+    so that pair is n + p/q already in lowest terms and no rational sum
+    is needed per row."""
     offsets = [Fraction(j, inst.grid) * inst.schedule.delta for j in range(inst.grid + 1)]
-    return [(n + offsets[j], float(fid)) for n, j, fid, _ in _scan(inst)]
+    pq = [(o.numerator, o.denominator) for o in offsets]
+    return [
+        (Fraction(n * q + p, q), float(fid))
+        for n, j, fid, _ in _scan(inst)
+        for p, q in (pq[j],)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +333,10 @@ def hit_report_json(report: HitReport) -> str:
     return json.dumps(_report_payload(report), sort_keys=True)
 
 
-def _decimal_or_ratio(t: Fraction) -> str:
-    """Exact decimal when the denominator divides a power of ten,
-    otherwise the reduced ratio."""
-    den = t.denominator
+def _decimal_places(den: int) -> Optional[int]:
+    """Places of the exact decimal of a fraction with denominator den (the
+    larger of its powers of 2 and 5), or None when den does not divide a
+    power of ten."""
     twos = fives = 0
     while den % 2 == 0:
         den //= 2
@@ -312,17 +344,34 @@ def _decimal_or_ratio(t: Fraction) -> str:
     while den % 5 == 0:
         den //= 5
         fives += 1
-    if den != 1:
+    return max(twos, fives) if den == 1 else None
+
+
+def _render_time(t: Fraction, places: Optional[int]) -> str:
+    if places is None:
         return f"{t.numerator}/{t.denominator}"
-    places = max(twos, fives)
     if places == 0:
         return str(t.numerator)
     scaled = t.numerator * 10**places // t.denominator
     return f"{scaled // 10**places}.{scaled % 10**places:0{places}d}"
 
 
+def _decimal_or_ratio(t: Fraction) -> str:
+    """Exact decimal when the denominator divides a power of ten,
+    otherwise the reduced ratio."""
+    return _render_time(t, _decimal_places(t.denominator))
+
+
 def trace_to_csv(trace: list[tuple[Fraction, float]]) -> str:
+    """One line per row; the decimal places of each distinct denominator
+    are worked out once per call."""
+    places: dict[int, Optional[int]] = {}
     lines = ["t,fidelity"]
     for t, fid in trace:
-        lines.append(f"{_decimal_or_ratio(Fraction(t))},{float(fid):.12f}")
+        if type(t) is not Fraction:
+            t = Fraction(t)
+        den = t.denominator
+        if den not in places:
+            places[den] = _decimal_places(den)
+        lines.append(f"{_render_time(t, places[den])},{float(fid):.12f}")
     return "\n".join(lines) + "\n"

@@ -41,6 +41,7 @@ from .hitting import (
     Exhausted,
     HitReport,
     InstanceDescriptor,
+    _float_ceiling,
     _hit,
     _scan,
     _time,
@@ -276,12 +277,12 @@ def classify_with_noise(inst: InstanceDescriptor, noise: NoiseModel) -> HitRepor
         return uhit_semidecide(inst)
     rng = random.Random(noise.seed)
     gamma = float(noise.gamma)
-    threshold = 1 - inst.epsilon - noise.gamma
+    ceiling = _float_ceiling(1 - inst.epsilon - noise.gamma)
     best = 0.0
     for n, j, fid, _reached in _scan(inst):
         wobble = rng.uniform(-gamma, gamma)
         noisy = min(1.0, max(0.0, float(fid) + wobble))
-        if noisy >= threshold:
+        if noisy >= ceiling:
             return _hit(inst, n, j, noisy)
         if noisy > best:
             best = noisy

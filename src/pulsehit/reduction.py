@@ -116,9 +116,15 @@ def _replay_halts(entry: CorpusEntry, claim: Halts) -> None:
 
 
 def _replay_loops(entry: CorpusEntry, claim: LoopsForever) -> None:
-    r, r2 = claim.revisit
-    if not (is_count(r) and is_count(r2) and 0 <= r < r2):
-        raise CorpusBugError(f"{entry.name}: malformed revisit pair {claim.revisit}")
+    pair = claim.revisit
+    if not (
+        isinstance(pair, (tuple, list))
+        and len(pair) == 2
+        and all(is_count(r) for r in pair)
+        and 0 <= pair[0] < pair[1]
+    ):
+        raise CorpusBugError(f"{entry.name}: malformed revisit pair {pair}")
+    r, r2 = pair
     # the trace stops short of r2 only at a halt, which is rejected here
     for cfg in classical_trace(entry.machine, r2):
         if cfg.state == entry.machine.halt_state:

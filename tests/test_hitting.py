@@ -32,6 +32,7 @@ from pulsehit.hitting import (
     Exhausted,
     Hit,
     InstanceDescriptor,
+    _float_ceiling,
     fidelity_trace,
     grid_for,
     hit_report_json,
@@ -205,12 +206,13 @@ def test_trace_point_counts_reflect_skips():
     machines(total=True),
     st.sampled_from([None, 2, 3, 5]),
     st.fractions(min_value=0, max_value=1).filter(lambda d: 0 < d < 1),
-    st.integers(1, 7),
+    st.integers(1, 12),
     st.integers(1, 12),
 )
 def test_trace_times_are_the_grid_points(spec, period, delta, grid, horizon):
     # the scan carries points as integer ticks; its times must be exactly
-    # {n + j*delta/G}, enumerated here from the halting step alone: the
+    # {n + j*delta/G}, summed here as Fractions (j/G reduces at many of
+    # these grids) and enumerated from the halting step alone: the
     # integer n, the pulse end n + delta, and on a cyclic clock the G - 1
     # mid-pulse points of every pulse from a label with the halt flag set,
     # which the step sets on reaching the halt state (n >= K), or on its
@@ -225,8 +227,7 @@ def test_trace_times_are_the_grid_points(spec, period, delta, grid, horizon):
         if n == horizon:
             break
         if period is not None and n >= halted_from:
-            want.extend(n + Fraction(j * delta.numerator, grid * delta.denominator)
-                        for j in range(1, grid))
+            want.extend(n + Fraction(j, grid) * delta for j in range(1, grid))
         want.append(n + delta)
     got = [t for t, _ in fidelity_trace(inst)]
     assert got == want
@@ -468,3 +469,66 @@ def test_cyclic_hit_lands_inside_the_halt_window(spec, period):
     assert isinstance(report, Hit)
     assert Fraction(k) <= report.t_hit <= k + HALF
     assert report.fidelity_at_hit >= Fraction(3, 4)
+
+
+# -- trace rows and threshold ceilings against independent oracles ---------------
+
+
+def _per_row_decimal_or_ratio(t: Fraction) -> str:
+    """The per-row rendering of a trace time, kept verbatim as the oracle."""
+    den = t.denominator
+    twos = fives = 0
+    while den % 2 == 0:
+        den //= 2
+        twos += 1
+    while den % 5 == 0:
+        den //= 5
+        fives += 1
+    if den != 1:
+        return f"{t.numerator}/{t.denominator}"
+    places = max(twos, fives)
+    if places == 0:
+        return str(t.numerator)
+    scaled = t.numerator * 10**places // t.denominator
+    return f"{scaled // 10**places}.{scaled % 10**places:0{places}d}"
+
+
+_trace_times = st.one_of(
+    st.integers(0, 10**6),
+    st.builds(
+        lambda num, a, b, r: Fraction(num, 2**a * 5**b * r),
+        st.integers(0, 10**9),
+        st.integers(0, 12),
+        st.integers(0, 12),
+        st.sampled_from([1, 1, 3, 7, 11, 49, 97]),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_trace_times, st.floats(0, 1)), max_size=30))
+def test_trace_csv_matches_per_row_rendering(trace):
+    want = ["t,fidelity"]
+    want += [f"{_per_row_decimal_or_ratio(Fraction(t))},{float(f):.12f}" for t, f in trace]
+    assert trace_to_csv(trace) == "\n".join(want) + "\n"
+
+
+# thresholds in (1/2, 1): doubles themselves, and ratios with large denominators
+_thresholds = st.one_of(
+    st.integers(1, 2**52 - 1).map(lambda p: Fraction(2**52 + p, 2**53)),
+    st.integers(3, 10**18).flatmap(
+        lambda q: st.integers(q // 2 + 1, q - 1).map(lambda p: Fraction(p, q))
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_thresholds, st.integers(-4, 4))
+def test_float_ceiling_decides_the_exact_compare(threshold, ulps):
+    f = float(threshold)
+    toward = math.inf if ulps > 0 else -math.inf
+    for _ in range(abs(ulps)):
+        f = math.nextafter(f, toward)
+    ceiling = _float_ceiling(threshold)
+    assert ceiling >= threshold > math.nextafter(ceiling, -math.inf)
+    assert (f >= ceiling) == (f >= threshold)

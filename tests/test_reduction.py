@@ -127,13 +127,16 @@ def test_false_certificates_raise_corpus_bug():
         ("loop-stay", LoopsForever((False, True))),
         ("halt-now", Halts(0.0)),
         ("halt-now", Halts("0")),
+        ("loop-stay", LoopsForever(5)),
+        ("loop-stay", LoopsForever((0, 1, 2))),
     ],
     ids=str,
 )
 def test_certificates_built_in_code_need_integer_step_counts(machine, claim):
-    """Bools would replay as 0 and 1 and print as JSON false/true, and a
-    float or str would escape the replay as a bare TypeError; the replay
-    refuses each as a corpus bug that names the entry."""
+    """Bools would replay as 0 and 1 and print as JSON false/true, a float
+    or str would escape the replay as a bare TypeError, and a revisit that
+    is not a pair as a bare TypeError or ValueError; the replay refuses
+    each as a corpus bug that names the entry."""
     entry = CorpusEntry("typed", by_name(builtin_corpus())[machine].machine, claim)
     with pytest.raises(CorpusBugError, match="^typed: "):
         verify_corpus([entry], QUARTER, HALF, Unbounded(), 10)
