@@ -29,20 +29,21 @@ that cycle have a closed form: the beacon alternates around any post-halt
 cycle, and pairing each cycle eigenvalue with its antipode shows the
 odd-offset weight of the fractional power is exactly sin^2(pi j / 2G).
 An exact-label fidelity is the squared transfer amplitude to the one
-offset where the label sits.  Where that value is itself rational
-(only at 0, 1/4, 1/2, 3/4, 1, by Niven's theorem) the scanner compares it
-to the threshold exactly, so grid hits that tie the threshold do not
-depend on floating rounding.  Every other mid-pulse value (the remaining
-sin^2 points, and the closed-form weights of exact-label targets) is a
-float, compared against the threshold's float ceiling (the least double at
-or above it), which gives the float's exact comparison with the rational
-threshold.  The float itself is rounded, so a value within rounding of
-the threshold is not yet certified; the certified threshold comparisons
-item in ROADMAP.md tracks the fix.
+offset where the label sits.  Every mid-pulse value is compared against
+the threshold's float ceiling (the least double at or above it), which
+decides a double's comparison with the rational threshold exactly.  Where
+the value is itself rational (only at 0, 1/4, 1/2, 3/4, 1, by Niven's
+theorem) it is a dyadic, hence a double, so grid hits that tie the
+threshold do not depend on floating rounding.  Every other mid-pulse value
+(the remaining sin^2 points, and the closed-form weights of exact-label
+targets) is a rounded float, so a value within rounding of the threshold
+is not yet certified; the certified threshold comparisons item in
+ROADMAP.md tracks the fix.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -168,7 +169,7 @@ class _MidPulse:
         label: ExtendedBasisState,
         n_first: int,
         grid: int,
-        threshold: Fraction,
+        ceiling: float,
     ):
         if isinstance(target, BeaconSubspace):
             self.m, self.q = 2, 1 - label.b
@@ -176,27 +177,21 @@ class _MidPulse:
             self.m, self.q = step.cycle_length, step.cycle_offset(label, target.phi)
         self.n_first = n_first
         self.grid = grid
-        self.threshold = threshold
-        self.ceiling = _float_ceiling(threshold)
+        self.ceiling = ceiling
         self._rows: dict[Optional[int], tuple[tuple[int, Number, bool], ...]] = {}
 
     def row(self, n: int) -> tuple[tuple[int, Number, bool], ...]:
         """(j, fidelity, fidelity >= threshold) at the mid-pulse points
-        0 < j < G of the pulse that starts n steps into the scan."""
+        0 < j < G of the pulse that starts n steps into the scan.  A Niven
+        fidelity is a dyadic Fraction, so its compare with the float
+        ceiling is exact too."""
         off = None if self.q is None else (self.q - n + self.n_first) % self.m
         row = self._rows.get(off)
         if row is None:
             fids = [self._fid(off, j) for j in range(1, self.grid)]
-            row = tuple((j, f, self._reached(f)) for j, f in enumerate(fids, 1))
+            row = tuple((j, f, f >= self.ceiling) for j, f in enumerate(fids, 1))
             self._rows[off] = row
         return row
-
-    def _reached(self, fid: Number) -> bool:
-        # floats compare against the threshold's float ceiling, Niven
-        # values (Fractions) against the threshold itself
-        if type(fid) is float:
-            return fid >= self.ceiling
-        return fid >= self.threshold
 
     def _fid(self, off: Optional[int], j: int) -> Number:
         if off is None:
@@ -222,7 +217,7 @@ def _scan(inst: InstanceDescriptor) -> Iterator[tuple[int, int, Number, bool]]:
     that are reported."""
     step = BeaconStep(inst.machine, inst.schedule.clock)
     pred = step.target_predicate(inst.target)
-    threshold = 1 - inst.epsilon
+    ceiling = _float_ceiling(1 - inst.epsilon)
     grid = inst.grid
     horizon = inst.horizon
     # mid-pulse points are evaluable only past the halt on a cyclic clock;
@@ -241,7 +236,7 @@ def _scan(inst: InstanceDescriptor) -> Iterator[tuple[int, int, Number, bool]]:
             return
         if cyclic and cur.h == 1:
             if mid is None:
-                mid = _MidPulse(step, inst.target, cur, n, grid, threshold)
+                mid = _MidPulse(step, inst.target, cur, n, grid, ceiling)
             for j, fid, reached in mid.row(n):
                 yield n, j, fid, reached
         cur = step.forward(cur)
@@ -293,13 +288,15 @@ def fidelity_trace(inst: InstanceDescriptor) -> list[tuple[Fraction, float]]:
     gets the time ``Fraction(n*q + p, q)``: gcd(n*q + p, q) = gcd(p, q) = 1,
     so that pair is n + p/q already in lowest terms and no rational sum
     is needed per row."""
-    offsets = [Fraction(j, inst.grid) * inst.schedule.delta for j in range(inst.grid + 1)]
-    pq = [(o.numerator, o.denominator) for o in offsets]
-    return [
-        (Fraction(n * q + p, q), float(fid))
-        for n, j, fid, _ in _scan(inst)
-        for p, q in (pq[j],)
+    offsets = [
+        (Fraction(j, inst.grid) * inst.schedule.delta).as_integer_ratio()
+        for j in range(inst.grid + 1)
     ]
+    rows = []
+    for n, j, fid, _ in _scan(inst):
+        p, q = offsets[j]
+        rows.append((Fraction(n * q + p, q), float(fid)))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +330,11 @@ def hit_report_json(report: HitReport) -> str:
     return json.dumps(_report_payload(report), sort_keys=True)
 
 
+@functools.lru_cache(maxsize=256)
 def _decimal_places(den: int) -> Optional[int]:
     """Places of the exact decimal of a fraction with denominator den (the
     larger of its powers of 2 and 5), or None when den does not divide a
-    power of ten."""
+    power of ten.  Cached: a trace has at most G + 1 denominators."""
     twos = fives = 0
     while den % 2 == 0:
         den //= 2
@@ -347,7 +345,10 @@ def _decimal_places(den: int) -> Optional[int]:
     return max(twos, fives) if den == 1 else None
 
 
-def _render_time(t: Fraction, places: Optional[int]) -> str:
+def _decimal_or_ratio(t: Fraction) -> str:
+    """Exact decimal when the denominator divides a power of ten,
+    otherwise the reduced ratio."""
+    places = _decimal_places(t.denominator)
     if places is None:
         return f"{t.numerator}/{t.denominator}"
     if places == 0:
@@ -356,22 +357,10 @@ def _render_time(t: Fraction, places: Optional[int]) -> str:
     return f"{scaled // 10**places}.{scaled % 10**places:0{places}d}"
 
 
-def _decimal_or_ratio(t: Fraction) -> str:
-    """Exact decimal when the denominator divides a power of ten,
-    otherwise the reduced ratio."""
-    return _render_time(t, _decimal_places(t.denominator))
-
-
 def trace_to_csv(trace: list[tuple[Fraction, float]]) -> str:
-    """One line per row; the decimal places of each distinct denominator
-    are worked out once per call."""
-    places: dict[int, Optional[int]] = {}
     lines = ["t,fidelity"]
     for t, fid in trace:
         if type(t) is not Fraction:
             t = Fraction(t)
-        den = t.denominator
-        if den not in places:
-            places[den] = _decimal_places(den)
-        lines.append(f"{_render_time(t, places[den])},{float(fid):.12f}")
+        lines.append(f"{_decimal_or_ratio(t)},{float(fid):.12f}")
     return "\n".join(lines) + "\n"

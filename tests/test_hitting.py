@@ -211,8 +211,7 @@ def test_trace_point_counts_reflect_skips():
 )
 def test_trace_times_are_the_grid_points(spec, period, delta, grid, horizon):
     # the scan carries points as integer ticks; its times must be exactly
-    # {n + j*delta/G}, summed here as Fractions (j/G reduces at many of
-    # these grids) and enumerated from the halting step alone: the
+    # {n + j*delta/G}, enumerated here from the halting step alone: the
     # integer n, the pulse end n + delta, and on a cyclic clock the G - 1
     # mid-pulse points of every pulse from a label with the halt flag set,
     # which the step sets on reaching the halt state (n >= K), or on its
@@ -227,7 +226,8 @@ def test_trace_times_are_the_grid_points(spec, period, delta, grid, horizon):
         if n == horizon:
             break
         if period is not None and n >= halted_from:
-            want.extend(n + Fraction(j, grid) * delta for j in range(1, grid))
+            want.extend(n + Fraction(j * delta.numerator, grid * delta.denominator)
+                        for j in range(1, grid))
         want.append(n + delta)
     got = [t for t, _ in fidelity_trace(inst)]
     assert got == want
@@ -493,8 +493,10 @@ def _per_row_decimal_or_ratio(t: Fraction) -> str:
     return f"{scaled // 10**places}.{scaled % 10**places:0{places}d}"
 
 
+# times as Fractions, plus the ints and floats that the CSV converts itself
 _trace_times = st.one_of(
     st.integers(0, 10**6),
+    st.floats(0, 10**6),
     st.builds(
         lambda num, a, b, r: Fraction(num, 2**a * 5**b * r),
         st.integers(0, 10**9),
@@ -513,12 +515,14 @@ def test_trace_csv_matches_per_row_rendering(trace):
     assert trace_to_csv(trace) == "\n".join(want) + "\n"
 
 
-# thresholds in (1/2, 1): doubles themselves, and ratios with large denominators
+# thresholds in (1/2, 1): doubles themselves, ratios with large denominators,
+# and ratios within a hair of the Niven value 3/4
 _thresholds = st.one_of(
     st.integers(1, 2**52 - 1).map(lambda p: Fraction(2**52 + p, 2**53)),
     st.integers(3, 10**18).flatmap(
         lambda q: st.integers(q // 2 + 1, q - 1).map(lambda p: Fraction(p, q))
     ),
+    st.integers(-4, 4).map(lambda k: Fraction(3, 4) + Fraction(k, 3 * 2**60)),
 )
 
 
@@ -532,3 +536,6 @@ def test_float_ceiling_decides_the_exact_compare(threshold, ulps):
     ceiling = _float_ceiling(threshold)
     assert ceiling >= threshold > math.nextafter(ceiling, -math.inf)
     assert (f >= ceiling) == (f >= threshold)
+    # mid-pulse rows compare Niven Fractions against the same ceiling
+    for v in (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)):
+        assert (v >= ceiling) == (v >= threshold)
