@@ -43,7 +43,7 @@ from .hitting import (
     trace_to_csv,
     uhit_semidecide,
 )
-from .machine import parse_machine
+from .machine import parse_machine, read_document
 from .protocol import ProtocolBudget, adversarial_sweep, sweep_report_json
 from .reduction import builtin_corpus, encode, load_corpus, verify_corpus, reduction_report_json
 from .reversible import BeaconStep, BeaconSubspace, ClockMode, Cyclic, ExactLabel, Unbounded
@@ -80,11 +80,9 @@ def _clock(text: str) -> ClockMode:
 def _target(text: str) -> tuple[str, int]:
     if text == "beacon":
         return ("beacon", 0)
-    if text == "exact":
-        return ("exact", 0)
-    m = re.fullmatch(r"exact:(\d+)", text)
+    m = re.fullmatch(r"exact(?::(\d+))?", text)
     if m:
-        return ("exact", int(m.group(1)))
+        return ("exact", int(m.group(1) or 0))
     raise argparse.ArgumentTypeError(
         f"expected beacon, exact, or exact:N, got {text!r}"
     )
@@ -100,21 +98,14 @@ def _budgets(text: str) -> list[int]:
 
 
 def _read_machine(args: argparse.Namespace):
-    return parse_machine(Path(args.machine).read_text())
+    return parse_machine(read_document(Path(args.machine)))
 
 
 def _instance(args: argparse.Namespace):
     machine = _read_machine(args)
     # encode checks every parameter before an exact:N target walks N steps
-    inst = encode(
-        machine,
-        args.epsilon,
-        args.delta,
-        args.clock,
-        BeaconSubspace(),
-        args.horizon,
-        args.grid,
-    )
+    inst = encode(machine, args.epsilon, args.delta, args.clock, BeaconSubspace(),
+                  args.horizon, args.grid)
     kind, steps = args.target
     if kind == "beacon":
         return inst
@@ -191,13 +182,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus) if args.corpus else builtin_corpus()
-    reports = verify_corpus(
-        corpus,
-        args.epsilon,
-        args.delta,
-        args.clock,
-        args.horizon,
-    )
+    reports = verify_corpus(corpus, args.epsilon, args.delta, args.clock, args.horizon)
     _emit(reduction_report_json(reports), args)
     agreed = all(rep.verdict == "agree" for rep in reports)
     return EXIT_OK if agreed else EXIT_NEGATIVE

@@ -281,9 +281,9 @@ def _pulsed_time(step: BeaconStep, sched: PulseSchedule, t, m) -> tuple[Fraction
 
 def evolve_integer(step: BeaconStep, psi: SparseState, n: int) -> SparseState:
     """Apply the step permutation ``n`` times; amplitudes ride unchanged.
-    Each label takes :meth:`BeaconStep.advance`, so on a cyclic clock the
-    cost is O(K + cycle length) per label whatever ``n`` is, the cycle
-    length coming from the step."""
+    Each label takes :meth:`BeaconStep.advance`, so on either clock a label
+    whose run halts at step K costs at most K + 1 forward steps whatever
+    ``n`` is."""
     if not is_count(n) or n < 0:
         raise ParameterRangeError(f"step count must be a nonnegative integer, got {n!r}")
     if psi.time_tag.denominator != 1:

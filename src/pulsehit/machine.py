@@ -119,6 +119,21 @@ class StillRunning:
 # parsing
 
 
+def read_document(path) -> str:
+    """The text of the document at ``path`` (a :class:`Path` or an
+    ``importlib.resources`` Traversable), decoded as UTF-8; a byte that is
+    not UTF-8 is a :class:`MachineSyntaxError` at its line and column."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # "?" stands in for the bad byte: it ends the last line at its column
+        lines = (data[: exc.start].decode("utf-8") + "?").splitlines()
+        raise MachineSyntaxError(
+            f"byte 0x{data[exc.start]:02x} is not UTF-8", len(lines), len(lines[-1])
+        ) from None
+
+
 def _tokenize(text: str) -> Iterator[tuple[int, list[tuple[int, str]]]]:
     """Yield ``(line_number, [(column, token), ...])`` for nonempty lines,
     with comments stripped.  Lines and columns are 1-based."""

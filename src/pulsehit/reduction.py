@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Sequence, Union
 
 from .dynamics import PulseSchedule, _as_fraction
-from .errors import CorpusBugError, ParameterRangeError, is_count
+from .errors import CorpusBugError, MachineSyntaxError, ParameterRangeError, is_count
 from .hitting import (
     Exhausted,
     Hit,
@@ -33,7 +33,7 @@ from .hitting import (
     _require_positive_int,
     uhit_semidecide,
 )
-from .machine import MachineSpec, Rule, classical_trace, parse_machine
+from .machine import MachineSpec, Rule, classical_trace, parse_machine, read_document
 from .reversible import BeaconSubspace, ClockMode, ExactLabel
 
 
@@ -282,8 +282,8 @@ def _corpus_from(root, manifest: str) -> list[CorpusEntry]:
     :class:`Path` or an ``importlib.resources`` Traversable; machine files
     are resolved under ``root`` too."""
     try:
-        rows = json.loads(root.joinpath(manifest).read_text())
-    except json.JSONDecodeError as exc:
+        rows = json.loads(read_document(root.joinpath(manifest)))
+    except (json.JSONDecodeError, MachineSyntaxError) as exc:
         raise CorpusBugError(f"manifest is not valid JSON: {exc}") from exc
     if not isinstance(rows, list):
         raise CorpusBugError("manifest must be a JSON list")
@@ -296,7 +296,7 @@ def _corpus_from(root, manifest: str) -> list[CorpusEntry]:
         if name in seen:
             raise CorpusBugError(f"duplicate corpus entry name {name!r}")
         seen.add(name)
-        machine = parse_machine(root.joinpath(row["machine_file"]).read_text())
+        machine = parse_machine(read_document(root.joinpath(row["machine_file"])))
         entries.append(
             CorpusEntry(name, machine, _parse_ground_truth(name, row.get("ground_truth")))
         )

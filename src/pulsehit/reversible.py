@@ -298,8 +298,9 @@ class BeaconStep:
     lcm(L, 2) of every post-halt orbit on a ``Cyclic(L)`` clock (the clock
     ticks modulo L and the beacon toggles modulo 2 while the work half is
     frozen), or ``None`` on an unbounded clock, where no orbit closes;
-    :meth:`advance` takes n steps in O(K + L) forward calls on a run that
-    halts at step K, and :meth:`cycle_offset` places a label on a cycle.
+    :meth:`advance` takes n steps in at most K + 1 forward calls on a run
+    that halts at step K, on either clock, and :meth:`cycle_offset` places
+    a label on a cycle.
     """
 
     def __init__(self, spec: MachineSpec, clock: ClockMode):
@@ -340,16 +341,16 @@ class BeaconStep:
         spec = self.spec
         if state not in spec.states:
             raise LabelError(f"undeclared state {state!r}")
+        if not isinstance(hist, HistChain):
+            hist = history_of(hist)
+        if not all(map(is_count, (head, tau, *tape, *hist))):
+            raise LabelError("head, clock, tape cells and history indices must be integers")
         symbols = set(spec.alphabet)
-        for cell, sym in tape.items():
-            if not isinstance(cell, int):
-                raise LabelError(f"tape cell {cell!r} is not an integer")
+        for sym in tape.values():
             if sym not in symbols:
                 raise LabelError(f"undeclared tape symbol {sym!r}")
             if sym == spec.blank:
                 raise LabelError("sparse tapes must omit blank cells")
-        if not isinstance(hist, HistChain):
-            hist = history_of(hist)
         for idx in hist:
             if not 0 <= idx < len(spec.rules):
                 raise LabelError(f"history rule index {idx} out of range")
@@ -357,16 +358,23 @@ class BeaconStep:
             raise LabelError(
                 f"clock value {tau} outside cyclic range [0, {self._cyclic})"
             )
-        if h not in (0, 1) or b not in (0, 1):
+        if not all(is_count(bit) and bit in (0, 1) for bit in (h, b)):
             raise LabelError("halt flag and beacon bit must be 0 or 1")
         return ExtendedBasisState(state, head, dict(tape), hist, tau, h, b)
 
     # -- forward ---------------------------------------------------------------
 
-    def _tick(self, tau: int) -> int:
+    def _tick(self, tau: int, r: int = 1) -> int:
         if self._cyclic is None:
-            return tau + 1
-        return (tau + 1) % self._cyclic
+            return tau + r
+        return (tau + r) % self._cyclic
+
+    def _halted_after(self, x: ExtendedBasisState, r: int) -> ExtendedBasisState:
+        """The label r steps after (r < 0: before) a halted label at a
+        nonnegative clock: frozen work half, clock moved by r, r toggles."""
+        return ExtendedBasisState(
+            x.state, x.head, x.tape, x.hist, self._tick(x.tau, r), 1, x.b ^ (r & 1)
+        )
 
     def forward(self, x: ExtendedBasisState) -> ExtendedBasisState:
         if self._cyclic is None and x.tau < 0:
@@ -403,20 +411,16 @@ class BeaconStep:
         )
 
     def advance(self, x: ExtendedBasisState, n: int) -> ExtendedBasisState:
-        """The label ``n`` forward steps from ``x``.  Once the halt flag is
-        set on a cyclic clock the orbit is a cycle of :attr:`cycle_length`
-        labels, so only ``n`` mod that length of the remaining steps are
-        taken."""
+        """The label ``n`` forward steps from ``x``.  Steps are taken one by
+        one only until the halt flag is set at a nonnegative clock, the rest
+        by :meth:`_halted_after`: a run that halts at step K costs at most
+        K + 1 forward calls on either clock, whatever ``n`` is."""
         if not is_count(n) or n < 0:
             raise ParameterRangeError(f"step count must be a nonnegative integer, got {n!r}")
-        if self.cycle_length is not None:
-            while n and not x.h:
-                x = self.forward(x)
-                n -= 1
-            n %= self.cycle_length
-        for _ in range(n):
+        while n and not (x.h and x.tau >= 0):
             x = self.forward(x)
-        return x
+            n -= 1
+        return self._halted_after(x, n) if n else x
 
     def _require_cycle(self, x: ExtendedBasisState) -> None:
         """Typed refusal of a label whose forward orbit never closes."""
@@ -437,10 +441,7 @@ class BeaconStep:
         period = self._cyclic
         r = (y.tau - x.tau) % period
         r += period * ((r ^ x.b ^ y.b) & 1)  # the other parity, on odd periods
-        member = ExtendedBasisState(
-            x.state, x.head, x.tape, x.hist, (x.tau + r) % period, 1, x.b ^ (r & 1)
-        )
-        return r if member == y else None
+        return r if self._halted_after(x, r) == y else None
 
     # -- backward ----------------------------------------------------------------
 
@@ -511,9 +512,7 @@ class BeaconStep:
             return self._rule_preimage(y, y.tau - 1)
         rise_time = max(len(y.hist), 1)
         if y.tau > rise_time:
-            return ExtendedBasisState(
-                y.state, y.head, y.tape, y.hist, y.tau - 1, 1, y.b ^ 1
-            )
+            return self._halted_after(y, -1)
         if y.tau == rise_time:
             if len(y.hist) > 0:
                 return self._rule_preimage(y, y.tau - 1)
@@ -547,7 +546,7 @@ class BeaconStep:
             )
             if cand is not NO_PREIMAGE:
                 return cand
-        return ExtendedBasisState(y.state, y.head, y.tape, y.hist, tau_prev, 1, y.b ^ 1)
+        return self._halted_after(y, -1)
 
     # -- targets -----------------------------------------------------------------
 

@@ -117,6 +117,22 @@ def test_parameters_are_checked_before_an_exact_target_walks(capsys, mover, monk
     assert "pulsehit: error: epsilon must" in err
 
 
+@pytest.mark.parametrize("bad", ["machine", "manifest", "listed machine"])
+def test_a_document_that_is_not_utf8_exits_one_without_a_traceback(capsys, tmp_path, bad):
+    machine = tmp_path / "m.tm"
+    manifest = tmp_path / "manifest.json"
+    machine.write_bytes(MOVE_RIGHT_3.encode() + (b"# \xff\n" if bad != "manifest" else b""))
+    manifest.write_bytes(
+        b'[{"name": "m", "machine_file": "m.tm", "ground_truth": {"kind": "halts", "K": 3}}]'
+        + (b"\xff" if bad == "manifest" else b"")
+    )
+    argv = ("hit", str(machine)) if bad == "machine" else ("verify", "--corpus", str(manifest))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    want = "manifest is not valid JSON: line 1, col 83" if bad == "manifest" else "line 8, col 3"
+    assert err == f"pulsehit: error: {want}: byte 0xff is not UTF-8\n"
+
+
 @pytest.mark.parametrize(
     "cmd, flag, value",
     [(cmd, "--format", "json") for cmd in ("compile", "hit", "evolve", "verify", "sweep")]

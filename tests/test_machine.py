@@ -27,6 +27,7 @@ from pulsehit.machine import (
     classical_run,
     classical_trace,
     parse_machine,
+    read_document,
     serialize_machine,
 )
 
@@ -245,6 +246,24 @@ def test_unknown_directive_has_line_and_col():
         assert ei.value.line == 2
         assert ei.value.col == 1 + shift
         assert "bogus" in str(ei.value)
+
+
+def test_a_byte_that_is_not_utf8_has_line_and_col(tmp_path):
+    # columns count characters, as the parser's do: the em space and the
+    # two-byte e-acute before the bad byte are one column each
+    path = tmp_path / "bad.tm"
+    for raw, line, col in (
+        (b"\xff", 1, 1),
+        (b"states: q0\n", 2, 1),
+        (b"states: q0\r\nalphabet:\xe2\x80\x83_ \xc3\xa9", 2, 14),
+        (b"# \xc3\xa9\n\nstart: q\xe2\x82", 3, 9),  # a truncated sequence
+    ):
+        path.write_bytes(raw + b"\xff\n")
+        with pytest.raises(MachineSyntaxError, match="is not UTF-8") as ei:
+            read_document(path)
+        assert (ei.value.line, ei.value.col) == (line, col)
+    path.write_bytes("states: q\u00e9 qH\n".encode("utf-8"))
+    assert read_document(path) == "states: q\u00e9 qH\n"
 
 
 def test_malformed_rule_line():

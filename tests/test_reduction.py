@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import pulsehit
 from pulsehit.cli import main
-from pulsehit.errors import CorpusBugError, ParameterRangeError
+from pulsehit.errors import CorpusBugError, MachineSyntaxError, ParameterRangeError
 from pulsehit.hitting import Exhausted, Hit, uhit_semidecide
 from pulsehit.machine import Halted, classical_run
 from pulsehit.reduction import (
@@ -365,6 +365,17 @@ def test_load_corpus_rejects_malformed_manifests(tmp_path):
     )
     with pytest.raises(CorpusBugError, match="revisit"):
         load_corpus(tmp_path / "manifest.json")
+    # the manifest and the machine files it lists are UTF-8 documents
+    (tmp_path / "manifest.json").write_bytes(b"[\xff]")
+    with pytest.raises(CorpusBugError, match="line 1, col 2: byte 0xff is not UTF-8"):
+        load_corpus(tmp_path / "manifest.json")
+    (tmp_path / "bad.tm").write_bytes(b"states: q0\nalphabet: \xc3\n")
+    (tmp_path / "manifest.json").write_text(
+        '[{"name": "m", "machine_file": "bad.tm", "ground_truth": {"kind": "halts", "K": 0}}]'
+    )
+    with pytest.raises(MachineSyntaxError, match="byte 0xc3 is not UTF-8") as ei:
+        load_corpus(tmp_path / "manifest.json")
+    assert (ei.value.line, ei.value.col) == (2, 11)
     # JSON true/false load as Python bools, which are ints: not step counts
     for truth, message in (
         ('{"kind": "halts", "K": true}', "integer K"),

@@ -301,6 +301,23 @@ def test_make_label_validation():
     cyc = BeaconStep(BINARY_INC, Cyclic(2))
     with pytest.raises(LabelError, match="cyclic range"):
         cyc.make_label("q0", 0, {}, [], 2, 0, 0)
+    # every field is an int, never a float or a bool, on either clock
+    for s in (step, cyc):
+        for head, tape, hist, tau in (
+            (0.5, {}, [], 0),
+            (True, {}, [], 0),
+            (0, {1.0: "1"}, [], 0),
+            (0, {}, ["a"], 0),
+            (0, {}, [0.0], 0),
+            (0, {}, [False], 0),
+            (0, {}, [], 1.5),
+            (0, {}, [], True),
+        ):
+            with pytest.raises(LabelError, match="must be integers"):
+                s.make_label("q0", head, tape, hist, tau, 0, 0)
+        for h, b in ((True, 0), (0, True), (1.0, 0), (0, 0.0), (0, -1)):
+            with pytest.raises(LabelError, match="must be 0 or 1"):
+                s.make_label("q0", 0, {}, [], 0, h, b)
 
 
 def test_clock_mode_validation():
@@ -454,40 +471,41 @@ def test_target_predicates():
 
 
 @st.composite
+def made_labels(draw, step):
+    """A label from make_label: any work half, any clock the step allows
+    (negative ones too on an unbounded clock), any flags."""
+    spec = step.spec
+    tape = draw(
+        st.dictionaries(
+            st.integers(-3, 3),
+            st.sampled_from(spec.alphabet[1:]) if len(spec.alphabet) > 1 else st.nothing(),
+            max_size=3,
+        )
+    )
+    hist = draw(st.lists(st.integers(0, max(len(spec.rules) - 1, 0)), max_size=4))
+    if not spec.rules:
+        hist = []
+    if isinstance(step.clock, Cyclic):
+        tau = draw(st.integers(0, step.clock.period - 1))
+    else:
+        tau = draw(st.integers(-5, 8))
+    return step.make_label(
+        draw(st.sampled_from(spec.states)),
+        draw(st.integers(-3, 3)),
+        tape,
+        hist,
+        tau,
+        draw(st.integers(0, 1)),
+        draw(st.integers(0, 1)),
+    )
+
+
+@st.composite
 def machine_and_labels(draw, cyclic=False):
     spec = draw(machines(total=True))
     clock = Cyclic(draw(st.integers(2, 5))) if cyclic else Unbounded()
     step = BeaconStep(spec, clock)
-    n = draw(st.integers(0, 3))
-    labels = []
-    for _ in range(n):
-        tape = draw(
-            st.dictionaries(
-                st.integers(-3, 3),
-                st.sampled_from(spec.alphabet[1:]) if len(spec.alphabet) > 1 else st.nothing(),
-                max_size=3,
-            )
-        )
-        hist = draw(st.lists(st.integers(0, max(len(spec.rules) - 1, 0)), max_size=4))
-        if not spec.rules:
-            hist = []
-        tau = (
-            draw(st.integers(0, clock.period - 1))
-            if cyclic
-            else draw(st.integers(-5, 8))
-        )
-        labels.append(
-            step.make_label(
-                draw(st.sampled_from(spec.states)),
-                draw(st.integers(-3, 3)),
-                tape,
-                hist,
-                tau,
-                draw(st.integers(0, 1)),
-                draw(st.integers(0, 1)),
-            )
-        )
-    return step, labels
+    return step, draw(st.lists(made_labels(step), max_size=3))
 
 
 @settings(max_examples=80)
@@ -556,15 +574,36 @@ def test_beacon_parity_matches_classical_halting_step(spec, n):
 @settings(max_examples=80, deadline=None)
 @given(machines(total=True), st.sampled_from([None, 2, 3, 4, 5, 6]), st.data())
 def test_advance_equals_repeated_forward(spec, period, data):
-    # the test-local loop is the reference: up to three cycles past the halt
+    # the test-local loop is the reference: up to three cycles past the
+    # halt, from the initial label or from a made label (any flags, the
+    # halt state or not, negative clocks on an unbounded clock)
     step = BeaconStep(spec, Unbounded() if period is None else Cyclic(period))
     run = classical_run(spec, 30)
     halt = run.steps if isinstance(run, Halted) else 30
+    start = step.initial_label()
+    if data.draw(st.booleans()):
+        start = data.draw(made_labels(step))
+        halt = 30 + 5  # at most five idle steps up to clock 0 first
     n = data.draw(st.integers(0, halt + 1 + 3 * (step.cycle_length or 12)))
-    want = step.initial_label()
+    want = start
     for _ in range(n):
         want = step.forward(want)
-    assert step.advance(step.initial_label(), n) == want
+    assert step.advance(start, n) == want
+
+
+def test_advance_on_an_unbounded_clock_costs_the_halt_not_the_time():
+    # move-right-3 halts at K = 3 (b = 0) and toggles from then on
+    step = BeaconStep(MOVE_RIGHT_3, Unbounded())
+    halted = step.advance(step.initial_label(), 3)
+    n = 10**12
+    got = step.advance(step.initial_label(), n)
+    assert (got.tau, got.h, got.b) == (n, 1, (n - 3) % 2)
+    assert (got.state, got.head, got.hist) == (halted.state, halted.head, halted.hist)
+    # a made halted label at a negative clock idles up to clock 0 first,
+    # keeping its beacon bit, and only then toggles
+    early = step.make_label("qH", 3, {}, [0, 1, 2], -3, 1, 1)
+    got = step.advance(early, n)
+    assert (got.tau, got.h, got.b) == (n - 3, 1, 1 ^ (n - 3) % 2)
 
 
 @pytest.mark.parametrize("period,want", [(None, None), (2, 2), (3, 6), (4, 4), (7, 14)])
