@@ -103,14 +103,21 @@ def _read_machine(args: argparse.Namespace):
 
 def _instance(args: argparse.Namespace):
     machine = _read_machine(args)
-    # encode checks every parameter before an exact:N target walks N steps
+    # encode checks every parameter before an exact:N target walks a step
     inst = encode(machine, args.epsilon, args.delta, args.clock, BeaconSubspace(),
                   args.horizon, args.grid)
     kind, steps = args.target
     if kind == "beacon":
         return inst
     step = BeaconStep(machine, args.clock)
-    return replace(inst, target=ExactLabel(step.advance(step.initial_label(), steps)))
+    near = min(steps, inst.horizon + 1)
+    label = step.advance(step.initial_label(), near)
+    if label.h:
+        label = step.advance(label, steps - near)
+    # else the run is live past step horizon + 1: this label and the one N
+    # steps in outgrow every scanned history, and no mid-pulse row exists
+    # (that needs a halt by step horizon - 1), so both read 0 everywhere
+    return replace(inst, target=ExactLabel(label))
 
 
 def _emit(text: str, args: argparse.Namespace) -> None:

@@ -40,20 +40,14 @@ from .errors import (
     PrecisionBudgetError,
     StateNormError,
     TimeTagError,
-    is_count,
+    as_count,
+    as_rational,
 )
 from .reversible import BeaconStep, ClockMode, Cyclic, ExtendedBasisState, Unbounded
 
 _EPS = 2.220446049250313e-16  # double-precision unit roundoff (2^-52)
 
 Rational = Union[Fraction, int]
-
-
-def _as_fraction(x, what: str) -> Fraction:
-    try:
-        return Fraction(x)
-    except (TypeError, ValueError, OverflowError):
-        raise ParameterRangeError(f"{what} must be rational, got {x!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +158,8 @@ class SparseState:
         self,
         pairs: Iterable[tuple[ExtendedBasisState, Amplitude]],
         time_tag: Rational = 0,
-        *,
-        _check_norm: bool = True,
     ):
-        tag = _as_fraction(time_tag, "time_tag")
+        tag = as_rational(time_tag, "time_tag")
         if tag < 0:
             raise TimeTagError(f"time_tag must be nonnegative, got {tag}")
         amps: dict[ExtendedBasisState, Amplitude] = {}
@@ -181,17 +173,16 @@ class SparseState:
             amps[label] = amp
         self._amps = amps
         self.time_tag = tag
-        if _check_norm:
-            n2 = self.norm2()
-            if isinstance(n2, Fraction):
-                if n2 != 1:
-                    raise StateNormError(f"exact squared norm is {n2}, not 1")
-            elif abs(n2 - 1.0) > _NORM_TOL:
-                raise StateNormError(f"squared norm {n2!r} outside 1 +/- {_NORM_TOL}")
+        n2 = self.norm2()
+        if isinstance(n2, Fraction):
+            if n2 != 1:
+                raise StateNormError(f"exact squared norm is {n2}, not 1")
+        elif abs(n2 - 1.0) > _NORM_TOL:
+            raise StateNormError(f"squared norm {n2!r} outside 1 +/- {_NORM_TOL}")
 
     @classmethod
     def basis_state(cls, label: ExtendedBasisState, time_tag: Rational = 0) -> "SparseState":
-        return cls([(label, AMP_ONE)], time_tag, _check_norm=False)
+        return cls([(label, AMP_ONE)], time_tag)
 
     def items(self) -> list[tuple[ExtendedBasisState, Amplitude]]:
         return sorted(self._amps.items(), key=lambda pair: pair[0].serial)
@@ -255,7 +246,7 @@ class PulseSchedule:
     clock: ClockMode
 
     def __post_init__(self):
-        object.__setattr__(self, "delta", _as_fraction(self.delta, "delta"))
+        object.__setattr__(self, "delta", as_rational(self.delta, "delta"))
         if not 0 < self.delta < 1:
             raise ParameterRangeError(f"delta must lie in (0, 1), got {self.delta}")
         if not isinstance(self.clock, (Unbounded, Cyclic)):
@@ -265,18 +256,18 @@ class PulseSchedule:
 def _pulsed_time(step: BeaconStep, sched: PulseSchedule, t, m) -> tuple[Fraction, int, Fraction]:
     """The checks :func:`evolve_to` and :func:`approx_unitary` share
     (matching clocks, a precision exponent m >= 1, a rational time t >= 0),
-    then t, and its split t = n + s with n integer and 0 <= s < 1."""
+    then (t, n, alpha): n whole steps (a completed pulse counts) and the
+    fraction alpha of the next pulse, 0 exactly at a permutation time."""
     if sched.clock != step.clock:
         raise ParameterRangeError(
             f"schedule clock {sched.clock!r} does not match step clock {step.clock!r}"
         )
-    if not (is_count(m) and m >= 1):
-        raise ParameterRangeError(f"precision exponent must be a positive integer, got {m!r}")
-    t = _as_fraction(t, "t")
+    as_count(m, "precision exponent", 1)
+    t = as_rational(t, "t")
     if t < 0:
         raise ParameterRangeError(f"time must be nonnegative, got {t}")
-    n = t.numerator // t.denominator
-    return t, n, t - n
+    n, s = divmod(t, 1)
+    return (t, n + 1, Fraction(0)) if s >= sched.delta else (t, n, s / sched.delta)
 
 
 def evolve_integer(step: BeaconStep, psi: SparseState, n: int) -> SparseState:
@@ -284,14 +275,13 @@ def evolve_integer(step: BeaconStep, psi: SparseState, n: int) -> SparseState:
     Each label takes :meth:`BeaconStep.advance`, so on either clock a label
     whose run halts at step K costs at most K + 1 forward steps whatever
     ``n`` is."""
-    if not is_count(n) or n < 0:
-        raise ParameterRangeError(f"step count must be a nonnegative integer, got {n!r}")
+    as_count(n, "step count")
     if psi.time_tag.denominator != 1:
         raise TimeTagError(
             f"cannot integer-evolve a state tagged mid-pulse at t={psi.time_tag}"
         )
     pairs = [(step.advance(label, n), amp) for label, amp in psi.items()]
-    return SparseState(pairs, psi.time_tag + n, _check_norm=False)
+    return SparseState(pairs, psi.time_tag + n)
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +348,8 @@ def fractional_coeffs(k: int, alpha) -> tuple[list[complex], float]:
     :func:`_closed_form_arg` in floats at every offset; the returned scalar
     bounds every entry's absolute error (a few rounded operations on
     magnitudes <= 1)."""
-    if not is_count(k) or k < 1:
-        raise ParameterRangeError(f"cycle length must be a positive integer, got {k!r}")
-    alpha = _as_fraction(alpha, "alpha")
+    as_count(k, "cycle length", 1)
+    alpha = as_rational(alpha, "alpha")
     if not 0 <= alpha <= 1:
         raise ParameterRangeError(f"alpha must lie in [0, 1], got {alpha}")
     err = (6.0 + math.log2(k)) * 1e-15
@@ -426,25 +415,20 @@ def evolve_to(
 ) -> SparseState:
     """The state U(t)|psi0> under the pulsed lift.
 
-    ``psi0`` must be tagged t = 0.  Writing t = n + s: integer s = 0 is the
-    exact permutation power; s >= delta is the completed pulse, again exact,
-    tagged at t; 0 < s < delta applies the fractional cycle power to every
-    support orbit (typed refusal where orbits do not close).  When ``m`` is
-    given, a tracked floating error above 2^-m raises
-    :class:`PrecisionBudgetError`.
+    ``psi0`` must be tagged t = 0.  The n whole steps of :func:`_pulsed_time`
+    are the exact permutation power, tagged at t at a permutation time;
+    otherwise the fractional cycle power alpha follows on every support
+    orbit (typed refusal where orbits do not close).  When ``m`` is given,
+    a tracked floating error above 2^-m raises :class:`PrecisionBudgetError`.
     """
-    t, n, s = _pulsed_time(step, sched, t, 1 if m is None else m)
+    t, n, alpha = _pulsed_time(step, sched, t, 1 if m is None else m)
     if psi0.time_tag != 0:
         raise TimeTagError(
             f"evolve_to starts from the t=0 state, got time_tag {psi0.time_tag}"
         )
-    if s == 0:
-        return evolve_integer(step, psi0, n)
-    if s >= sched.delta:
-        done = evolve_integer(step, psi0, n + 1)
-        return SparseState(done.items(), t, _check_norm=False)
     base = evolve_integer(step, psi0, n)
-    alpha = s / sched.delta
+    if not alpha:
+        return SparseState(base.items(), t)
     pairs = _mid_pulse_pairs(step, base.items(), alpha)
     out = SparseState(pairs, t)
     if m is not None and out.max_err() > 0.5 ** m:
@@ -529,7 +513,7 @@ def approx_unitary(
     orbit cycles for mid-pulse times); anything else is a
     :class:`BasisNotClosedError`, never a silent truncation.
     """
-    t, n, s = _pulsed_time(step, sched, t, m)
+    t, n, alpha = _pulsed_time(step, sched, t, m)
     basis = tuple(basis)
     size = len(basis)
     if size == 0:
@@ -544,11 +528,10 @@ def approx_unitary(
     one = Fraction(1)
     rows = [[(zero, zero)] * size for _ in range(size)]
 
-    if s == 0 or s >= sched.delta:
-        steps = n if s == 0 else n + 1
+    if not alpha:
         taken: dict[int, int] = {}
         for j, lab in enumerate(basis):
-            i = index.get(step.advance(lab, steps))
+            i = index.get(step.advance(lab, n))
             if i is None:
                 raise BasisNotClosedError(
                     f"image of basis label {j} at t={t} leaves the basis"
@@ -568,7 +551,6 @@ def approx_unitary(
     # mid-pulse: entrywise precision gets log2(size) headroom so the
     # operator-norm bound ||A||_2 <= size * max|entry error| lands under 2^-m
     entry_bits = m + size.bit_length() + 1
-    alpha = s / sched.delta
     g = None  # one vector serves every cycle: each has step.cycle_length labels
     placed: set[int] = set()
     for j, lab in enumerate(basis):

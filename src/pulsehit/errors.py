@@ -1,4 +1,4 @@
-"""Exception types and the integer-parameter rule shared across the package.
+"""Exception types and the parameter rules shared across the package.
 
 Every error raised on a contract violation is a subclass of
 :class:`PulsehitError`, so callers (notably the CLI) can distinguish
@@ -6,6 +6,8 @@ Every error raised on a contract violation is a subclass of
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 
 class PulsehitError(Exception):
@@ -80,3 +82,18 @@ class NoiseMarginError(PulsehitError):
 def is_count(x) -> bool:
     """An int but not a bool, the int subclass JSON true/false load as."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def as_count(x, what: str, least: int = 0) -> None:
+    """A typed error naming ``what`` unless ``x`` is a count >= ``least`` (0 or 1)."""
+    if not is_count(x) or x < least:
+        kind = "positive" if least else "nonnegative"
+        raise ParameterRangeError(f"{what} must be a {kind} integer, got {x!r}")
+
+
+def as_rational(x, what: str) -> Fraction:
+    """``x`` as an exact Fraction, else a typed error naming ``what``."""
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, OverflowError):
+        raise ParameterRangeError(f"{what} must be rational, got {x!r}") from None

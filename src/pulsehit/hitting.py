@@ -50,8 +50,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Union
 
-from .dynamics import PulseSchedule, _as_fraction, _float_coeffs
-from .errors import ParameterRangeError, is_count
+from .dynamics import PulseSchedule, _float_coeffs
+from .errors import ParameterRangeError, as_count, as_rational
 from .machine import MachineSpec
 from .reversible import BeaconStep, BeaconSubspace, ExactLabel, ExtendedBasisState
 
@@ -61,25 +61,22 @@ Number = Union[int, float, Fraction]
 def grid_for(epsilon: Fraction) -> int:
     """Grid refinement fine enough that a fidelity ramp from 0 to 1 over
     one pulse cannot step over the 1 - epsilon threshold between samples:
-    G = max(2, ceil(2*delta / (delta - (2*delta/pi) asin sqrt(1-eps))));
-    the pulse width cancels, so only epsilon is taken.  The ceiling is
-    nudged so a value that is mathematically an integer is not pushed up by
-    float rounding."""
+    G = max(2, ceil(2*delta / (delta - (2*delta/pi) asin sqrt(1-eps)))),
+    that is the least G >= 2 with sin^2(pi/G) <= eps (delta cancels).
+    The search starts below the float estimate and compares
+    :func:`_sin2_pi`, exact at the Niven G = 2, 3, 4 and 6, with eps."""
     epsilon = _as_epsilon(epsilon)
-    ramp = 1.0 - (2.0 / math.pi) * math.asin(math.sqrt(1.0 - float(epsilon)))
-    return max(2, math.ceil(2.0 / ramp - 1e-9))
+    g = max(2, math.floor(math.pi / math.asin(math.sqrt(float(epsilon)))) - 1)
+    while _sin2_pi(Fraction(1, g)) > epsilon:
+        g += 1
+    return g
 
 
 def _as_epsilon(epsilon) -> Fraction:
-    epsilon = _as_fraction(epsilon, "epsilon")
+    epsilon = as_rational(epsilon, "epsilon")
     if not 0 < epsilon < Fraction(1, 2):
         raise ParameterRangeError(f"epsilon must lie in (0, 1/2), got {epsilon}")
     return epsilon
-
-
-def _require_positive_int(name: str, value) -> None:
-    if not is_count(value) or value < 1:
-        raise ParameterRangeError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -102,8 +99,8 @@ class InstanceDescriptor:
             raise ParameterRangeError(f"not a schedule: {self.schedule!r}")
         if not isinstance(self.target, (BeaconSubspace, ExactLabel)):
             raise ParameterRangeError(f"unknown target {self.target!r}")
-        _require_positive_int("horizon", self.horizon)
-        _require_positive_int("grid", self.grid)
+        as_count(self.horizon, "horizon", 1)
+        as_count(self.grid, "grid", 1)
 
 
 @dataclass(frozen=True)

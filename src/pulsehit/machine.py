@@ -38,8 +38,7 @@ from .errors import (
     IllFormedMachineError,
     MachineSemanticsError,
     MachineSyntaxError,
-    ParameterRangeError,
-    is_count,
+    as_count,
 )
 
 MOVES = ("L", "R", "S")
@@ -298,10 +297,7 @@ def classical_run(
     This is the ground-truth side of every halting-versus-hitting check, so
     it deliberately shares no code with the reversible dynamics.
     """
-    if not is_count(max_steps) or max_steps < 0:
-        raise ParameterRangeError(
-            f"max_steps must be a nonnegative integer, got {max_steps!r}"
-        )
+    as_count(max_steps, "max_steps")
     table = rule_table(spec)
     blank = spec.blank
     halt = spec.halt_state

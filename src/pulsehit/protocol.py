@@ -30,11 +30,13 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .dynamics import PulseSchedule, _as_fraction
+from .dynamics import PulseSchedule
 from .errors import (
     NoiseMarginError,
     ParameterRangeError,
     SearchRangeExhaustedError,
+    as_count,
+    as_rational,
     is_count,
 )
 from .hitting import (
@@ -61,11 +63,10 @@ class ProtocolBudget:
     e_max: int
 
     def __post_init__(self):
-        object.__setattr__(self, "tau_max", _as_fraction(self.tau_max, "tau_max"))
+        object.__setattr__(self, "tau_max", as_rational(self.tau_max, "tau_max"))
         if self.tau_max <= 0:
             raise ParameterRangeError(f"tau_max must be positive, got {self.tau_max}")
-        if not is_count(self.e_max) or self.e_max < 1:
-            raise ParameterRangeError(f"e_max must be a positive integer, got {self.e_max!r}")
+        as_count(self.e_max, "e_max", 1)
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,7 @@ class ProtocolOutcome:
 def work_to_reach(t: Fraction) -> int:
     """Pulses begun by time t: one per completed unit interval, plus one
     when t lands inside or at the end of a pulse window."""
-    t = _as_fraction(t, "t")
+    t = as_rational(t, "t")
     if t < 0:
         raise ParameterRangeError(f"time must be nonnegative, got {t}")
     whole = t.numerator // t.denominator
@@ -180,10 +181,7 @@ def adversarial_sweep(
     family index turns an oversized witness into a typed error before any
     machine is built.  The parameters are checked before any budget, so a
     bad one is rejected even when the cap leaves no witness."""
-    if not is_count(family_cap) or family_cap < 0:
-        raise ParameterRangeError(
-            f"family_cap must be a nonnegative integer, got {family_cap!r}"
-        )
+    as_count(family_cap, "family_cap")
     grid = grid_for(epsilon)
     PulseSchedule(delta, Unbounded())
     witnesses = []
@@ -256,10 +254,10 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", _as_fraction(self.gamma, "gamma"))
+        object.__setattr__(self, "gamma", as_rational(self.gamma, "gamma"))
         if self.gamma < 0:
             raise ParameterRangeError(f"gamma must be nonnegative, got {self.gamma}")
-        if not isinstance(self.seed, int):
+        if not is_count(self.seed):
             raise ParameterRangeError(f"seed must be an integer, got {self.seed!r}")
 
 

@@ -21,8 +21,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Sequence, Union
 
-from .dynamics import PulseSchedule, _as_fraction
-from .errors import CorpusBugError, MachineSyntaxError, ParameterRangeError, is_count
+from .dynamics import PulseSchedule
+from .errors import CorpusBugError, MachineSyntaxError, as_count, as_rational, is_count
 from .hitting import (
     Exhausted,
     Hit,
@@ -30,7 +30,6 @@ from .hitting import (
     InstanceDescriptor,
     grid_for,
     _report_payload,
-    _require_positive_int,
     uhit_semidecide,
 )
 from .machine import MachineSpec, Rule, classical_trace, parse_machine, read_document
@@ -189,10 +188,10 @@ def verify_corpus(
 
     The parameters are checked once, before any replay or scan, so a bad
     one is rejected even for an empty corpus."""
-    epsilon = _as_fraction(epsilon, "epsilon")
+    epsilon = as_rational(epsilon, "epsilon")
     grid = grid_for(epsilon)
     delta = PulseSchedule(delta, mode).delta
-    _require_positive_int("horizon", horizon)
+    as_count(horizon, "horizon", 1)
     reports = []
     for entry in corpus:
         validate_entry(entry)
@@ -242,8 +241,7 @@ def counter_family(n: int) -> MachineSpec:
     so the halting step grows without bound along the family.  The
     adversarial sweep relies on this count to name its witness for a time
     budget tau_max as member floor(tau_max)."""
-    if not is_count(n) or n < 0:
-        raise ParameterRangeError(f"family index must be a nonnegative integer, got {n!r}")
+    as_count(n, "family index")
     return MachineSpec(
         states=("q0", "qH"),
         alphabet=("_", "1"),

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
 
 from .errors import IllFormedMachineError, LabelError, OrbitNotClosedError
-from .errors import ParameterRangeError, is_count
+from .errors import ParameterRangeError, as_count, is_count
 from .machine import MachineSpec, rule_table
 
 _OFFSET = {"L": -1, "R": 1, "S": 0}
@@ -414,9 +414,13 @@ class BeaconStep:
         """The label ``n`` forward steps from ``x``.  Steps are taken one by
         one only until the halt flag is set at a nonnegative clock, the rest
         by :meth:`_halted_after`: a run that halts at step K costs at most
-        K + 1 forward calls on either clock, whatever ``n`` is."""
-        if not is_count(n) or n < 0:
-            raise ParameterRangeError(f"step count must be a nonnegative integer, got {n!r}")
+        K + 1 forward calls on either clock, whatever ``n`` is; the idle
+        shift below clock 0 of an unbounded clock is one jump too."""
+        as_count(n, "step count")
+        if self._cyclic is None and x.tau < 0:
+            r = min(n, -x.tau)
+            x = ExtendedBasisState(x.state, x.head, x.tape, x.hist, x.tau + r, x.h, x.b)
+            n -= r
         while n and not (x.h and x.tau >= 0):
             x = self.forward(x)
             n -= 1

@@ -3,13 +3,18 @@ formats, driven through main() with in-process capture."""
 
 import hashlib
 import json
+from dataclasses import replace
 from fractions import Fraction
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from pulsehit.cli import main
-from pulsehit.reversible import BeaconStep
+from pulsehit.hitting import fidelity_trace, hit_report_json, trace_to_csv, uhit_semidecide
+from pulsehit.machine import parse_machine, read_document
+from pulsehit.reduction import encode
+from pulsehit.reversible import BeaconStep, BeaconSubspace, Cyclic, ExactLabel, Unbounded
 
 MOVE_RIGHT_3 = """\
 states: q0 q1 q2 qH
@@ -220,6 +225,43 @@ def test_hit_exact_targets(capsys, mover):
     assert code == 0 and json.loads(out)["t"] == "3/2"
     code, _out, err = run(capsys, "hit", mover, "--target", "nearby")
     assert code == 1 and "target" in err
+
+
+def _corpus_file(name):
+    return str(Path(str(resources.files("pulsehit"))) / "corpus" / name)
+
+
+@pytest.mark.parametrize("clock", [(), ("--clock", "cyclic:7", "--grid", "5")],
+                         ids=["unbounded", "cyclic:7"])
+@pytest.mark.parametrize("cmd", ["hit", "trace"])
+def test_an_exact_label_past_the_scan_costs_the_horizon_not_n(capsys, cmd, clock):
+    # loop-blink never halts, so no label past step horizon + 1 = 11 is
+    # one the scan meets: exact:1000000 walks 11 steps and reads 0 where
+    # the true label 12 steps in reads 0
+    argv = (cmd, _corpus_file("loop-blink.tm"), "--horizon", "10", *clock)
+    far = run(capsys, *argv, "--target", "exact:1000000")
+    near = run(capsys, *argv, "--target", "exact:12")
+    assert far == near
+    inst = encode(parse_machine(read_document(Path(argv[1]))), Fraction(1, 4), Fraction(1, 2),
+                  Cyclic(7) if clock else Unbounded(), BeaconSubspace(), 10, 5 if clock else None)
+    step = BeaconStep(inst.machine, inst.schedule.clock)
+    inst = replace(inst, target=ExactLabel(step.advance(step.initial_label(), 12)))
+    if cmd == "hit":
+        want = (2, hit_report_json(uhit_semidecide(inst)) + "\n", "")
+    else:
+        want = (0, trace_to_csv(fidelity_trace(inst)), "")
+    assert near == want
+
+
+def test_an_exact_label_off_the_cycle_reads_zero_mid_pulse(capsys):
+    # move-right-3's initial label is not on its post-halt cycle
+    code, out, err = run(capsys, "trace", _corpus_file("move-right-3.tm"), "--clock",
+                         "cyclic:3", "--grid", "5", "--target", "exact", "--horizon", "6")
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    mid = [fid for t, fid in rows if Fraction(t) % 1 not in (0, Fraction(1, 2))]
+    assert len(mid) == 4 * 3  # G - 1 points in each pulse from the halt at 3
+    assert set(mid) == {"0.000000000000"}
 
 
 def test_bad_machine_file_exits_one_with_diagnostics(capsys, tmp_path):

@@ -702,6 +702,18 @@ def test_approx_unitary_leaving_basis_refuses():
         approx_unitary(step, sched, basis, 4, 20)
 
 
+def test_approx_unitary_mid_pulse_refuses_part_of_a_cycle():
+    step = BeaconStep(MOVE_RIGHT_3, Cyclic(3))
+    sched = PulseSchedule(HALF, Cyclic(3))
+    labels = walk(step, step.initial_label(), 3)
+    cycle = cycle_of(step, labels[3])
+    assert len(cycle) == 6
+    with pytest.raises(BasisNotClosedError, match="cycle of basis label 0 is not contained"):
+        approx_unitary(step, sched, cycle[:5], Fraction(1, 5), 20)
+    # the whole cycle is carried at the same time
+    assert approx_unitary(step, sched, cycle, Fraction(1, 5), 20).t == Fraction(1, 5)
+
+
 def test_approx_unitary_halt_pinch_collision_refuses():
     # immediate halter on a period-2 clock: the initial label and the far
     # cycle label share their image, so a basis holding both is rejected

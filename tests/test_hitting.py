@@ -90,6 +90,9 @@ def test_grid_for_frozen_values():
         (Fraction(1, 10), 10),
         (Fraction(49, 100), 5),
         (Fraction(1, 100), 32),
+        # just below a boundary sin^2(pi/G), the grid is G + 1
+        (Fraction(math.sin(math.pi / 7) ** 2) - Fraction(1, 10**12), 8),
+        (Fraction(math.sin(math.pi / 5) ** 2) - Fraction(1, 10**10), 6),
     ]:
         assert grid_for(eps) == want
 

@@ -322,6 +322,46 @@ def test_compact_input_with_undeclared_character():
         parse_machine(doc)
 
 
+HEAD = "states: a h\nalphabet: _ 1\nstart: a\nhalt: h\n"
+
+
+@pytest.mark.parametrize(
+    "doc, error, message",
+    [
+        ("states:\nalphabet: _\nstart: a\nhalt: a\n", MachineSyntaxError,
+         r"^line 1, col 1: empty 'states:' line$"),
+        ("states: a a\nalphabet: _\nstart: a\nhalt: a\n", MachineSemanticsError,
+         r"^duplicate state name in 'states:'$"),
+        ("states: a\nalphabet:\nstart: a\nhalt: a\n", MachineSyntaxError,
+         r"^line 2, col 1: empty 'alphabet:' line$"),
+        ("states: a\nalphabet: _ 1 _\nstart: a\nhalt: a\n", MachineSemanticsError,
+         r"^duplicate symbol in 'alphabet:'$"),
+        ("states: a h\nalphabet: _\nstart: a h\nhalt: h\n", MachineSyntaxError,
+         r"^line 3, col 8: 'start:' takes exactly one token$"),
+        ("states: a h\nalphabet: _\nstart: b\nhalt: h\n", MachineSemanticsError,
+         r"^start state 'b' is not declared$"),
+        ("states: a h\nalphabet: _\nstart: a\nhalt: z\n", MachineSemanticsError,
+         r"^halt state 'z' is not declared$"),
+        (HEAD + "input: 1 x\n", MachineSemanticsError,
+         r"^input symbol 'x' is not declared$"),
+        (HEAD + "rule: a 1 -> h 2 S\n", MachineSemanticsError,
+         r"^rule on line 5 references undeclared symbol '2'$"),
+    ],
+    ids=["empty-states", "duplicate-state", "empty-alphabet", "duplicate-symbol",
+         "start-tokens", "undeclared-start", "undeclared-halt", "input-symbol",
+         "rule-symbol"],
+)
+def test_parse_machine_refusals_name_their_rule(doc, error, message):
+    with pytest.raises(error, match=message):
+        parse_machine(doc)
+
+
+def test_classical_run_missing_rule_raises():
+    spec = parse_machine(HEAD + "input: 1\nrule: a 1 -> a 1 R\n")
+    with pytest.raises(IllFormedMachineError, match=r"^no rule for \('a', '_'\) at step 1$"):
+        classical_run(spec, 10)
+
+
 # -- property tests ---------------------------------------------------------
 
 

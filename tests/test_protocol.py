@@ -502,6 +502,7 @@ INTEGER_PARAMETERS = {
     "classical-max_steps": ("max_steps", lambda v: classical_run(MOVE_RIGHT_3, v)),
     "family-index": ("family index", lambda v: counter_family(v)),
     "coeffs-cycle-length": ("cycle length", lambda v: fractional_coeffs(v, HALF)),
+    "noise-seed": ("seed", lambda v: NoiseModel(Fraction(1, 10), v)),
 }
 
 

@@ -348,6 +348,9 @@ def test_load_corpus_rejects_malformed_manifests(tmp_path):
     (tmp_path / "manifest.json").write_text("not json")
     with pytest.raises(CorpusBugError, match="valid JSON"):
         load_corpus(tmp_path / "manifest.json")
+    (tmp_path / "manifest.json").write_text('{"name": "m", "machine_file": "m.tm"}')
+    with pytest.raises(CorpusBugError, match="^manifest must be a JSON list$"):
+        load_corpus(tmp_path / "manifest.json")
     (tmp_path / "m.tm").write_text("states: q0\nalphabet: _\nstart: q0\nhalt: q0\n")
     (tmp_path / "manifest.json").write_text(
         '[{"name": "m", "machine_file": "m.tm", "ground_truth": {"kind": "halts", "K": 0}},'

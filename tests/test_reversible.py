@@ -604,6 +604,10 @@ def test_advance_on_an_unbounded_clock_costs_the_halt_not_the_time():
     early = step.make_label("qH", 3, {}, [0, 1, 2], -3, 1, 1)
     got = step.advance(early, n)
     assert (got.tau, got.h, got.b) == (n - 3, 1, 1 ^ (n - 3) % 2)
+    # the idle line below clock 0 is one jump too: from clock -n, n + 10
+    # steps are the initial label's first 10
+    idle = step.make_label("q0", 0, {}, [], -n, 0, 0)
+    assert step.advance(idle, n + 10) == step.advance(step.initial_label(), 10)
 
 
 @pytest.mark.parametrize("period,want", [(None, None), (2, 2), (3, 6), (4, 4), (7, 14)])
