@@ -21,6 +21,15 @@ they are skipped rather than guessed, so a reported hit is always a
 certified fidelity value.  Integer and pulse-end points are exact 0/1
 projections and are available in every mode.
 
+Before the halt the scan watches the work half (state, head, tape) for a
+revisit, by Brent's cycle detection.  A revisit proves the run repeats and
+never halts, so once the scan is past the one step where an exact target
+could sit, every later point is a dark integer 0, known without stepping:
+a looper whose work half repeats exactly costs O(prefix + period) steps
+whatever the horizon, while a translated looper (one that never revisits
+a configuration, like a right-mover writing 1s) still steps to the
+horizon.
+
 A scan follows one orbit, and past the halt on a cyclic clock that orbit
 is one closed cycle; each later pulse starts at a known position on it,
 and the target's positions follow from the first halted label by
@@ -202,7 +211,9 @@ class _MidPulse:
         return abs(_float_coeffs(self.m, j, self.grid, [off])[0]) ** 2
 
 
-def _scan(inst: InstanceDescriptor) -> Iterator[tuple[int, int, Number, bool]]:
+def _scan(
+    inst: InstanceDescriptor, *, dark_tail: bool = True
+) -> Iterator[tuple[int, int, Number, bool]]:
     """Yield (n, j, fidelity, reached) for every evaluable grid point in
     ascending order, where the point is t = n + j*delta/G: j = 0 is the
     integer point n, j = G the end of the pulse that starts there, and
@@ -211,9 +222,17 @@ def _scan(inst: InstanceDescriptor) -> Iterator[tuple[int, int, Number, bool]]:
 
     Points are carried as these integer ticks; :func:`_time` and
     :func:`_hit` build the ``Fraction`` time and window of the few points
-    that are reported."""
+    that are reported.
+
+    Before the halt, Brent's detector saves the work half (state, head,
+    tape) at steps 0, 1, 2, 4, 8, ... and compares each label with it.  At
+    a revisit past the one step an exact target can match, len(phi.hist),
+    the remaining points are yielded as integer 0s without stepping, or
+    not at all when ``dark_tail`` is false."""
     step = BeaconStep(inst.machine, inst.schedule.clock)
-    pred = step.target_predicate(inst.target)
+    forward = step.forward
+    target = inst.target
+    pred = step.target_predicate(target)
     ceiling = _float_ceiling(1 - inst.epsilon)
     grid = inst.grid
     horizon = inst.horizon
@@ -221,22 +240,45 @@ def _scan(inst: InstanceDescriptor) -> Iterator[tuple[int, int, Number, bool]]:
     # their rows are placed on its cycle from the first halted label
     cyclic = step.cycle_length is not None and grid > 1
     mid = None
+    last = len(target.phi.hist) if isinstance(target, ExactLabel) else -1
 
     # integer and pulse-end points are 0/1 projections, and 0 < 1 - epsilon
     # < 1, so the projection itself says whether the threshold is reached;
     # the label at n + delta is the one at n + 1 (the line idles between)
     cur = step.initial_label()
     lit = pred(cur)
-    for n in range(horizon + 1):
+    # before the halt: Brent's detector, one head compare per step
+    n = save_at = 0
+    head = state = tape = None  # the saved work half; None is no head
+    while not cur.h:
+        if cur.head == head and cur.state == state and cur.tape == tape and n > last:
+            if dark_tail:
+                for n in range(n, horizon):
+                    yield n, 0, 0, False
+                    yield n, grid, 0, False
+                yield horizon, 0, 0, False
+            return
+        if n == save_at:
+            head, state, tape = cur.head, cur.state, cur.tape
+            save_at = 2 * n or 1
         yield n, 0, 1 if lit else 0, lit
         if n == horizon:
             return
-        if cyclic and cur.h == 1:
+        cur = forward(cur)
+        lit = pred(cur)
+        yield n, grid, 1 if lit else 0, lit
+        n += 1
+    # past the halt the work half is frozen and no detector runs
+    for n in range(n, horizon + 1):
+        yield n, 0, 1 if lit else 0, lit
+        if n == horizon:
+            return
+        if cyclic:
             if mid is None:
-                mid = _MidPulse(step, inst.target, cur, n, grid, ceiling)
+                mid = _MidPulse(step, target, cur, n, grid, ceiling)
             for j, fid, reached in mid.row(n):
                 yield n, j, fid, reached
-        cur = step.forward(cur)
+        cur = forward(cur)
         lit = pred(cur)
         yield n, grid, 1 if lit else 0, lit
 
@@ -268,9 +310,15 @@ def uhit_semidecide(inst: InstanceDescriptor) -> HitReport:
     rational threshold through its float ceiling; the float itself is
     rounded, so one within rounding of 1 - epsilon can decide the
     comparison wrongly (see the certified threshold comparisons item in
-    ROADMAP.md)."""
+    ROADMAP.md).
+
+    A run whose work half revisits a configuration before halting is dark
+    from there on (past an exact target's step), so the scan stops at the
+    revisit: such a looper's ``Exhausted`` costs O(prefix + period) steps
+    whatever the horizon, while a translated looper (one that never
+    revisits, like a right-mover writing 1s) still steps to the horizon."""
     best: Number = 0
-    for n, j, fid, reached in _scan(inst):
+    for n, j, fid, reached in _scan(inst, dark_tail=False):
         if reached:
             return _hit(inst, n, j, fid)
         if fid > best:

@@ -1,7 +1,7 @@
 """Reversible beacon dynamics on an extended machine basis.
 
-A classical deterministic machine is compiled into an injective step map on
-labels ``(state, head, tape, history, clock, halt flag, beacon bit)``.  The
+A classical deterministic machine is compiled into a step map on labels
+``(state, head, tape, history, clock, halt flag, beacon bit)``.  The
 history records the index of every rule applied so far, which is what makes
 un-stepping possible; the clock counts steps; the halt flag latches when the
 halt state is entered; and the beacon bit toggles on every step taken after
@@ -16,11 +16,15 @@ label.  ``Cyclic(L)`` wraps the clock modulo L; after halting, the orbit of
 a label closes into a finite cycle of length lcm(L, 2) (clock period L,
 beacon period 2), which is the property the continuous-time lift exploits.
 
-The step map is total injectivity only on well-formed labels: labels whose
-clock, history length and halt flag could actually coincide on a run.  The
-backward map resolves each image to its unique well-formed preimage and
-answers ``NO_PREIMAGE`` otherwise; every non-``NO_PREIMAGE`` answer is
-verified by re-applying the forward map.
+The step map is injective only on well-formed labels: labels whose clock,
+history length and halt flag could actually coincide on a run.  On a cyclic
+clock even those pinch at one point: the halt-entry label (the first with
+the halt flag set) has two preimages that a run reaches, the last tail
+label and its predecessor on the post-halt cycle, since a ray that enters
+a finite cycle is never injective.  The backward map resolves each image
+to a well-formed preimage, the tail label at the pinch, and answers
+``NO_PREIMAGE`` otherwise; every non-``NO_PREIMAGE`` answer is verified by
+re-applying the forward map.
 """
 
 from __future__ import annotations
@@ -491,7 +495,8 @@ class BeaconStep:
         return self._verified(ExtendedBasisState(state, head, tape, hist, tau, 0, y.b), y)
 
     def backward(self, y: ExtendedBasisState) -> Union[ExtendedBasisState, NoPreimage]:
-        """The unique well-formed preimage of ``y``, or ``NO_PREIMAGE``.
+        """The well-formed preimage of ``y`` (the tail label at a cyclic
+        clock's halt-entry pinch), or ``NO_PREIMAGE``.
 
         Every returned label is verified to map back onto ``y`` under
         :meth:`forward`.  Labels whose clock, history and flags cannot

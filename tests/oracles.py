@@ -5,6 +5,11 @@ machinery: the fractional power of a cycle is rebuilt from a dense
 permutation matrix via numpy's eigendecomposition, with eigenvalues
 snapped to exact roots of unity before taking principal-branch powers.
 Agreement between this route and the package is then a meaningful check.
+
+:func:`stepwise_scan` is the grid scan without its cycle detector: it
+calls ``forward`` once per step up to the horizon, so a looper's dark
+tail is stepped through rather than inferred.  It shares the mid-pulse
+rows with the package, because what it checks is the jump, not them.
 """
 
 from __future__ import annotations
@@ -12,6 +17,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from pulsehit.hitting import _float_ceiling, _MidPulse
+from pulsehit.reversible import BeaconStep
 
 
 def cycle_permutation(k: int) -> np.ndarray:
@@ -45,3 +53,30 @@ def transfer_amplitudes_oracle(k: int, alpha: float) -> np.ndarray:
 def two_cycle_profile(alpha: float) -> float:
     """Closed-form squared overlap with the next label on a two-cycle."""
     return math.sin(math.pi * alpha / 2.0) ** 2
+
+
+def stepwise_scan(inst):
+    """(n, j, fidelity, reached) for every evaluable grid point of the
+    instance, ascending, from one forward step per pulse to the horizon."""
+    step = BeaconStep(inst.machine, inst.schedule.clock)
+    pred = step.target_predicate(inst.target)
+    ceiling = _float_ceiling(1 - inst.epsilon)
+    grid = inst.grid
+    horizon = inst.horizon
+    cyclic = step.cycle_length is not None and grid > 1
+    mid = None
+
+    cur = step.initial_label()
+    lit = pred(cur)
+    for n in range(horizon + 1):
+        yield n, 0, 1 if lit else 0, lit
+        if n == horizon:
+            return
+        if cyclic and cur.h == 1:
+            if mid is None:
+                mid = _MidPulse(step, inst.target, cur, n, grid, ceiling)
+            for j, fid, reached in mid.row(n):
+                yield n, j, fid, reached
+        cur = step.forward(cur)
+        lit = pred(cur)
+        yield n, grid, 1 if lit else 0, lit

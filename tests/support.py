@@ -1,8 +1,10 @@
-"""Shared hypothesis strategies for randomly generated machines."""
+"""Shared test helpers: random machine strategies, the 2-state census and
+a counter of reversible steps."""
 
 from hypothesis import strategies as st
 
 from pulsehit.machine import MachineSpec, Rule
+from pulsehit.reversible import BeaconStep
 
 name_st = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789", min_size=1, max_size=3)
 
@@ -39,3 +41,35 @@ def machines(draw, total=False):
     if nonblank:
         word = tuple(draw(st.lists(st.sampled_from(nonblank), max_size=4)))
     return MachineSpec(states, alphabet, start, halt, rules, word)
+
+
+# the (state, symbol) pairs of the 2-state census, in digit order
+_CENSUS_PAIRS = (("q0", "_"), ("q0", "1"), ("q1", "_"), ("q1", "1"))
+CENSUS_SIZE = 18 ** len(_CENSUS_PAIRS)
+
+
+def census_machine(index: int) -> MachineSpec:
+    """Machine ``index`` of the 18^4 machines with live states q0, q1,
+    halt state qH, alphabet {_, 1}, moves L/R/S and a blank input.  Digit
+    k (base 18, least significant first) is the rule of pair k: next
+    state q0/q1/qH by d // 6, write _/1 by d // 3 % 2, move L/R/S by
+    d % 3."""
+    rules = []
+    for state, read in _CENSUS_PAIRS:
+        index, d = divmod(index, 18)
+        rules.append(Rule(state, read, ("q0", "q1", "qH")[d // 6], "_1"[d // 3 % 2], "LRS"[d % 3]))
+    return MachineSpec(("q0", "q1", "qH"), ("_", "1"), "q0", "qH", tuple(rules), ())
+
+
+def count_forward(monkeypatch):
+    """The list of labels ``BeaconStep.forward`` is called on from now on,
+    through a counting wrapper left in place for the rest of the test."""
+    calls = []
+    forward = BeaconStep.forward
+
+    def counting_forward(self, x):
+        calls.append(x)
+        return forward(self, x)
+
+    monkeypatch.setattr(BeaconStep, "forward", counting_forward)
+    return calls

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import cycle_power_oracle, transfer_amplitudes_oracle, two_cycle_profile
-from support import machines
+from support import count_forward, machines
 
 from pulsehit.dynamics import (
     AMP_ONE,
@@ -561,24 +561,12 @@ def test_cycle_of_walks_cycles_past_any_fixed_cap():
     assert step.forward(cyc[-1]) == halted
 
 
-def _count_forward(monkeypatch):
-    calls = []
-    forward = BeaconStep.forward
-
-    def counting_forward(self, x):
-        calls.append(x)
-        return forward(self, x)
-
-    monkeypatch.setattr(BeaconStep, "forward", counting_forward)
-    return calls
-
-
 def test_integer_evolution_on_a_cyclic_clock_costs_the_cycle_not_the_time(monkeypatch):
     # move-right-3 halts at K = 3; on Cyclic(3) its orbit then has 6 labels
     step = BeaconStep(MOVE_RIGHT_3, Cyclic(3))
     psi = SparseState.basis_state(step.initial_label())
     want = evolve_integer(step, psi, 10**6 % 6 + 6)
-    calls = _count_forward(monkeypatch)
+    calls = count_forward(monkeypatch)
     got = evolve_integer(step, psi, 10**6)
     assert len(calls) <= 3  # the steps up to the halt; the rest is arithmetic
     assert got.items() == want.items()
@@ -588,7 +576,7 @@ def test_certified_route_on_a_cyclic_clock_costs_the_cycle_not_the_time(monkeypa
     step = BeaconStep(MOVE_RIGHT_3, Cyclic(3))
     sched = PulseSchedule(HALF, Cyclic(3))
     basis = cycle_of(step, step.advance(step.initial_label(), 3))
-    calls = _count_forward(monkeypatch)
+    calls = count_forward(monkeypatch)
     matrix = approx_unitary(step, sched, basis, 10**6, 20)
     # each basis label is advanced on its own, and each is already halted,
     # so an integer time takes no step at all

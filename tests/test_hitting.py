@@ -10,13 +10,18 @@ Niven point j = 4, t = K + 1/3, with fidelity exactly 3/4.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import transfer_amplitudes_oracle
-from support import machines
+from oracles import stepwise_scan, transfer_amplitudes_oracle
+from support import CENSUS_SIZE, census_machine, count_forward, machines
+
+from pulsehit import hitting, protocol
+from pulsehit.cli import main
 
 from pulsehit.dynamics import (
     PulseSchedule,
@@ -33,6 +38,7 @@ from pulsehit.hitting import (
     Hit,
     InstanceDescriptor,
     _float_ceiling,
+    _scan,
     fidelity_trace,
     grid_for,
     hit_report_json,
@@ -40,6 +46,8 @@ from pulsehit.hitting import (
     uhit_semidecide,
 )
 from pulsehit.machine import Halted, classical_run, parse_machine
+from pulsehit.protocol import NoiseModel, ProtocolBudget, classify_with_noise, run_bounded_protocol
+from pulsehit.reduction import builtin_corpus
 from pulsehit.reversible import (
     BeaconStep,
     BeaconSubspace,
@@ -343,14 +351,7 @@ def test_mid_pulse_rows_cost_no_walk_of_a_long_cycle(monkeypatch):
         (ExactLabel(_walk(step, step.initial_label(), 5)), Fraction(22, 5)),
         (ExactLabel(_walk(step, step.initial_label(), 5000)), None),
     ]
-    forward = BeaconStep.forward
-    calls = []
-
-    def counting_forward(self, x):
-        calls.append(x)
-        return forward(self, x)
-
-    monkeypatch.setattr(BeaconStep, "forward", counting_forward)
+    calls = count_forward(monkeypatch)
     for target, want in cases:
         del calls[:]
         inst = InstanceDescriptor(MOVE_RIGHT_3, QUARTER, sched, target, 10, 5)
@@ -542,3 +543,111 @@ def test_float_ceiling_decides_the_exact_compare(threshold, ulps):
     # mid-pulse rows compare Niven Fractions against the same ceiling
     for v in (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)):
         assert (v >= ceiling) == (v >= threshold)
+
+
+# -- loopers: the revisit jump ------------------------------------------------------
+
+# census machines by index (see support.census_machine): right-mover
+# writing 1s and left-mover (translated loopers, no revisit), loopers with
+# a prefix (revisits (1, 7), (4, 6), (5, 7)), a 5-cycle from step 0,
+# loop-stay, and halters at steps 6 and 5
+NAMED_CENSUS = [4, 0, 47764, 19630, 18981, 1681, 2, 19666, 30355]
+
+
+def _points(scan):
+    return [(n, j, type(f), f, reached) for n, j, f, reached in scan]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.one_of(st.sampled_from(NAMED_CENSUS), st.integers(0, CENSUS_SIZE - 1)),
+    st.one_of(st.just(Unbounded()), st.integers(2, 6).map(Cyclic)),
+    st.one_of(st.none(), st.integers(0, 64)),
+    st.integers(1, 6),
+    st.integers(1, 300),
+    st.sampled_from([Fraction(1, 4), Fraction(1, 8)]),
+    st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(3, 5)]),
+    st.data(),
+)
+def test_scan_equals_the_stepwise_scan(index, clock, exact, grid, horizon, eps, delta, data):
+    # the revisit jump changes no point, report, trace row, protocol
+    # verdict or noisy draw: each consumer reads the same as it does
+    # through the oracle scan that steps every pulse to the horizon
+    spec = census_machine(index)
+    step = BeaconStep(spec, clock)
+    target = BeaconSubspace()
+    if exact is not None:
+        target = ExactLabel(step.advance(step.initial_label(), exact))
+    inst = InstanceDescriptor(spec, eps, PulseSchedule(delta, clock), target, horizon, grid)
+    budget = ProtocolBudget(
+        Fraction(data.draw(st.integers(1, 400)), data.draw(st.integers(1, 3))),
+        data.draw(st.integers(1, 400)),
+    )
+    gamma = Fraction(data.draw(st.integers(1, 49)), 100)
+    noise = NoiseModel(gamma, data.draw(st.integers(0, 2**32)))
+
+    def consumers():
+        report = uhit_semidecide(inst)
+        return (
+            report,
+            type(report.fidelity_at_hit if isinstance(report, Hit) else report.max_fidelity_seen),
+            fidelity_trace(inst),
+            run_bounded_protocol(inst, budget),
+            classify_with_noise(inst, noise),
+        )
+
+    def oracle(inst, dark_tail=True):
+        return stepwise_scan(inst)
+
+    assert _points(_scan(inst)) == _points(stepwise_scan(inst))
+    got = consumers()
+    with patch.object(hitting, "_scan", oracle), patch.object(protocol, "_scan", oracle):
+        want = consumers()
+    assert got == want
+
+
+def _corpus_machine(name):
+    return next(e.machine for e in builtin_corpus() if e.name == name)
+
+
+@pytest.mark.parametrize("name", ["loop-blink", "loop-with-prefix"])
+@pytest.mark.parametrize("clock", [Unbounded(), Cyclic(7)], ids=["unbounded", "cyclic7"])
+def test_looper_exhaustion_costs_its_loop_not_the_horizon(name, clock, monkeypatch):
+    spec = _corpus_machine(name)
+    uhit_semidecide(beacon_instance(spec, clock, 10))  # warm any lazy state
+    calls = count_forward(monkeypatch)
+    peaks = {}
+    for horizon in (10**3, 10**9):
+        del calls[:]
+        tracemalloc.start()
+        try:
+            report = uhit_semidecide(beacon_instance(spec, clock, horizon))
+            peaks[horizon] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report == Exhausted(horizon, 0)
+        assert type(report.max_fidelity_seen) is int
+        assert len(calls) < 20
+    assert abs(peaks[10**9] - peaks[10**3]) <= 64 * 1024
+
+
+def test_verify_steps_its_loopers_only_to_their_revisits(capsys, monkeypatch):
+    calls = count_forward(monkeypatch)
+    assert main(["verify", "--horizon", "10000"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 17 and all('"verdict": "agree"' in line for line in lines)
+    assert len(calls) < 1000
+
+
+def test_an_exact_target_ahead_of_the_revisit_is_still_met():
+    # loop-blink revisits at step 2, but the label 40 steps in is still a
+    # point of the run: the scan keeps stepping until it is past it
+    spec = _corpus_machine("loop-blink")
+    for clock in (Unbounded(), Cyclic(7)):
+        step = BeaconStep(spec, clock)
+        phi = step.advance(step.initial_label(), 40)
+        sched = PulseSchedule(HALF, clock)
+        inst = InstanceDescriptor(spec, QUARTER, sched, ExactLabel(phi), 10**9, 6)
+        assert uhit_semidecide(inst) == Hit(Fraction(79, 2), 1, (Fraction(39), Fraction(79, 2)))
+        late = InstanceDescriptor(spec, QUARTER, sched, ExactLabel(phi), 39, 6)
+        assert uhit_semidecide(late) == Exhausted(39, 0)

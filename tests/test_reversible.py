@@ -23,6 +23,7 @@ from pulsehit.machine import (
     classical_run,
     parse_machine,
 )
+from pulsehit.reduction import Halts, builtin_corpus
 from pulsehit.reversible import (
     EMPTY_HISTORY,
     NO_PREIMAGE,
@@ -259,6 +260,31 @@ def test_cyclic_backward_around_cycle_prefers_tail_at_entry():
     # the entry point steps back onto the tail, pinching the cycle open
     assert step.backward(entry) == labels[2]
     assert step.forward(labels[8]) == entry
+
+
+HALTING_CORPUS = [e for e in builtin_corpus() if isinstance(e.ground_truth, Halts)]
+
+
+@pytest.mark.parametrize("entry", HALTING_CORPUS, ids=[e.name for e in HALTING_CORPUS])
+def test_cyclic_step_is_injective_on_a_run_but_for_the_halt_entry_pinch(entry):
+    # a run enters its post-halt cycle at the first halted label, step
+    # max(K, 1); that label has two reached preimages, the tail label
+    # before it and its cycle predecessor, and every other reached label
+    # has at most one.  backward resolves the pinch to the tail.
+    for period in range(2, 8):
+        step = BeaconStep(entry.machine, Cyclic(period))
+        entry_step = max(entry.ground_truth.steps, 1)
+        run = walk(step, step.initial_label(), entry_step + step.cycle_length)
+        reached, closing = run[:-1], run[-1]
+        assert len(set(reached)) == len(reached)
+        assert closing == run[entry_step]
+        preimages = {}
+        for lab in reached:
+            preimages.setdefault(step.forward(lab), []).append(lab)
+        pinch = run[entry_step]
+        assert preimages.pop(pinch) == [run[entry_step - 1], reached[-1]]
+        assert all(len(pre) == 1 for pre in preimages.values())
+        assert step.backward(pinch) == run[entry_step - 1]
 
 
 def test_cyclic_backward_odd_period_interior_congruence_point():
