@@ -17,6 +17,8 @@ error.
 
 Rational parameters are written exactly as ``p/q`` (or a bare integer);
 float spellings are rejected so thresholds and grid ties stay exact.
+Every number is written in ASCII digits; any other spelling exits 1 with
+an "expected ..." message.
 Every command is deterministic: the same invocation produces the same
 bytes.  Exit codes are stable across commands: 0 for success or a hit,
 2 for a negative semi-decision (exhausted, or a corpus disagreement),
@@ -52,7 +54,19 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NEGATIVE = 2
 
-_RATIONAL = re.compile(r"-?\d+(?:/[1-9]\d*)?")
+# Every number on the command line is written in ASCII digits: re's \d,
+# str.isdigit and int() also accept other scripts' digits (int() also takes
+# "1_000"), so each pattern below is built from this one.
+_DIGITS = "[0-9]+"
+_INTEGER = re.compile(f"-?{_DIGITS}")
+_RATIONAL = re.compile(f"-?{_DIGITS}(?:/[1-9][0-9]*)?")
+
+
+def _integer(text: str) -> int:
+    # a negative value parses, so the library's typed check names it
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected an integer like 100, got {text!r}")
+    return int(text)
 
 
 def _rational(text: str) -> Fraction:
@@ -66,7 +80,7 @@ def _rational(text: str) -> Fraction:
 def _clock(text: str) -> ClockMode:
     if text == "unbounded":
         return Unbounded()
-    m = re.fullmatch(r"cyclic:(\d+)", text)
+    m = re.fullmatch(f"cyclic:({_DIGITS})", text)
     if m:
         try:
             return Cyclic(int(m.group(1)))
@@ -80,7 +94,7 @@ def _clock(text: str) -> ClockMode:
 def _target(text: str) -> tuple[str, int]:
     if text == "beacon":
         return ("beacon", 0)
-    m = re.fullmatch(r"exact(?::(\d+))?", text)
+    m = re.fullmatch(f"exact(?::({_DIGITS}))?", text)
     if m:
         return ("exact", int(m.group(1) or 0))
     raise argparse.ArgumentTypeError(
@@ -90,7 +104,7 @@ def _target(text: str) -> tuple[str, int]:
 
 def _budgets(text: str) -> list[int]:
     items = [piece.strip() for piece in text.split(",")]
-    if not items or any(not piece.isdigit() or int(piece) < 1 for piece in items):
+    if any(not re.fullmatch(_DIGITS, piece) or int(piece) < 1 for piece in items):
         raise argparse.ArgumentTypeError(
             f"expected a comma list of positive integers, got {text!r}"
         )
@@ -249,9 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
         sub = commands.add_parser(name)
         sub.add_argument("machine", help="machine document to read")
         _add_threshold_flags(sub)
-        sub.add_argument("--horizon", type=int, default=100,
+        sub.add_argument("--horizon", type=_integer, default=100,
                          help="last integer time the scan examines")
-        sub.add_argument("--grid", type=int, default=None,
+        sub.add_argument("--grid", type=_integer, default=None,
                          help="sub-pulse grid refinement (default: derived from epsilon)")
         _add_clock_flag(sub)
         sub.add_argument("--target", type=_target, default=("beacon", 0),
@@ -274,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--corpus", default=None,
                         help="manifest path (default: the corpus shipped in the package)")
     _add_threshold_flags(verify)
-    verify.add_argument("--horizon", type=int, default=10_000,
+    verify.add_argument("--horizon", type=_integer, default=10_000,
                         help="last integer time each scan examines")
     _add_clock_flag(verify)
     _add_out_flag(verify)
@@ -283,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--budgets", type=_budgets, required=True,
                        help="comma list N,...; each becomes tau_max = e_max = N")
     _add_threshold_flags(sweep)
-    sweep.add_argument("--family-cap", type=int, default=10_000,
+    sweep.add_argument("--family-cap", type=_integer, default=10_000,
                        help="largest counter-family index the search may try")
     _add_out_flag(sweep)
 

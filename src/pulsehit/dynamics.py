@@ -18,7 +18,9 @@ of the same mid-pulse operator are built on it: :func:`evolve_to` evaluates
 it in floating point with tracked absolute error bounds, and
 :func:`approx_unitary` evaluates it in high-precision arithmetic and rounds
 dyadically, returning an exact rational matrix with a certified
-operator-norm distance to the true evolution.
+operator-norm distance to the true evolution.  That high-precision route is
+the only user of mpmath and imports it on its first call, so importing this
+module, or running any scan or CLI command, does not load it.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
-
-import mpmath
 
 from .errors import (
     BasisNotClosedError,
@@ -358,27 +358,26 @@ def fractional_coeffs(k: int, alpha) -> tuple[list[complex], float]:
     return _float_coeffs(k, alpha.numerator, alpha.denominator, range(k)), err
 
 
-def _dyadic(x: "mpmath.mpf", bits: int) -> Fraction:
-    """Round to the nearest multiple of 2^-bits, exactly."""
-    scaled = mpmath.nint(mpmath.ldexp(x, bits))
-    return Fraction(int(scaled), 1 << bits)
-
-
 def _rational_coeffs(k: int, alpha: Fraction, entry_bits: int) -> list[tuple[Fraction, Fraction]]:
     """:func:`fractional_coeffs` for 0 < alpha < 1 in high-precision
     arithmetic, dyadically rounded so each entry is an exact rational within
     2^-entry_bits of the true value."""
+    import mpmath  # the certified route is the only one that needs it
+
     # error budget: a few operations of relative error 2^(1-prec) per entry
-    # of magnitude <= 1, far below the final rounding of 2^-(entry_bits+1)
+    # of magnitude <= 1, far below the final rounding of 2^-(entry_bits+1),
+    # which rounds to the nearest multiple of 2^-entry_bits exactly
     a, g = alpha.numerator, alpha.denominator
     d = k * g
+    unit = 1 << entry_bits
     with mpmath.workprec(entry_bits + 32):
         scale = mpmath.sinpi(mpmath.mpf(min(a, g - a)) / g) / k
         out = []
         for r in range(k):
             p, y = _closed_form_arg(k, a, g, r)
             z = mpmath.expjpi(mpmath.mpf(p) / d) * (scale / mpmath.sinpi(mpmath.mpf(y) / d))
-            out.append((_dyadic(z.real, entry_bits), _dyadic(z.imag, entry_bits)))
+            re, im = (int(mpmath.nint(mpmath.ldexp(v, entry_bits))) for v in (z.real, z.imag))
+            out.append((Fraction(re, unit), Fraction(im, unit)))
     return out
 
 

@@ -187,6 +187,43 @@ def test_float_spellings_are_rejected(capsys, mover):
     assert code == 1
 
 
+# Digits of other scripts ("٣" is ARABIC-INDIC THREE, "²" SUPERSCRIPT TWO)
+# and int()'s underscores are refused with the CLI's own message, like any
+# other malformed number.
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        _case("evolve", "--time", "٣", want="argument --time: expected an exact rational"),
+        _case("hit", "--epsilon", "١/٥", want="argument --epsilon: expected an exact rational"),
+        _case("hit", "--delta", "1/٢", want="argument --delta: expected an exact rational"),
+        _case("hit", "--clock", "cyclic:٣", want="argument --clock: expected unbounded or cyclic:L"),
+        _case("trace", "--target", "exact:٣",
+              want="argument --target: expected beacon, exact, or exact:N"),
+        _case("sweep", "--budgets", "²", want="argument --budgets: expected a comma list"),
+        _case("sweep", "--budgets", "10,٣", want="argument --budgets: expected a comma list"),
+        *(
+            _case(cmd, flag, value, want=f"argument {flag}: expected an integer")
+            for cmd, flag in (("compile", "--horizon"), ("verify", "--horizon"),
+                              ("hit", "--grid"), ("sweep", "--family-cap"))
+            for value in ("٣", "1_000", "+5", "")
+        ),
+    ],
+)
+def test_numbers_are_ascii_digits_only(capsys, mover, argv, want):
+    argv = [mover if arg == "MOVER" else arg for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert want in err.splitlines()[-1], err
+
+
+def test_integer_flags_take_ascii_digits_and_a_sign(capsys, mover):
+    code, out, _err = run(capsys, "compile", mover, "--horizon", "0042", "--grid", "5")
+    assert code == 0 and json.loads(out)["horizon"] == 42
+    code, out, err = run(capsys, "compile", mover, "--horizon", "-5")
+    assert (code, out) == (1, "")
+    assert err.startswith("pulsehit: error: horizon must"), err
+
+
 # -- hit ---------------------------------------------------------------------------
 
 

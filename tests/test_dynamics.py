@@ -861,14 +861,119 @@ assert "numpy" not in sys.modules, "the runtime imported numpy"
 """
 
 
-def test_runtime_does_not_import_numpy():
-    # numpy is a test-only dependency: the mid-pulse float route, the
-    # certified route and an exact-target scan must all run without it
+def _run_python(script, *args):
+    """Run ``script`` in a fresh interpreter that imports this package."""
     src = str(Path(pulsehit.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    text = serialize_machine(MOVE_RIGHT_3)
     run = subprocess.run(
-        [sys.executable, "-c", NUMPY_FREE_RUN, text], env=env, capture_output=True, text=True
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True
     )
     assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+def test_runtime_does_not_import_numpy():
+    # numpy is a test-only dependency: the mid-pulse float route, the
+    # certified route and an exact-target scan must all run without it
+    _run_python(NUMPY_FREE_RUN, serialize_machine(MOVE_RIGHT_3))
+
+
+# Each command, and the float mid-pulse and exact-target library calls, in
+# one interpreter; with "refuse" as its first argument a meta-path finder
+# makes every import of mpmath fail before pulsehit is imported.
+MPMATH_FREE_RUN = """
+import contextlib
+import io
+import json
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+
+class RefuseMpmath:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "mpmath":
+            raise ImportError(f"{name} is refused in this run")
+        return None
+
+
+if sys.argv[1] == "refuse":
+    sys.meta_path.insert(0, RefuseMpmath())
+
+import pulsehit as ph
+from pulsehit.cli import main
+
+corpus = sys.argv[2]
+mover, scan20 = f"{corpus}/move-right-3.tm", f"{corpus}/scan-20.tm"
+results = []
+for argv in (
+    ["compile", mover],
+    ["hit", mover],
+    ["hit", scan20, "--clock", "cyclic:4096", "--grid", "5", "--target", "exact:30"],
+    ["trace", mover],
+    ["evolve", mover, "--time", "23/5", "--clock", "cyclic:3"],
+    ["verify", "--horizon", "1000"],
+    ["sweep", "--budgets", "10,100"],
+):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    results.append([code, out.getvalue()])
+
+clock = ph.Cyclic(64)
+sched = ph.PulseSchedule(Fraction(1, 2), clock)
+step = ph.BeaconStep(ph.parse_machine(Path(mover).read_text()), clock)
+psi0 = ph.SparseState.basis_state(step.initial_label())
+results.append(json.loads(ph.state_to_json(ph.evolve_to(step, sched, psi0, Fraction(21, 5)))))
+spec = ph.parse_machine(Path(scan20).read_text())
+step = ph.BeaconStep(spec, clock)
+label = ph.ExactLabel(step.advance(step.initial_label(), 30))
+inst = ph.InstanceDescriptor(spec, Fraction(1, 4), sched, label, 40, 5)
+results.append([[str(t), fid] for t, fid in ph.fidelity_trace(inst)])
+assert "mpmath" not in sys.modules, "the run loaded mpmath"
+print(json.dumps(results))
+"""
+
+
+def test_commands_and_scans_run_without_mpmath():
+    # mpmath serves the certified route alone: every CLI command, the
+    # float mid-pulse route and an exact-label scan on a long cycle give
+    # the same codes and bytes when it cannot be imported at all
+    corpus = str(Path(pulsehit.__file__).resolve().parent / "corpus")
+    refused = json.loads(_run_python(MPMATH_FREE_RUN, "refuse", corpus))
+    usual = json.loads(_run_python(MPMATH_FREE_RUN, "allow", corpus))
+    assert refused == usual
+    assert [code for code, _out in refused[:7]] == [0] * 7
+    assert all(out for _code, out in refused[:7])
+    assert len(refused[7]) == 64  # the mid-pulse state spreads over the halted cycle
+    assert max(fid for _t, fid in refused[8]) == 1.0
+
+
+LAZY_MPMATH_RUN = """
+import json
+import sys
+from fractions import Fraction
+
+import pulsehit as ph
+
+assert "mpmath" not in sys.modules, "import pulsehit loaded mpmath"
+spec = ph.parse_machine(sys.argv[1])
+clock = ph.Cyclic(3)
+step = ph.BeaconStep(spec, clock)
+sched = ph.PulseSchedule(Fraction(1, 2), clock)
+basis = ph.cycle_of(step, step.advance(step.initial_label(), 5))
+matrix = ph.approx_unitary(step, sched, basis, Fraction(1, 5), 40)
+assert "mpmath" in sys.modules, "the certified route ran without mpmath"
+print(json.dumps([[[str(x) for x in z] for z in row] for row in matrix.entries]))
+"""
+
+
+def test_mpmath_loads_on_the_first_certified_call_with_the_same_matrix():
+    entries = json.loads(_run_python(LAZY_MPMATH_RUN, serialize_machine(MOVE_RIGHT_3)))
+    step = BeaconStep(MOVE_RIGHT_3, Cyclic(3))
+    sched = PulseSchedule(Fraction(1, 2), Cyclic(3))
+    basis = cycle_of(step, step.advance(step.initial_label(), 5))
+    matrix = approx_unitary(step, sched, basis, Fraction(1, 5), 40)
+    assert entries == [[[str(x) for x in z] for z in row] for row in matrix.entries]
+    assert any(Fraction(x).denominator > 1 for row in entries for z in row for x in z)
