@@ -16,11 +16,11 @@ cycle power has a closed form whose arguments share one denominator and are
 reduced exactly in integers by :func:`_closed_form_arg`.  Two computations
 of the same mid-pulse operator are built on it: :func:`evolve_to` evaluates
 it in floating point with tracked absolute error bounds, and
-:func:`approx_unitary` evaluates it in high-precision arithmetic and rounds
+:func:`approx_unitary` evaluates it in integer fixed point and rounds
 dyadically, returning an exact rational matrix with a certified
-operator-norm distance to the true evolution.  That high-precision route is
-the only user of mpmath and imports it on its first call, so importing this
-module, or running any scan or CLI command, does not load it.
+operator-norm distance to the true evolution.  Only that route uses mpmath,
+for four constants per call, and imports it on its first call, so importing
+this module, or running any scan or CLI command, does not load it.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import (
@@ -359,25 +360,43 @@ def fractional_coeffs(k: int, alpha) -> tuple[list[complex], float]:
 
 
 def _rational_coeffs(k: int, alpha: Fraction, entry_bits: int) -> list[tuple[Fraction, Fraction]]:
-    """:func:`fractional_coeffs` for 0 < alpha < 1 in high-precision
-    arithmetic, dyadically rounded so each entry is an exact rational within
-    2^-entry_bits of the true value."""
+    """:func:`fractional_coeffs` for 0 < alpha < 1, each entry an exact
+    dyadic within 2^-entry_bits of the true value.  With D = k g and T[q] =
+    e^{i pi q/k}, entry r of the closed form is e^{i pi P_0/D} T[(2J - 1) r
+    mod 2k] sin(pi s) / (k Im(T[r] e^{-i pi a/D})), as P steps by (2J - 1) g
+    and X by g with r, and sin(pi Y/D) = sin(pi X/D).  mpmath gives four
+    constants within 2^-W; T comes from rounded integer rotation at W bits,
+    each unit-modulus product adding at most about 2 ulps, so products are
+    within (2k + 2) 2^-W.  Dividing by |sin(pi Y/D)| >= sin(pi s/k) >= 2/D
+    amplifies that by at most D/2, so W = entry_bits + bitlen k + bitlen D
+    + 32 keeps each part within 2^-(entry_bits + 30) before the final round
+    to nearest.  Cost: O(1) mpmath calls and O(k) integer operations."""
     import mpmath  # the certified route is the only one that needs it
 
-    # error budget: a few operations of relative error 2^(1-prec) per entry
-    # of magnitude <= 1, far below the final rounding of 2^-(entry_bits+1),
-    # which rounds to the nearest multiple of 2^-entry_bits exactly
     a, g = alpha.numerator, alpha.denominator
     d = k * g
+    w = entry_bits + k.bit_length() + d.bit_length() + 32
+    args = ((1, k), (_closed_form_arg(k, a, g, 0)[0], d), (-a, d), (min(a, g - a), g))
+    with mpmath.workprec(w + 8):
+        (sr, si), (cr, ci), (er, ei), (_, sine) = (
+            [int(mpmath.nint(mpmath.ldexp(v, w))) for v in (z.real, z.imag)]
+            for z in (mpmath.expjpi(mpmath.mpf(p) / q) for p, q in args)
+        )
+    half = 1 << (w - 1)
+    turn = [(1 << w, 0)]
+    for _ in range(k - 1):
+        x, y = turn[-1]
+        turn.append(((x * sr - y * si + half) >> w, (x * si + y * sr + half) >> w))
+    turn += [(-x, -y) for x, y in turn]
+    stride = 2 * ((k + 1) // 2) - 1
     unit = 1 << entry_bits
-    with mpmath.workprec(entry_bits + 32):
-        scale = mpmath.sinpi(mpmath.mpf(min(a, g - a)) / g) / k
-        out = []
-        for r in range(k):
-            p, y = _closed_form_arg(k, a, g, r)
-            z = mpmath.expjpi(mpmath.mpf(p) / d) * (scale / mpmath.sinpi(mpmath.mpf(y) / d))
-            re, im = (int(mpmath.nint(mpmath.ldexp(v, entry_bits))) for v in (z.real, z.imag))
-            out.append((Fraction(re, unit), Fraction(im, unit)))
+    out = []
+    for r in range(k):  # each part rounds: floor(num / den + 1/2), either sign of den
+        x, y = turn[r]
+        den = (x * ei + y * er) * k << (w - entry_bits)
+        x, y = turn[stride * r % (2 * k)]
+        re, im = (x * cr - y * ci) * sine * 2 + den, (x * ci + y * cr) * sine * 2 + den
+        out.append((Fraction(re // (2 * den), unit), Fraction(im // (2 * den), unit)))
     return out
 
 
@@ -495,6 +514,9 @@ class RationalMatrix:
     t: Fraction
 
     def column(self, j: int) -> list[tuple[Fraction, Fraction]]:
+        as_count(j, "column", 0)
+        if j >= len(self.basis):
+            raise ParameterRangeError(f"column must be below {len(self.basis)}, got {j}")
         return [row[j] for row in self.entries]
 
 
@@ -511,6 +533,11 @@ def approx_unitary(
     images inside the basis for integer or completed-pulse times, whole
     orbit cycles for mid-pulse times); anything else is a
     :class:`BasisNotClosedError`, never a silent truncation.
+
+    Mid-pulse, the work is O(k) for :func:`_rational_coeffs` plus an
+    O(size^2) fill in C: each row is a rotation slice of the reversed
+    vector, gathered by the cycle's column map unless the basis lists the
+    cycle in walk order.
     """
     t, n, alpha = _pulsed_time(step, sched, t, m)
     basis = tuple(basis)
@@ -522,10 +549,7 @@ def approx_unitary(
         if lab in index:
             raise LabelError(f"duplicate basis label {lab!r}")
         index[lab] = i
-
-    zero = Fraction(0)
-    one = Fraction(1)
-    rows = [[(zero, zero)] * size for _ in range(size)]
+    zeros = ((Fraction(0), Fraction(0)),) * size
 
     if not alpha:
         taken: dict[int, int] = {}
@@ -544,16 +568,17 @@ def approx_unitary(
                     "restrict the basis to one side of the halt entry"
                 )
             taken[i] = j
-            rows[i][j] = (one, zero)
-        return RationalMatrix(basis, tuple(map(tuple, rows)), Fraction(1, 2**m), t)
+        one = ((Fraction(1), Fraction(0)),)  # size distinct images: one 1 per row
+        rows = [zeros[: taken[i]] + one + zeros[taken[i] + 1 :] for i in range(size)]
+        return RationalMatrix(basis, tuple(rows), Fraction(1, 2**m), t)
 
     # mid-pulse: entrywise precision gets log2(size) headroom so the
     # operator-norm bound ||A||_2 <= size * max|entry error| lands under 2^-m
     entry_bits = m + size.bit_length() + 1
-    g = None  # one vector serves every cycle: each has step.cycle_length labels
-    placed: set[int] = set()
+    rows: list = [None] * size
+    rev2: tuple = ()
     for j, lab in enumerate(basis):
-        if j in placed:
+        if rows[j] is not None:
             continue
         # basis positions of the cycle's members, from its one walk
         members = [index.get(member) for member in cycle_of(step, lab)]
@@ -562,12 +587,16 @@ def approx_unitary(
                 f"cycle of basis label {j} is not contained in the basis"
             )
         k = len(members)
-        if g is None:
-            g = _rational_coeffs(k, alpha, entry_bits)
-        # U(t) carries member c to member c + n + r with amplitude g[r]: the
-        # permutation part of n whole steps just rotates the cycle
-        for c, col in enumerate(members):
-            for r, coeff in enumerate(g):
-                rows[members[(c + n + r) % k]][col] = coeff
-        placed.update(members)
-    return RationalMatrix(basis, tuple(map(tuple, rows)), Fraction(1, 2**m), t)
+        if not rev2:  # one vector serves every cycle: each has step.cycle_length labels
+            rev2 = tuple(reversed(_rational_coeffs(k, alpha, entry_bits))) * 2
+        col = [k] * size  # column i reads cycle position col[i]; k reads 0
+        for c, i in enumerate(members):
+            col[i] = c
+        gather = None if col == list(range(size)) else itemgetter(*col)
+        # U(t) carries member c' to member c' + n + r with entry r of the
+        # vector (the n whole steps rotate the cycle), so row c reads entry
+        # c - n - c' mod k at position c': rev2 from (n - c - 1) mod k on
+        for c, i in enumerate(members):
+            o = (n - c - 1) % k
+            rows[i] = rev2[o : o + k] if gather is None else gather(rev2[o : o + k] + zeros[:1])
+    return RationalMatrix(basis, tuple(rows), Fraction(1, 2**m), t)

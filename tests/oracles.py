@@ -6,6 +6,10 @@ permutation matrix via numpy's eigendecomposition, with eigenvalues
 snapped to exact roots of unity before taking principal-branch powers.
 Agreement between this route and the package is then a meaningful check.
 
+:func:`rational_coeffs_oracle` is the certified coefficient vector computed
+entry by entry in mpmath, the route the package's integer rotation
+replaced; it shares only the exact argument reduction with the package.
+
 :func:`stepwise_scan` is the grid scan without its cycle detector: it
 calls ``forward`` once per step up to the horizon, so a looper's dark
 tail is stepped through rather than inferred.  It shares the mid-pulse
@@ -15,9 +19,11 @@ rows with the package, because what it checks is the jump, not them.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
+from pulsehit.dynamics import _closed_form_arg
 from pulsehit.hitting import _float_ceiling, _MidPulse
 from pulsehit.reversible import BeaconStep
 
@@ -48,6 +54,31 @@ def cycle_power_oracle(k: int, alpha: float) -> np.ndarray:
 def transfer_amplitudes_oracle(k: int, alpha: float) -> np.ndarray:
     """Transfer amplitude from cycle position 0 to position r, r = 0..k-1."""
     return cycle_power_oracle(k, alpha)[:, 0]
+
+
+def rational_coeffs_oracle(
+    k: int, alpha: Fraction, entry_bits: int
+) -> list[tuple[Fraction, Fraction]]:
+    """The certified transfer amplitudes of the alpha-th power of a k-cycle,
+    0 < alpha < 1, each an exact rational within 2^-entry_bits of the true
+    value: two mpmath transcendentals per entry at entry_bits + 32 bits."""
+    import mpmath
+
+    # error budget: a few operations of relative error 2^(1-prec) per entry
+    # of magnitude <= 1, far below the final rounding of 2^-(entry_bits+1),
+    # which rounds to the nearest multiple of 2^-entry_bits exactly
+    a, g = alpha.numerator, alpha.denominator
+    d = k * g
+    unit = 1 << entry_bits
+    with mpmath.workprec(entry_bits + 32):
+        scale = mpmath.sinpi(mpmath.mpf(min(a, g - a)) / g) / k
+        out = []
+        for r in range(k):
+            p, y = _closed_form_arg(k, a, g, r)
+            z = mpmath.expjpi(mpmath.mpf(p) / d) * (scale / mpmath.sinpi(mpmath.mpf(y) / d))
+            re, im = (int(mpmath.nint(mpmath.ldexp(v, entry_bits))) for v in (z.real, z.imag))
+            out.append((Fraction(re, unit), Fraction(im, unit)))
+    return out
 
 
 def two_cycle_profile(alpha: float) -> float:

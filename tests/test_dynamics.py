@@ -12,6 +12,7 @@ same operator from a dense matrix without any of the package's code.
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -21,7 +22,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import cycle_power_oracle, transfer_amplitudes_oracle, two_cycle_profile
+from oracles import (
+    cycle_power_oracle,
+    rational_coeffs_oracle,
+    transfer_amplitudes_oracle,
+    two_cycle_profile,
+)
 from support import count_forward, machines
 
 from pulsehit.dynamics import (
@@ -157,6 +163,43 @@ def test_fractional_coeffs_within_bound_of_certified_route(k):
         room = (Fraction(err) - Fraction(1, 2**60)) ** 2
         for z, (re, im) in zip(g, _rational_coeffs(k, alpha, 60), strict=True):
             assert (Fraction(z.real) - re) ** 2 + (Fraction(z.imag) - im) ** 2 <= room
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 300), st.integers(2, 130), st.integers(8, 120), st.data())
+def test_rational_coeffs_within_their_bound_of_the_mpmath_route(k, g, entry_bits, data):
+    # each entry is a multiple of 2^-entry_bits within 2^-entry_bits of the
+    # per-entry mpmath route run 64 bits finer, compared exactly
+    alpha = Fraction(data.draw(st.integers(1, g - 1)), g)
+    unit = 2**entry_bits
+    got = _rational_coeffs(k, alpha, entry_bits)
+    want = rational_coeffs_oracle(k, alpha, entry_bits + 64)
+    for (re, im), (wre, wim) in zip(got, want, strict=True):
+        assert (re * unit).denominator == 1 and (im * unit).denominator == 1
+        assert (re - wre) ** 2 + (im - wim) ** 2 <= Fraction(1, unit * unit)
+
+
+# (k, alpha, entry_bits) of the certified tests below, of the bound test
+# above, and of approx_unitary(m=40) on a 2^p-cycle (entry_bits m + p + 2)
+EXACT_COEFF_CASES = (
+    [(k, Fraction(3, 5), 51 + k.bit_length()) for k in (2, 6, 10, 14, 16)]
+    + [(2, Fraction(2, 5), 43), (6, Fraction(4, 7), 44)]
+    + [
+        (k, alpha, 60)
+        for k in (2, 3, 7, 14, 64, 256)
+        for alpha in (Fraction(1, 128), Fraction(1, 5), Fraction(37, 64), Fraction(63, 64))
+    ]
+    + [(2**p, alpha, 42 + p) for p in range(5, 13) for alpha in (Fraction(1, 2), Fraction(37, 64))]
+)
+
+
+@pytest.mark.parametrize(
+    "k, alpha, entry_bits",
+    EXACT_COEFF_CASES,
+    ids=[f"k{k}-a{a.numerator}_{a.denominator}-e{e}" for k, a, e in EXACT_COEFF_CASES],
+)
+def test_rational_coeffs_equal_the_mpmath_route(k, alpha, entry_bits):
+    assert _rational_coeffs(k, alpha, entry_bits) == rational_coeffs_oracle(k, alpha, entry_bits)
 
 
 def _fraction_closed_form_arg(k, alpha, r):
@@ -776,6 +819,68 @@ def test_approx_unitary_agrees_with_evolve_to():
         got = amp.as_complex() if amp else 0j
         want = complex(float(col[i][0]), float(col[i][1]))
         assert abs(got - want) < 1e-9
+
+
+@pytest.mark.parametrize("period", [1024, 2048, 4096])
+def test_approx_unitary_agrees_with_evolve_to_at_scale(period):
+    # criterion 4's 1e-9 check on the post-halt cycle of move-right-3 at
+    # t = 13/4, on sampled columns: column j is U(t) applied to label j
+    step = BeaconStep(MOVE_RIGHT_3, Cyclic(period))
+    sched = PulseSchedule(HALF, Cyclic(period))
+    basis = cycle_of(step, step.advance(step.initial_label(), 3))
+    t = Fraction(13, 4)
+    mat = approx_unitary(step, sched, basis, t, 40)
+    assert len(basis) == period and mat.bound == Fraction(1, 2**40)
+    for j in random.Random(period).sample(range(period), 3):
+        out = evolve_to(step, sched, SparseState.basis_state(basis[j]), t)
+        assert {lab for lab, _amp in out.items()} <= set(basis)
+        for lab, (re, im) in zip(basis, mat.column(j)):
+            amp = out.amplitude(lab)
+            got = amp.as_complex() if amp else 0j
+            assert abs(got - complex(float(re), float(im))) <= 1e-9
+
+
+def test_approx_unitary_shuffled_basis_permutes_the_matrix():
+    # one cycle, and two (the halted label's and its twin's one cell over),
+    # listed in a random order: entry [i][j] is the ordered basis's entry at
+    # the labels' ordered positions, which the column maps gather
+    step = BeaconStep(MOVE_RIGHT_3, Cyclic(5))
+    sched = PulseSchedule(HALF, Cyclic(5))
+    lab = step.advance(step.initial_label(), 3)
+    twin = ExtendedBasisState(lab.state, lab.head + 1, lab.tape, lab.hist, lab.tau, lab.h, lab.b)
+    one = cycle_of(step, lab)
+    k = len(one)
+    rng = random.Random(18)
+    for ordered in (one, one + cycle_of(step, twin)):
+        size = len(ordered)
+        perm = rng.sample(range(size), size)
+        for t in (Fraction(7, 5), 2 + Fraction(1, 10), 3):
+            want = approx_unitary(step, sched, ordered, t, 30).entries
+            got = approx_unitary(step, sched, [ordered[p] for p in perm], t, 30).entries
+            assert got == tuple(tuple(want[p][q] for q in perm) for p in perm)
+            # with two cycles, their blocks are equal and nothing crosses
+            assert all(
+                want[i][j] == (want[i % k][j % k] if i // k == j // k else (0, 0))
+                for i in range(size)
+                for j in range(size)
+            )
+
+
+def test_rational_matrix_column_takes_an_index_below_the_size():
+    step = BeaconStep(MOVE_RIGHT_3, Cyclic(2))
+    sched = PulseSchedule(HALF, Cyclic(2))
+    basis = cycle_of(step, step.advance(step.initial_label(), 3))
+    mat = approx_unitary(step, sched, basis, Fraction(1, 5), 20)
+    assert mat.column(1) == [row[1] for row in mat.entries]
+    for j, message in [
+        (-1, "column must be a nonnegative integer, got -1"),
+        (True, "column must be a nonnegative integer, got True"),
+        (1.0, "column must be a nonnegative integer, got 1.0"),
+        (2, "column must be below 2, got 2"),
+    ]:
+        with pytest.raises(ParameterRangeError) as refused:
+            mat.column(j)
+        assert str(refused.value) == message
 
 
 def test_approx_unitary_validation():
