@@ -143,6 +143,11 @@ _NORM_TOL = 1e-12
 # states
 
 
+def _require_label(label) -> None:
+    if not isinstance(label, ExtendedBasisState):
+        raise LabelError(f"not a basis label: {label!r}")
+
+
 class SparseState:
     """Finitely supported assignment of amplitudes to basis labels, tagged
     with the time it represents.  Amplitudes are keyed by the labels
@@ -165,8 +170,9 @@ class SparseState:
             raise TimeTagError(f"time_tag must be nonnegative, got {tag}")
         amps: dict[ExtendedBasisState, Amplitude] = {}
         for label, amp in pairs:
-            if not isinstance(label, ExtendedBasisState):
-                raise LabelError(f"not a basis label: {label!r}")
+            _require_label(label)
+            if not isinstance(amp, Amplitude):
+                raise LabelError(f"not an amplitude: {amp!r}")
             if amp.is_exact and amp.re == 0 and amp.im == 0:
                 continue
             if label in amps:
@@ -546,6 +552,7 @@ def approx_unitary(
         raise ParameterRangeError("basis must be nonempty")
     index: dict[ExtendedBasisState, int] = {}
     for i, lab in enumerate(basis):
+        _require_label(lab)
         if lab in index:
             raise LabelError(f"duplicate basis label {lab!r}")
         index[lab] = i

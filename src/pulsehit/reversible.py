@@ -11,27 +11,33 @@ K = 0.
 
 Two clock conventions are supported.  ``Unbounded`` runs the clock over all
 integers, with negative times occupied by pure idle shifts of the t = 0
-label, so the step map has a two-sided orbit through every well-formed
-label.  ``Cyclic(L)`` wraps the clock modulo L; after halting, the orbit of
+label, so the step map has a two-sided orbit through every label a run
+reaches.  ``Cyclic(L)`` wraps the clock modulo L; after halting, the orbit of
 a label closes into a finite cycle of length lcm(L, 2) (clock period L,
 beacon period 2), which is the property the continuous-time lift exploits.
 
-The step map is injective only on well-formed labels: labels whose clock,
-history length and halt flag could actually coincide on a run.  On a cyclic
-clock even those pinch at one point: the halt-entry label (the first with
-the halt flag set) has two preimages that a run reaches, the last tail
-label and its predecessor on the post-halt cycle, since a ray that enters
-a finite cycle is never injective.  The backward map resolves each image
-to a well-formed preimage, the tail label at the pinch, and answers
-``NO_PREIMAGE`` otherwise; every non-``NO_PREIMAGE`` answer is verified by
-re-applying the forward map.
+The run rule says which clock value tau, history length K, halt flag h and
+beacon bit b can occur together on a run.  Before the halt, b = 0 and
+tau = K (mod L on a ``Cyclic(L)`` clock); below clock 0 of an unbounded
+clock only h = 0, b = 0, K = 0 occur.  After the halt, b = (tau - K) mod 2,
+and an unbounded clock also has tau >= max(K, 1); a cyclic clock checks the
+parity only for even L, since an odd-L cycle visits both parities.
+
+The step map is injective on labels that keep the run rule but for one
+point of a cyclic clock: the halt-entry label (the first with the halt flag
+set) has two preimages that a run reaches, the last tail label and its
+predecessor on the post-halt cycle, since a ray that enters a finite cycle
+is never injective.  The backward map tries its candidate preimages in one
+order, tail first, and returns the first that keeps the run rule and maps
+onto the image under the forward map; every other label gets
+``NO_PREIMAGE``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .errors import IllFormedMachineError, LabelError, OrbitNotClosedError
 from .errors import ParameterRangeError, as_count, is_count
@@ -75,7 +81,7 @@ class ExactLabel:
 
 @dataclass(frozen=True)
 class NoPreimage:
-    """Answer of the backward map at labels no well-formed label reaches."""
+    """Answer of the backward map at labels no label on a run steps onto."""
 
 
 NO_PREIMAGE = NoPreimage()
@@ -473,89 +479,46 @@ class BeaconStep:
                 tape[head] = r.read
         return r.state, head, tape
 
-    def _verified(
-        self, cand: ExtendedBasisState, y: ExtendedBasisState
-    ) -> Union[ExtendedBasisState, NoPreimage]:
-        try:
-            ok = self.forward(cand) == y
-        except IllFormedMachineError:
-            ok = False
-        return cand if ok else NO_PREIMAGE
+    def _on_run(self, x: ExtendedBasisState) -> bool:
+        """The run rule of the module docstring."""
+        k = len(x.hist)
+        if x.h == 0:
+            if self._cyclic is None:
+                return x.b == 0 and (x.tau == k or (x.tau < 0 and k == 0))
+            return x.b == 0 and (x.tau - k) % self._cyclic == 0
+        if self._cyclic is None:
+            return x.tau >= max(k, 1) and x.b == (x.tau - k) % 2
+        return self._cyclic % 2 == 1 or x.b == (x.tau - k) % 2
 
-    def _rule_preimage(
-        self, y: ExtendedBasisState, tau: int
-    ) -> Union[ExtendedBasisState, NoPreimage]:
-        if len(y.hist) == 0:
-            return NO_PREIMAGE
-        idx, hist = y.hist.pop()
-        work = self._unapply(y, idx)
-        if work is None:
-            return NO_PREIMAGE
-        state, head, tape = work
-        return self._verified(ExtendedBasisState(state, head, tape, hist, tau, 0, y.b), y)
+    def _candidates(self, y: ExtendedBasisState) -> Iterator[ExtendedBasisState]:
+        """The labels that may step onto ``y`` on a run, tail first."""
+        if len(y.hist) == 0:  # the flag's rise out of a step-0 halt
+            yield ExtendedBasisState(y.state, y.head, y.tape, y.hist, 0, 0, y.b ^ 1)
+        else:  # the last rule undone
+            idx, hist = y.hist.pop()
+            work = self._unapply(y, idx)
+            if work is not None:
+                yield ExtendedBasisState(*work, hist, self._tick(y.tau, -1), 0, y.b)
+        yield self._halted_after(y, -1)
+        if self._cyclic is None:  # the idle shift below clock 0
+            yield ExtendedBasisState(y.state, y.head, y.tape, y.hist, y.tau - 1, y.h, y.b)
 
     def backward(self, y: ExtendedBasisState) -> Union[ExtendedBasisState, NoPreimage]:
-        """The well-formed preimage of ``y`` (the tail label at a cyclic
-        clock's halt-entry pinch), or ``NO_PREIMAGE``.
+        """The preimage of ``y`` on a run, or ``NO_PREIMAGE``.
 
-        Every returned label is verified to map back onto ``y`` under
-        :meth:`forward`.  Labels whose clock, history and flags cannot
-        belong to any run (for example a halt flag set before the history
-        could have produced it) get ``NO_PREIMAGE`` even when some
-        ill-formed label would also map onto them.
+        The answer is the first candidate, in the order last rule undone,
+        step-0 flag rise, post-halt step, idle shift, that keeps the run
+        rule (b = 0 and tau = K before the halt, b = (tau - K) mod 2 after
+        it; see the module docstring) and steps onto ``y``.  The tail comes
+        first, so a cyclic clock's halt-entry pinch resolves to the tail.
         """
-        if self._cyclic is None:
-            return self._backward_unbounded(y)
-        return self._backward_cyclic(y)
-
-    def _backward_unbounded(self, y):
-        if y.tau <= 0:
-            if y.h == 0 and len(y.hist) == 0:
-                return ExtendedBasisState(
-                    y.state, y.head, y.tape, y.hist, y.tau - 1, y.h, y.b
-                )
-            return NO_PREIMAGE
-        if y.h == 0:
-            if len(y.hist) != y.tau:
-                return NO_PREIMAGE
-            return self._rule_preimage(y, y.tau - 1)
-        rise_time = max(len(y.hist), 1)
-        if y.tau > rise_time:
-            return self._halted_after(y, -1)
-        if y.tau == rise_time:
-            if len(y.hist) > 0:
-                return self._rule_preimage(y, y.tau - 1)
-            # halt at step 0: the flag rose out of the initial label itself
-            return self._verified(
-                ExtendedBasisState(y.state, y.head, y.tape, y.hist, 0, 0, y.b ^ 1), y
-            )
+        for cand in self._candidates(y):
+            try:
+                if self._on_run(cand) and self.forward(cand) == y:
+                    return cand
+            except IllFormedMachineError:
+                pass
         return NO_PREIMAGE
-
-    def _backward_cyclic(self, y):
-        period = self._cyclic
-        tau_prev = (y.tau - 1) % period
-        if y.h == 0:
-            if len(y.hist) % period != y.tau % period:
-                return NO_PREIMAGE
-            return self._rule_preimage(y, tau_prev)
-        # A halted label is the halt-entry point (end of the Bennett tail)
-        # rather than an interior cycle point only if the clock matches the
-        # history length and the beacon has the entry parity: b = 0 for a
-        # rule entry at step K >= 1, b = 1 for the step-0 flag rise, whose
-        # image already sits one toggle in.  For odd periods the clock
-        # congruence alone recurs half way around the cycle with the
-        # opposite beacon parity, so the parity check is load-bearing.
-        if y.b == 0 and len(y.hist) > 0 and len(y.hist) % period == y.tau % period:
-            cand = self._rule_preimage(y, tau_prev)
-            if cand is not NO_PREIMAGE:
-                return cand
-        if y.b == 1 and len(y.hist) == 0 and y.tau % period == 1 % period:
-            cand = self._verified(
-                ExtendedBasisState(y.state, y.head, y.tape, y.hist, 0, 0, y.b ^ 1), y
-            )
-            if cand is not NO_PREIMAGE:
-                return cand
-        return self._halted_after(y, -1)
 
     # -- targets -----------------------------------------------------------------
 

@@ -321,6 +321,10 @@ def test_sparse_state_drops_exact_zeros_and_rejects_duplicates():
     assert psi.support_size == 1
     with pytest.raises(LabelError, match="duplicate"):
         SparseState([(labels[0], AMP_ONE), (labels[0], AMP_ONE)])
+    with pytest.raises(LabelError, match="^not a basis label: 'x'$"):
+        SparseState([("x", AMP_ONE)])
+    with pytest.raises(LabelError, match="^not an amplitude: 1$"):
+        SparseState([(labels[0], 1)])
 
 
 def test_sparse_state_norm_enforcement():
@@ -895,6 +899,9 @@ def test_approx_unitary_validation():
         approx_unitary(step, sched, [], 1, 20)
     with pytest.raises(LabelError):
         approx_unitary(step, sched, basis * 2, 1, 20)
+    for t in (1, HALF):
+        with pytest.raises(LabelError, match="^not a basis label: 'x'$"):
+            approx_unitary(step, sched, ["x"], t, 20)
     with pytest.raises(ParameterRangeError):
         approx_unitary(step, PulseSchedule(HALF, Unbounded()), basis, 1, 20)
 

@@ -190,7 +190,32 @@ def test_backward_no_preimage_cases_unbounded():
     # halt flag set before the history could have produced it
     early = step.make_label("qH", 3, {}, [0, 1, 2], 2, 1, 1)
     assert step.backward(early) is NO_PREIMAGE
+    # halt entry with the beacon already lit: its rule preimage would be a
+    # pre-halt label with b = 1
+    assert step.backward(step.make_label("qH", 3, {}, [0, 1, 2], 3, 1, 1)) is NO_PREIMAGE
+    # a pre-halt label with b = 1, and its idle counterpart below clock 0
+    assert step.backward(step.make_label("q2", 2, {}, [0, 1], 2, 0, 1)) is NO_PREIMAGE
+    assert step.backward(step.make_label("q0", 0, {}, [], 0, 0, 1)) is NO_PREIMAGE
+    # a halted label with the wrong beacon parity for its clock
+    assert step.backward(step.make_label("qH", 3, {}, [0, 1, 2], 5, 1, 1)) is NO_PREIMAGE
+    # a step-0 halt that rose with the beacon dark
+    halt_now = BeaconStep(HALT_NOW, Unbounded())
+    assert halt_now.backward(halt_now.make_label("q0", 0, {}, [], 1, 1, 0)) is NO_PREIMAGE
 
+
+@pytest.mark.parametrize("period", [2, 3, 4])
+def test_backward_no_preimage_cases_cyclic(period):
+    step = BeaconStep(MOVE_RIGHT_3, Cyclic(period))
+    # a pre-halt label with b = 1
+    assert step.backward(step.make_label("q2", 2, {}, [0, 1], 2 % period, 0, 1)) is NO_PREIMAGE
+    # halted at clock K mod L with the beacon lit: off an even cycle, which
+    # keeps b = (tau - K) mod 2, while an odd cycle passes there with b = 1
+    lit = step.make_label("qH", 3, {}, [0, 1, 2], 3 % period, 1, 1)
+    if period % 2:
+        assert step.backward(lit) == step.make_label("qH", 3, {}, [0, 1, 2], 2 % period, 1, 0)
+    else:
+        assert step.backward(lit) is NO_PREIMAGE
+        assert step.backward(step.make_label("qH", 3, {}, [0, 1, 2], 1, 1, 1)) is NO_PREIMAGE
 
 def test_halt_entry_collision_resolves_to_rule_preimage():
     step = BeaconStep(MOVE_RIGHT_3, Unbounded())
@@ -534,6 +559,27 @@ def machine_and_labels(draw, cyclic=False):
     return step, draw(st.lists(made_labels(step), max_size=3))
 
 
+def keeps_the_run_rule(step, x):
+    """Whether x's clock, history length K, halt flag and beacon can occur
+    together on a run, restated from the step conventions: before the
+    halt the beacon is dark and the clock counts the rules fired; after it
+    the beacon toggles every step from the entry, at clock K with b = 0
+    (K >= 1) or at clock 1 with b = 1 (K = 0)."""
+    k = len(list(x.hist))
+    if isinstance(step.clock, Cyclic):
+        period = step.clock.period
+        if x.h == 0:
+            return x.b == 0 and x.tau % period == k % period
+        # an odd period returns to every clock value with either beacon
+        return period % 2 == 1 or (x.tau + x.b - k) % 2 == 0
+    if x.tau < 0:
+        return (k, x.h, x.b) == (0, 0, 0)
+    if x.h == 0:
+        return x.b == 0 and x.tau == k
+    entry = max(k, 1)
+    return x.tau >= entry and x.b == (x.tau - entry + (k == 0)) % 2
+
+
 @settings(max_examples=80)
 @given(machine_and_labels())
 def test_forward_of_backward_is_identity_unbounded(pair):
@@ -541,6 +587,7 @@ def test_forward_of_backward_is_identity_unbounded(pair):
     for y in labels:
         x = step.backward(y)
         if x is not NO_PREIMAGE:
+            assert keeps_the_run_rule(step, x)
             assert step.forward(x) == y
 
 
@@ -551,7 +598,29 @@ def test_forward_of_backward_is_identity_cyclic(pair):
     for y in labels:
         x = step.backward(y)
         if x is not NO_PREIMAGE:
+            assert keeps_the_run_rule(step, x)
             assert step.forward(x) == y
+
+
+@settings(max_examples=60)
+@given(machines(total=True))
+def test_cyclic_backward_retraces_every_walk(spec):
+    # every label a run reaches after step 0 steps back to its walk
+    # predecessor, but the halt entry, reached again when the cycle closes,
+    # steps back to the tail
+    for period in range(2, 8):
+        step = BeaconStep(spec, Cyclic(period))
+        run = [step.initial_label()]
+        while len(run) < 20 and run[-1].h == 0:
+            run.append(step.forward(run[-1]))
+        entry_step = len(run) - 1 if run[-1].h else None
+        if entry_step is not None:
+            run += walk(step, run[-1], step.cycle_length)[1:]
+        for i in range(1, len(run)):
+            want = run[i - 1]
+            if entry_step is not None and run[i] == run[entry_step]:
+                want = run[entry_step - 1]
+            assert step.backward(run[i]) == want
 
 
 @settings(max_examples=60)
