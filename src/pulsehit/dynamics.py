@@ -44,7 +44,14 @@ from .errors import (
     as_count,
     as_rational,
 )
-from .reversible import BeaconStep, ClockMode, Cyclic, ExtendedBasisState, Unbounded
+from .reversible import (
+    BeaconStep,
+    ClockMode,
+    Cyclic,
+    ExtendedBasisState,
+    Unbounded,
+    _require_label,
+)
 
 _EPS = 2.220446049250313e-16  # double-precision unit roundoff (2^-52)
 
@@ -141,11 +148,6 @@ _NORM_TOL = 1e-12
 
 # ---------------------------------------------------------------------------
 # states
-
-
-def _require_label(label) -> None:
-    if not isinstance(label, ExtendedBasisState):
-        raise LabelError(f"not a basis label: {label!r}")
 
 
 class SparseState:

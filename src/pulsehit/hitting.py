@@ -12,8 +12,10 @@ is the integer time n and j = G the end of the pulse that starts there.
 An exact ``Fraction`` time is built only for a point that is reported (a
 hit, a protocol's spent time, a trace row), so the time is never a float
 and the per-point cost is integer work.  A trace row's time is the
-coprime pair ``Fraction(n*q + p, q)``, where p/q = (j/G)*delta is reduced
-once per j.
+coprime pair n*q + p over q, where p/q = (j/G)*delta is reduced once per
+j; since that pair is already in lowest terms, :func:`_coprime` sets it
+into a ``Fraction`` directly, without the constructor's type dispatch
+and gcd.
 
 Grid points that land strictly inside a pulse are only evaluable where the
 support orbit closes (a halted label on a cyclic clock); everywhere else
@@ -326,13 +328,26 @@ def uhit_semidecide(inst: InstanceDescriptor) -> HitReport:
     return Exhausted(inst.horizon, best)
 
 
+def _coprime(num: int, den: int) -> Fraction:
+    """``Fraction(num, den)`` for coprime num and den >= 1, with its two
+    slots set directly, as CPython 3.12's ``Fraction._from_coprime_ints``
+    does: no type dispatch and no gcd.  Only for pairs known to be in
+    lowest terms; nothing here checks it."""
+    t = object.__new__(Fraction)
+    t._numerator = num
+    t._denominator = den
+    return t
+
+
 def fidelity_trace(inst: InstanceDescriptor) -> list[tuple[Fraction, float]]:
     """All evaluated grid points with their fidelities, as floats.
 
-    The offset p/q = (j/G)*delta is reduced once per j, and the row (n, j)
-    gets the time ``Fraction(n*q + p, q)``: gcd(n*q + p, q) = gcd(p, q) = 1,
-    so that pair is n + p/q already in lowest terms and no rational sum
-    is needed per row."""
+    The offset p/q = (j/G)*delta is reduced once per j (q >= 1), and the
+    row (n, j) gets the time n*q + p over q, built by :func:`_coprime`.
+    That pair is in lowest terms: any common divisor of n*q + p and q
+    divides p, so gcd(n*q + p, q) = gcd(p, q) = 1.  The time is therefore
+    the ``Fraction`` n + p/q itself, equal in value, hash and ``str``, and
+    no rational sum or gcd is needed per row."""
     offsets = [
         (Fraction(j, inst.grid) * inst.schedule.delta).as_integer_ratio()
         for j in range(inst.grid + 1)
@@ -340,7 +355,7 @@ def fidelity_trace(inst: InstanceDescriptor) -> list[tuple[Fraction, float]]:
     rows = []
     for n, j, fid, _ in _scan(inst):
         p, q = offsets[j]
-        rows.append((Fraction(n * q + p, q), float(fid)))
+        rows.append((_coprime(n * q + p, q), float(fid)))
     return rows
 
 

@@ -118,9 +118,10 @@ def run_bounded_protocol(inst: InstanceDescriptor, budget: ProtocolBudget) -> Pr
     # tau_max iff that count exceeds floor(tau_max*ticks); it has begun n
     # pulses, plus one if j > 0 (delta < 1 keeps it inside pulse n)
     tick_limit = math.floor(budget.tau_max * ticks)
+    num, e_max = delta.numerator, budget.e_max
     at, found = (0, 0), False  # observing the initial state is free
     for n, j, _fid, reached in _scan(inst):
-        if n * ticks + j * delta.numerator > tick_limit or n + (j > 0) > budget.e_max:
+        if n * ticks + j * num > tick_limit or n + (j > 0) > e_max:
             break
         at = (n, j)
         if reached:

@@ -282,6 +282,12 @@ class ExtendedBasisState:
         )
 
 
+def _require_label(label) -> None:
+    """Typed refusal of anything that is not a basis label."""
+    if not isinstance(label, ExtendedBasisState):
+        raise LabelError(f"not a basis label: {label!r}")
+
+
 # ---------------------------------------------------------------------------
 # the step permutation
 
@@ -387,6 +393,8 @@ class BeaconStep:
         )
 
     def forward(self, x: ExtendedBasisState) -> ExtendedBasisState:
+        """The label one step after ``x``.  Unchecked: this is the scan's
+        hot path, so it trusts its caller to pass a basis label."""
         if self._cyclic is None and x.tau < 0:
             return ExtendedBasisState(
                 x.state, x.head, x.tape, x.hist, x.tau + 1, x.h, x.b
@@ -426,6 +434,7 @@ class BeaconStep:
         by :meth:`_halted_after`: a run that halts at step K costs at most
         K + 1 forward calls on either clock, whatever ``n`` is; the idle
         shift below clock 0 of an unbounded clock is one jump too."""
+        _require_label(x)
         as_count(n, "step count")
         if self._cyclic is None and x.tau < 0:
             r = min(n, -x.tau)
@@ -437,7 +446,9 @@ class BeaconStep:
         return self._halted_after(x, n) if n else x
 
     def _require_cycle(self, x: ExtendedBasisState) -> None:
-        """Typed refusal of a label whose forward orbit never closes."""
+        """Typed refusal of a non-label, or of a label whose forward orbit
+        never closes."""
+        _require_label(x)
         if self.cycle_length is None:
             raise OrbitNotClosedError("unbounded clock strictly increases; no orbit closes")
         if x.h == 0:
@@ -452,6 +463,7 @@ class BeaconStep:
         half at clock (x.tau + r) mod L and beacon x.b xor (r mod 2), so r
         follows by CRT; refuses where ``dynamics.cycle_of`` does."""
         self._require_cycle(x)
+        _require_label(y)
         period = self._cyclic
         r = (y.tau - x.tau) % period
         r += period * ((r ^ x.b ^ y.b) & 1)  # the other parity, on odd periods
@@ -512,6 +524,7 @@ class BeaconStep:
         it; see the module docstring) and steps onto ``y``.  The tail comes
         first, so a cyclic clock's halt-entry pinch resolves to the tail.
         """
+        _require_label(y)
         for cand in self._candidates(y):
             try:
                 if self._on_run(cand) and self.forward(cand) == y:

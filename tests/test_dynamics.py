@@ -548,6 +548,8 @@ def test_cycle_of_refusals():
     step_c = BeaconStep(MOVE_RIGHT_3, Cyclic(3))
     with pytest.raises(OrbitNotClosedError):
         cycle_of(step_c, step_c.initial_label())
+    with pytest.raises(LabelError, match="^not a basis label: 'x'$"):
+        cycle_of(step_c, "x")
     # the walk takes the step's cycle length on trust and checks it closed
     labels = walk(step_c, step_c.initial_label(), 3)
     step_c.cycle_length = 5

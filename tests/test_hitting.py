@@ -37,6 +37,7 @@ from pulsehit.hitting import (
     Exhausted,
     Hit,
     InstanceDescriptor,
+    _coprime,
     _float_ceiling,
     _scan,
     fidelity_trace,
@@ -243,6 +244,46 @@ def test_trace_times_are_the_grid_points(spec, period, delta, grid, horizon):
     got = [t for t, _ in fidelity_trace(inst)]
     assert got == want
     assert all(type(t) is Fraction for t in got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10**30, 10**30), st.integers(1, 10**30))
+def test_coprime_rows_are_the_constructors_fractions(num, den):
+    # the row constructor skips Fraction's gcd; on a coprime pair (the
+    # reduced terms of num/den) its result is indistinguishable from the
+    # constructor's, also once used in arithmetic
+    want = Fraction(num, den)
+    num, den = want.numerator, want.denominator
+    got = _coprime(num, den)
+    assert type(got) is Fraction
+    assert got == want and hash(got) == hash(want) and str(got) == str(want)
+    assert (got.numerator, got.denominator) == (num, den)
+    third = Fraction(1, 3)
+    assert got + third == want + third and str(got + third) == str(want + third)
+
+
+def test_trace_fraction_constructions_do_not_grow_with_the_horizon(monkeypatch):
+    # each row's time is set from its coprime pair, so the Fraction
+    # constructor runs a fixed number of times per trace (offsets,
+    # threshold, Niven lookups), not once per row
+    spec = _corpus_machine("scan-199")
+    made = []
+    original = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(cls)
+        return original(cls, *args, **kwargs)
+
+    counts = []
+    for horizon in (300, 3000):
+        inst = beacon_instance(spec, Cyclic(14), horizon, grid=5)
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        rows = fidelity_trace(inst)
+        monkeypatch.undo()
+        counts.append(len(made))
+        del made[:]
+        assert all(type(t) is Fraction for t, _ in rows)
+    assert 0 < counts[0] == counts[1] < 100
 
 
 def test_first_integer_hit_is_k_plus_one():

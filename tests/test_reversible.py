@@ -371,6 +371,24 @@ def test_make_label_validation():
                 s.make_label("q0", 0, {}, [], 0, h, b)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda step, y: step.advance("x", 2),
+        lambda step, y: step.backward("x"),
+        lambda step, y: step.cycle_offset("x", y),
+        lambda step, y: step.cycle_offset(y, "x"),
+    ],
+    ids=["advance", "backward", "cycle_offset-from", "cycle_offset-to"],
+)
+def test_label_entry_points_refuse_a_non_label(call):
+    # forward alone trusts its caller, for the scan's sake
+    step = BeaconStep(MOVE_RIGHT_3, Cyclic(3))
+    y = step.advance(step.initial_label(), 4)  # halted, on a 6-cycle
+    with pytest.raises(LabelError, match="^not a basis label: 'x'$"):
+        call(step, y)
+
+
 def test_clock_mode_validation():
     with pytest.raises(ParameterRangeError):
         Cyclic(1)
