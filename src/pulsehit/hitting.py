@@ -9,13 +9,15 @@ range only, never a claim that no hit exists later.
 
 The scan carries each point as the integer pair (n, j), 0 <= j <= G: j = 0
 is the integer time n and j = G the end of the pulse that starts there.
-An exact ``Fraction`` time is built only for a point that is reported (a
-hit, a protocol's spent time, a trace row), so the time is never a float
-and the per-point cost is integer work.  A trace row's time is the
-coprime pair n*q + p over q, where p/q = (j/G)*delta is reduced once per
-j; since that pair is already in lowest terms, :func:`_coprime` sets it
-into a ``Fraction`` directly, without the constructor's type dispatch
-and gcd.
+It hands its consumers one item per pulse, the pulse's points as one
+tuple, so a consumer's per-pulse work (a budget gate, a trace row's
+shape) is paid once per pulse, not once per point.  An exact ``Fraction``
+time is built only for a point that is reported (a hit, a protocol's
+spent time, a trace row), so the time is never a float and the per-point
+cost is integer work.  A trace row's time is the coprime pair n*q + p
+over q, where p/q = (j/G)*delta is reduced once per j; since that pair is
+already in lowest terms, :func:`fidelity_trace` sets it into a
+``Fraction`` directly, without the constructor's type dispatch and gcd.
 
 Grid points that land strictly inside a pulse are only evaluable where the
 support orbit closes (a halted label on a cyclic clock); everywhere else
@@ -32,20 +34,28 @@ whatever the horizon, while a translated looper (one that never revisits
 a configuration, like a right-mover writing 1s) still steps to the
 horizon.
 
-A scan follows one orbit, and past the halt on a cyclic clock that orbit
-is one closed cycle; each later pulse starts at a known position on it,
-and the target's positions follow from the first halted label by
-arithmetic, without walking the cycle.  Mid-pulse beacon fidelities on
-that cycle have a closed form: the beacon alternates around any post-halt
-cycle, and pairing each cycle eigenvalue with its antipode shows the
-odd-offset weight of the fractional power is exactly sin^2(pi j / 2G).
-An exact-label fidelity is the squared transfer amplitude to the one
-offset where the label sits.  Every mid-pulse value is compared against
-the threshold's float ceiling (the least double at or above it), which
-decides a double's comparison with the rational threshold exactly.  Where
-the value is itself rational (only at 0, 1/4, 1/2, 3/4, 1, by Niven's
-theorem) it is a dyadic, hence a double, so grid hits that tie the
-threshold do not depend on floating rounding.  Every other mid-pulse value
+Past the halt the scan steps nothing.  The label r steps after the first
+halted label x is x's frozen work half with the clock moved by r and the
+beacon toggled r times, so the target is lit at the positions r = q
+(mod m): m = 2 and q = 1 - x.b for the beacon on either clock; on a
+cyclic clock m is the cycle length and q the target's offset on x's
+cycle (none if it is off the cycle); on the unbounded clock an exact
+label is met at the one r = phi.tau - x.tau, if at all.  Every later
+pulse, its integer point, its mid-pulse points and its pulse end, is
+then fixed by its offset (q - r) mod m, and is built once per offset.
+Mid-pulse points are evaluable only on a cyclic clock, where the orbit
+past the halt is one closed cycle, and their fidelities have a closed
+form: the beacon alternates around any post-halt cycle, and pairing each
+cycle eigenvalue with its antipode shows the odd-offset weight of the
+fractional power is exactly sin^2(pi j / 2G).  An exact-label fidelity is
+the squared transfer amplitude to the one offset where the label sits.
+
+Every mid-pulse value is compared against the threshold's float ceiling
+(the least double at or above it), which decides a double's comparison
+with the rational threshold exactly.  Where the value is itself rational
+(only at 0, 1/4, 1/2, 3/4, 1, by Niven's theorem) it is a dyadic, hence a
+double, so grid hits that tie the threshold do not depend on floating
+rounding.  Every other mid-pulse value
 (the remaining sin^2 points, and the closed-form weights of exact-label
 targets) is a rounded float, so a value within rounding of the threshold
 is not yet certified; the certified threshold comparisons item in
@@ -55,6 +65,7 @@ ROADMAP.md tracks the fix.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -161,92 +172,103 @@ def _sin2_pi(x: Fraction) -> Number:
     return math.sin(math.pi * float(x)) ** 2
 
 
-class _MidPulse:
-    """Mid-pulse fidelities on the scan's one post-halt cycle, entered at
-    the first halted label x (``n_first`` steps in).  The target holds at
-    the positions q mod m: m = 2, q = 1 - x.b for the beacon; m = k and q
-    = :meth:`BeaconStep.cycle_offset` for an exact label (none if off the
-    cycle).  The pulse that starts n steps in starts at position
-    n - n_first, and its row of G - 1 points depends only on the offset
-    (q - position) mod m, so one row is kept per offset."""
-
-    def __init__(
-        self,
-        step: BeaconStep,
-        target: Union[BeaconSubspace, ExactLabel],
-        label: ExtendedBasisState,
-        n_first: int,
-        grid: int,
-        ceiling: float,
-    ):
-        if isinstance(target, BeaconSubspace):
-            self.m, self.q = 2, 1 - label.b
-        else:
-            self.m, self.q = step.cycle_length, step.cycle_offset(label, target.phi)
-        self.n_first = n_first
-        self.grid = grid
-        self.ceiling = ceiling
-        self._rows: dict[Optional[int], tuple[tuple[int, Number, bool], ...]] = {}
-
-    def row(self, n: int) -> tuple[tuple[int, Number, bool], ...]:
-        """(j, fidelity, fidelity >= threshold) at the mid-pulse points
-        0 < j < G of the pulse that starts n steps into the scan.  A Niven
-        fidelity is a dyadic Fraction, so its compare with the float
-        ceiling is exact too."""
-        off = None if self.q is None else (self.q - n + self.n_first) % self.m
-        row = self._rows.get(off)
-        if row is None:
-            fids = [self._fid(off, j) for j in range(1, self.grid)]
-            row = tuple((j, f, f >= self.ceiling) for j, f in enumerate(fids, 1))
-            self._rows[off] = row
-        return row
-
-    def _fid(self, off: Optional[int], j: int) -> Number:
-        if off is None:
-            return 0.0
-        # a target lit on every other position (the beacon, or an exact
-        # label on a 2-cycle) has the sin^2 closed form; otherwise weight
-        # r carries a position to the one r further on
-        if self.m == 2:
-            s2 = _sin2_pi(Fraction(j, 2 * self.grid))
-            return 1 - s2 if off == 0 else s2
-        return abs(_float_coeffs(self.m, j, self.grid, [off])[0]) ** 2
+Pulse = tuple[tuple[int, Number, bool], ...]  # (j, fidelity, reached) per point
 
 
-def _scan(
-    inst: InstanceDescriptor, *, dark_tail: bool = True
-) -> Iterator[tuple[int, int, Number, bool]]:
-    """Yield (n, j, fidelity, reached) for every evaluable grid point in
-    ascending order, where the point is t = n + j*delta/G: j = 0 is the
-    integer point n, j = G the end of the pulse that starts there, and
-    0 < j < G a mid-pulse point.  ``reached`` is fidelity >= 1 - epsilon,
-    decided exactly.
+def _mid_fidelities(m: int, off: Optional[int], grid: int) -> list[Number]:
+    """Fidelities at the mid-pulse points 0 < j < G of a pulse on an
+    m-cycle whose target sits ``off`` positions past the pulse's start
+    (``None``: nowhere on the cycle).  A target lit on every other
+    position (the beacon, or an exact label on a 2-cycle) has the sin^2
+    closed form; otherwise weight off carries the start to the target."""
+    if off is None:
+        return [0.0] * (grid - 1)
+    if m == 2:
+        s2 = [_sin2_pi(Fraction(j, 2 * grid)) for j in range(1, grid)]
+        return [1 - v for v in s2] if off == 0 else s2
+    return [abs(_float_coeffs(m, j, grid, [off])[0]) ** 2 for j in range(1, grid)]
+
+
+def _post_halt_pulses(
+    step: BeaconStep,
+    target: Union[BeaconSubspace, ExactLabel],
+    x: ExtendedBasisState,
+    grid: int,
+    ceiling: float,
+    plain: tuple[tuple[Pulse, Pulse], tuple[Pulse, Pulse]],
+) -> Iterator[Pulse]:
+    """The points of the pulses from the first halted label x on, one
+    tuple per pulse, without end.  The pulse r steps past x is fixed by
+    its offset (q - r) mod m to the target's positions q mod m (see the
+    module docstring): its integer point is lit at offset 0, its end at
+    offset 1, and on a cyclic clock its mid-pulse points come from
+    :func:`_mid_fidelities`.  Each offset's tuple is built when the scan
+    first reaches it and repeated from then on; ``plain[a][b]`` is the
+    pulse with no mid-pulse points whose integer point reads a and whose
+    end reads b.  A Niven fidelity is a dyadic ``Fraction``, so its
+    compare with the float ceiling is exact too."""
+    cyclic = step.cycle_length is not None
+    if isinstance(target, BeaconSubspace):
+        m, q = 2, 1 - x.b
+    elif cyclic:
+        m, q = step.cycle_length, step.cycle_offset(x, target.phi)
+    else:
+        m, q = None, target.phi.tau - x.tau
+        if q < 0 or step.advance(x, q) != target.phi:
+            q = None
+
+    def pulse(off: Optional[int]) -> Pulse:
+        ends = plain[off == 0][off == 1]
+        if not cyclic:
+            return ends
+        mids = enumerate(_mid_fidelities(m, off, grid), 1)
+        return (ends[0], *((j, f, f >= ceiling) for j, f in mids), ends[1])
+
+    if q is None:
+        return itertools.repeat(pulse(None))
+    if m is None:  # lit once: the offsets count down to q, then stay dark
+        return itertools.chain(map(pulse, range(q, -1, -1)), itertools.repeat(pulse(None)))
+    return itertools.cycle(pulse((q - r) % m) for r in range(m))
+
+
+def _scan(inst: InstanceDescriptor, *, dark_tail: bool = True) -> Iterator[tuple[int, Pulse]]:
+    """Yield (n, points) for the pulse that starts at each integer n below
+    the horizon, in ascending order, and last (horizon, (integer point,)).
+    ``points`` is a tuple of (j, fidelity, reached), ascending in j, for
+    every evaluable grid point t = n + j*delta/G of the pulse: j = 0 is
+    the integer point n, j = G the end of the pulse, and 0 < j < G a
+    mid-pulse point.  ``reached`` is fidelity >= 1 - epsilon, decided
+    exactly.  Before the halt, a pulse whose integer point is lit comes as
+    two items, the integer point and then the end, so that a consumer
+    that stops at the first never takes the step to the second.
 
     Points are carried as these integer ticks; :func:`_time` and
     :func:`_hit` build the ``Fraction`` time and window of the few points
-    that are reported.
+    that are reported.  Every points tuple is one of a fixed few, or one
+    built once per offset past the halt, and each is yielded as the same
+    object every time, so a consumer may keep per-pulse work by identity.
 
     Before the halt, Brent's detector saves the work half (state, head,
     tape) at steps 0, 1, 2, 4, 8, ... and compares each label with it.  At
     a revisit past the one step an exact target can match, len(phi.hist),
-    the remaining points are yielded as integer 0s without stepping, or
-    not at all when ``dark_tail`` is false."""
+    the remaining pulses are yielded as integer 0s without stepping, or
+    not at all when ``dark_tail`` is false.  From the first halted label
+    on the pulses come from :func:`_post_halt_pulses`, with no step and
+    no predicate call."""
     step = BeaconStep(inst.machine, inst.schedule.clock)
     forward = step.forward
     target = inst.target
     pred = step.target_predicate(target)
-    ceiling = _float_ceiling(1 - inst.epsilon)
     grid = inst.grid
     horizon = inst.horizon
-    # mid-pulse points are evaluable only past the halt on a cyclic clock;
-    # their rows are placed on its cycle from the first halted label
-    cyclic = step.cycle_length is not None and grid > 1
-    mid = None
     last = len(target.phi.hist) if isinstance(target, ExactLabel) else -1
 
     # integer and pulse-end points are 0/1 projections, and 0 < 1 - epsilon
     # < 1, so the projection itself says whether the threshold is reached;
     # the label at n + delta is the one at n + 1 (the line idles between)
+    alone = ((0, 0, False),), ((0, 1, True),)  # an integer point, by lit
+    ends = ((grid, 0, False),), ((grid, 1, True),)  # a pulse end, by lit
+    plain = tuple(tuple(a + e for e in ends) for a in alone)
     cur = step.initial_label()
     lit = pred(cur)
     # before the halt: Brent's detector, one head compare per step
@@ -256,33 +278,24 @@ def _scan(
         if cur.head == head and cur.state == state and cur.tape == tape and n > last:
             if dark_tail:
                 for n in range(n, horizon):
-                    yield n, 0, 0, False
-                    yield n, grid, 0, False
-                yield horizon, 0, 0, False
+                    yield n, plain[0][0]
+                yield horizon, alone[0]
             return
         if n == save_at:
             head, state, tape = cur.head, cur.state, cur.tape
             save_at = 2 * n or 1
-        yield n, 0, 1 if lit else 0, lit
-        if n == horizon:
-            return
+        if lit or n == horizon:
+            yield n, alone[lit]
+            if n == horizon:
+                return
         cur = forward(cur)
-        lit = pred(cur)
-        yield n, grid, 1 if lit else 0, lit
+        was, lit = lit, pred(cur)
+        yield n, ends[lit] if was else plain[0][lit]
         n += 1
-    # past the halt the work half is frozen and no detector runs
-    for n in range(n, horizon + 1):
-        yield n, 0, 1 if lit else 0, lit
-        if n == horizon:
-            return
-        if cyclic:
-            if mid is None:
-                mid = _MidPulse(step, target, cur, n, grid, ceiling)
-            for j, fid, reached in mid.row(n):
-                yield n, j, fid, reached
-        cur = forward(cur)
-        lit = pred(cur)
-        yield n, grid, 1 if lit else 0, lit
+    pulses = _post_halt_pulses(step, target, cur, grid, _float_ceiling(1 - inst.epsilon), plain)
+    for n, points in zip(range(n, horizon), pulses):
+        yield n, points
+    yield horizon, alone[next(pulses)[0][2]]  # read off the horizon's pulse
 
 
 def _time(inst: InstanceDescriptor, n: int, j: int) -> Fraction:
@@ -320,42 +333,48 @@ def uhit_semidecide(inst: InstanceDescriptor) -> HitReport:
     whatever the horizon, while a translated looper (one that never
     revisits, like a right-mover writing 1s) still steps to the horizon."""
     best: Number = 0
-    for n, j, fid, reached in _scan(inst, dark_tail=False):
-        if reached:
-            return _hit(inst, n, j, fid)
-        if fid > best:
-            best = fid
+    for n, points in _scan(inst, dark_tail=False):
+        for j, fid, reached in points:
+            if reached:
+                return _hit(inst, n, j, fid)
+            if fid > best:
+                best = fid
     return Exhausted(inst.horizon, best)
-
-
-def _coprime(num: int, den: int) -> Fraction:
-    """``Fraction(num, den)`` for coprime num and den >= 1, with its two
-    slots set directly, as CPython 3.12's ``Fraction._from_coprime_ints``
-    does: no type dispatch and no gcd.  Only for pairs known to be in
-    lowest terms; nothing here checks it."""
-    t = object.__new__(Fraction)
-    t._numerator = num
-    t._denominator = den
-    return t
 
 
 def fidelity_trace(inst: InstanceDescriptor) -> list[tuple[Fraction, float]]:
     """All evaluated grid points with their fidelities, as floats.
 
-    The offset p/q = (j/G)*delta is reduced once per j (q >= 1), and the
-    row (n, j) gets the time n*q + p over q, built by :func:`_coprime`.
-    That pair is in lowest terms: any common divisor of n*q + p and q
-    divides p, so gcd(n*q + p, q) = gcd(p, q) = 1.  The time is therefore
-    the ``Fraction`` n + p/q itself, equal in value, hash and ``str``, and
-    no rational sum or gcd is needed per row."""
+    The offset p/q = (j/G)*delta is reduced once per j (q >= 1), and each
+    distinct pulse the scan yields is turned once into its points'
+    (p, q, float(fidelity)).  The row (n, j) gets the time n*q + p over
+    q, with the ``Fraction``'s two slots set directly, as CPython 3.12's
+    ``Fraction._from_coprime_ints`` does.  That pair is in lowest terms:
+    any common divisor of n*q + p and q divides p, so gcd(n*q + p, q) =
+    gcd(p, q) = 1.  The time is therefore the ``Fraction`` n + p/q
+    itself, equal in value, hash and ``str``, and a row costs no rational
+    sum, no gcd and no call but ``object.__new__``."""
     offsets = [
         (Fraction(j, inst.grid) * inst.schedule.delta).as_integer_ratio()
         for j in range(inst.grid + 1)
     ]
+    new = object.__new__
     rows = []
-    for n, j, fid, _ in _scan(inst):
-        p, q = offsets[j]
-        rows.append((_coprime(n * q + p, q), float(fid)))
+    append = rows.append
+    # id(points) -> (points, its rows' shape); holding the tuple keeps its
+    # id from being reused by another while the trace runs
+    shapes: dict[int, tuple[Pulse, list[tuple[int, int, float]]]] = {}
+    for n, points in _scan(inst):
+        seen = shapes.get(id(points))
+        if seen is None:
+            seen = shapes[id(points)] = points, [
+                (*offsets[j], float(fid)) for j, fid, _ in points
+            ]
+        for p, q, fid in seen[1]:
+            t = new(Fraction)
+            t._numerator = n * q + p
+            t._denominator = q
+            append((t, fid))
     return rows
 
 

@@ -120,12 +120,19 @@ def run_bounded_protocol(inst: InstanceDescriptor, budget: ProtocolBudget) -> Pr
     tick_limit = math.floor(budget.tau_max * ticks)
     num, e_max = delta.numerator, budget.e_max
     at, found = (0, 0), False  # observing the initial state is free
-    for n, j, _fid, reached in _scan(inst):
-        if n * ticks + j * num > tick_limit or n + (j > 0) > e_max:
-            break
-        at = (n, j)
-        if reached:
-            found = True
+    for n, points in _scan(inst):
+        # points ascend in time and work, so a pulse whose last point fits
+        # both budgets needs no gate; only the one that crosses a budget does
+        j = points[-1][0]
+        gated = n * ticks + j * num > tick_limit or n + (j > 0) > e_max
+        for j, _fid, reached in points:
+            if gated and (n * ticks + j * num > tick_limit or n + (j > 0) > e_max):
+                break
+            at = (n, j)
+            if reached:
+                found = True
+                break
+        if found or gated:
             break
     t = _time(inst, *at)
     verdict = ReachableAt(t) if found else ReportedUnreachable()
@@ -278,11 +285,12 @@ def classify_with_noise(inst: InstanceDescriptor, noise: NoiseModel) -> HitRepor
     gamma = float(noise.gamma)
     ceiling = _float_ceiling(1 - inst.epsilon - noise.gamma)
     best = 0.0
-    for n, j, fid, _reached in _scan(inst):
-        wobble = rng.uniform(-gamma, gamma)
-        noisy = min(1.0, max(0.0, float(fid) + wobble))
-        if noisy >= ceiling:
-            return _hit(inst, n, j, noisy)
-        if noisy > best:
-            best = noisy
+    for n, points in _scan(inst):
+        for j, fid, _reached in points:
+            wobble = rng.uniform(-gamma, gamma)
+            noisy = min(1.0, max(0.0, float(fid) + wobble))
+            if noisy >= ceiling:
+                return _hit(inst, n, j, noisy)
+            if noisy > best:
+                best = noisy
     return Exhausted(inst.horizon, best)

@@ -10,10 +10,14 @@ Agreement between this route and the package is then a meaningful check.
 entry by entry in mpmath, the route the package's integer rotation
 replaced; it shares only the exact argument reduction with the package.
 
-:func:`stepwise_scan` is the grid scan without its cycle detector: it
-calls ``forward`` once per step up to the horizon, so a looper's dark
-tail is stepped through rather than inferred.  It shares the mid-pulse
-rows with the package, because what it checks is the jump, not them.
+:func:`stepwise_scan` is the grid scan without its cycle detector and
+without its post-halt arithmetic: it calls ``forward`` and the target
+predicate once per pulse up to the horizon, so a looper's dark tail and
+every pulse past the halt are stepped through rather than inferred.  It
+places each pulse's mid-pulse points from that pulse's own stepped label
+and shares with the package only the closed form at a placed offset,
+because what it checks is the jump and the placement, not the closed
+form.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from fractions import Fraction
 import numpy as np
 
 from pulsehit.dynamics import _closed_form_arg
-from pulsehit.hitting import _float_ceiling, _MidPulse
-from pulsehit.reversible import BeaconStep
+from pulsehit.hitting import _float_ceiling, _mid_fidelities
+from pulsehit.reversible import BeaconStep, BeaconSubspace
 
 
 def cycle_permutation(k: int) -> np.ndarray:
@@ -87,27 +91,31 @@ def two_cycle_profile(alpha: float) -> float:
 
 
 def stepwise_scan(inst):
-    """(n, j, fidelity, reached) for every evaluable grid point of the
-    instance, ascending, from one forward step per pulse to the horizon."""
+    """(n, points) per pulse of the instance, as ``hitting._scan`` yields
+    them (up to how a pulse is split between items), from one forward
+    step and one predicate call per pulse to the horizon."""
     step = BeaconStep(inst.machine, inst.schedule.clock)
     pred = step.target_predicate(inst.target)
     ceiling = _float_ceiling(1 - inst.epsilon)
     grid = inst.grid
     horizon = inst.horizon
-    cyclic = step.cycle_length is not None and grid > 1
-    mid = None
+    cyclic = step.cycle_length is not None
 
     cur = step.initial_label()
     lit = pred(cur)
     for n in range(horizon + 1):
-        yield n, 0, 1 if lit else 0, lit
+        first = (0, 1 if lit else 0, lit)
         if n == horizon:
+            yield n, (first,)
             return
+        mids = []
         if cyclic and cur.h == 1:
-            if mid is None:
-                mid = _MidPulse(step, inst.target, cur, n, grid, ceiling)
-            for j, fid, reached in mid.row(n):
-                yield n, j, fid, reached
+            if isinstance(inst.target, BeaconSubspace):
+                m, off = 2, 1 - cur.b
+            else:
+                m, off = step.cycle_length, step.cycle_offset(cur, inst.target.phi)
+            fids = _mid_fidelities(m, off, grid)
+            mids = [(j, f, f >= ceiling) for j, f in enumerate(fids, 1)]
         cur = step.forward(cur)
         lit = pred(cur)
-        yield n, grid, 1 if lit else 0, lit
+        yield n, (first, *mids, (grid, 1 if lit else 0, lit))

@@ -37,7 +37,6 @@ from pulsehit.hitting import (
     Exhausted,
     Hit,
     InstanceDescriptor,
-    _coprime,
     _float_ceiling,
     _scan,
     fidelity_trace,
@@ -246,20 +245,26 @@ def test_trace_times_are_the_grid_points(spec, period, delta, grid, horizon):
     assert all(type(t) is Fraction for t in got)
 
 
+_deltas = st.integers(2, 10**30).flatmap(
+    lambda den: st.integers(1, den - 1).map(lambda num: Fraction(num, den))
+)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.integers(-10**30, 10**30), st.integers(1, 10**30))
-def test_coprime_rows_are_the_constructors_fractions(num, den):
-    # the row constructor skips Fraction's gcd; on a coprime pair (the
-    # reduced terms of num/den) its result is indistinguishable from the
-    # constructor's, also once used in arithmetic
-    want = Fraction(num, den)
-    num, den = want.numerator, want.denominator
-    got = _coprime(num, den)
-    assert type(got) is Fraction
-    assert got == want and hash(got) == hash(want) and str(got) == str(want)
-    assert (got.numerator, got.denominator) == (num, den)
+@given(_deltas, st.integers(1, 5), st.integers(1, 6))
+def test_coprime_rows_are_the_constructors_fractions(delta, grid, horizon):
+    # the trace sets each row's time from its coprime pair and skips
+    # Fraction's gcd; every row, integer, mid-pulse (past the halt at 3)
+    # and pulse end, is indistinguishable from the constructor's, also
+    # once used in arithmetic
+    inst = beacon_instance(MOVE_RIGHT_3, Cyclic(3), horizon, delta=delta, grid=grid)
     third = Fraction(1, 3)
-    assert got + third == want + third and str(got + third) == str(want + third)
+    for got, _ in fidelity_trace(inst):
+        want = Fraction(got.numerator, got.denominator)
+        assert type(got) is Fraction
+        assert got == want and hash(got) == hash(want) and str(got) == str(want)
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        assert got + third == want + third and str(got + third) == str(want + third)
 
 
 def test_trace_fraction_constructions_do_not_grow_with_the_horizon(monkeypatch):
@@ -381,8 +386,8 @@ def test_mid_pulse_values_match_the_full_coefficient_vector_exactly(period, targ
 
 def test_mid_pulse_rows_cost_no_walk_of_a_long_cycle(monkeypatch):
     # past the halt at K = 3 the target is placed on the 10^4-label cycle
-    # by arithmetic, so the only forward calls are the scan's own, one per
-    # pulse it completes before the report
+    # by arithmetic and the scan steps no further, so the only forward
+    # calls are the K = 3 steps up to the halt, whatever the report
     clock = Cyclic(10**4)
     step = BeaconStep(MOVE_RIGHT_3, clock)
     sched = PulseSchedule(HALF, clock)
@@ -399,11 +404,42 @@ def test_mid_pulse_rows_cost_no_walk_of_a_long_cycle(monkeypatch):
         report = uhit_semidecide(inst)
         if want is None:
             assert isinstance(report, Exhausted)
-            assert len(calls) == inst.horizon
         else:
             assert report.t_hit == want
-            assert len(calls) == math.floor(report.t_hit)
+        assert len(calls) == 3
 
+
+@pytest.mark.parametrize(
+    "name, clock, exact",
+    [("scan-199", Cyclic(14), None), ("scan-199", Cyclic(14), 210), ("scan-20", Unbounded(), 30)],
+    ids=["scan-199-cyclic14-beacon", "scan-199-cyclic14-exact210", "scan-20-unbounded-exact30"],
+)
+def test_trace_steps_only_to_the_halt_whatever_the_horizon(name, clock, exact, monkeypatch):
+    # every pulse past the halt at K comes from its offset on the orbit,
+    # so a longer trace makes no further forward call
+    spec = _corpus_machine(name)
+    k = classical_run(spec, 10**4).steps
+    step = BeaconStep(spec, clock)
+    target = BeaconSubspace() if exact is None else ExactLabel(step.advance(step.initial_label(), exact))
+    calls = count_forward(monkeypatch)
+    counts = []
+    for horizon in (300, 3000):
+        del calls[:]
+        fidelity_trace(InstanceDescriptor(spec, QUARTER, PulseSchedule(HALF, clock), target, horizon, 5))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= k + 1
+
+
+
+def test_a_lit_integer_point_is_met_before_the_step_after_it():
+    # before the halt the scan yields a lit integer point on its own, so a
+    # report there never takes the next step, which this machine lacks
+    spec = parse_machine("states: q0 qH\nalphabet: _\nstart: q0\nhalt: qH\n")
+    step = BeaconStep(spec, Unbounded())
+    sched = PulseSchedule(HALF, Unbounded())
+    inst = InstanceDescriptor(spec, QUARTER, sched, ExactLabel(step.initial_label()), 10, 6)
+    assert uhit_semidecide(inst) == Hit(Fraction(0), 1, (Fraction(0), Fraction(0)))
+    assert run_bounded_protocol(inst, ProtocolBudget(Fraction(10), 10)).verdict.t == 0
 
 def test_scans_and_certified_route_never_build_serial_bytes(monkeypatch):
     # label identity is the fields: the exact-label predicate, the cycle
@@ -596,14 +632,18 @@ NAMED_CENSUS = [4, 0, 47764, 19630, 18981, 1681, 2, 19666, 30355]
 
 
 def _points(scan):
-    return [(n, j, type(f), f, reached) for n, j, f, reached in scan]
+    # one row per point, however a scan splits its pulses between items
+    return [(n, j, type(f), f, reached) for n, points in scan for j, f, reached in points]
 
 
 @settings(max_examples=120, deadline=None)
 @given(
     st.one_of(st.sampled_from(NAMED_CENSUS), st.integers(0, CENSUS_SIZE - 1)),
-    st.one_of(st.just(Unbounded()), st.integers(2, 6).map(Cyclic)),
-    st.one_of(st.none(), st.integers(0, 64)),
+    st.one_of(
+        st.just(Unbounded()),
+        st.one_of(st.integers(2, 7), st.sampled_from([13, 64])).map(Cyclic),
+    ),
+    st.one_of(st.none(), st.integers(0, 300)),
     st.integers(1, 6),
     st.integers(1, 300),
     st.sampled_from([Fraction(1, 4), Fraction(1, 8)]),
