@@ -25,14 +25,16 @@ they are skipped rather than guessed, so a reported hit is always a
 certified fidelity value.  Integer and pulse-end points are exact 0/1
 projections and are available in every mode.
 
-Before the halt the scan watches the work half (state, head, tape) for a
-revisit, by Brent's cycle detection.  A revisit proves the run repeats and
-never halts, so once the scan is past the one step where an exact target
-could sit, every later point is a dark integer 0, known without stepping:
-a looper whose work half repeats exactly costs O(prefix + period) steps
-whatever the horizon, while a translated looper (one that never revisits
-a configuration, like a right-mover writing 1s) still steps to the
-horizon.
+Before the halt the scan steps the work half (state, head, tape) in
+place, with no label, history node or tape copy per step, and watches it
+for a revisit, by Brent's cycle detection.  A revisit proves the run
+repeats and never halts, so once the scan is past the one step where an
+exact target could sit, every later point is a dark integer 0, known
+without stepping: a looper whose work half repeats exactly costs
+O(prefix + period) steps whatever the horizon, and a translated looper
+(one that never revisits a configuration, like a right-mover writing 1s)
+steps in place in linear time up to the horizon; only the jump over its
+translated cycle is missing.
 
 Past the halt the scan steps nothing.  The label r steps after the first
 halted label x is x's frozen work half with the clock moved by r and the
@@ -43,6 +45,9 @@ cycle (none if it is off the cycle); on the unbounded clock an exact
 label is met at the one r = phi.tau - x.tau, if at all.  Every later
 pulse, its integer point, its mid-pulse points and its pulse end, is
 then fixed by its offset (q - r) mod m, and is built once per offset.
+A report reads no pulse that repeats an earlier one, so
+:func:`uhit_semidecide` stops one period m past the halt, or, for an
+exact label on the unbounded clock, jumps to its two lit pulses.
 Mid-pulse points are evaluable only on a cyclic clock, where the orbit
 past the halt is one closed cycle, and their fidelities have a closed
 form: the beacon alternates around any post-halt cycle, and pairing each
@@ -75,7 +80,7 @@ from typing import Iterator, Optional, Union
 from .dynamics import PulseSchedule, _float_coeffs
 from .errors import ParameterRangeError, as_count, as_rational
 from .machine import MachineSpec
-from .reversible import BeaconStep, BeaconSubspace, ExactLabel, ExtendedBasisState
+from .reversible import BeaconStep, BeaconSubspace, ExactLabel, LiveRun
 
 Number = Union[int, float, Fraction]
 
@@ -192,27 +197,33 @@ def _mid_fidelities(m: int, off: Optional[int], grid: int) -> list[Number]:
 def _post_halt_pulses(
     step: BeaconStep,
     target: Union[BeaconSubspace, ExactLabel],
-    x: ExtendedBasisState,
+    run: LiveRun,
     grid: int,
     ceiling: float,
     plain: tuple[tuple[Pulse, Pulse], tuple[Pulse, Pulse]],
-) -> Iterator[Pulse]:
-    """The points of the pulses from the first halted label x on, one
-    tuple per pulse, without end.  The pulse r steps past x is fixed by
-    its offset (q - r) mod m to the target's positions q mod m (see the
-    module docstring): its integer point is lit at offset 0, its end at
-    offset 1, and on a cyclic clock its mid-pulse points come from
-    :func:`_mid_fidelities`.  Each offset's tuple is built when the scan
-    first reaches it and repeated from then on; ``plain[a][b]`` is the
-    pulse with no mid-pulse points whose integer point reads a and whose
-    end reads b.  A Niven fidelity is a dyadic ``Fraction``, so its
+) -> tuple[bool, Iterator[Pulse], Iterator[tuple[int, Pulse]]]:
+    """Whether the first halted label x, where ``run`` stands, is lit;
+    the points of the pulses from x on, one tuple per pulse, without end;
+    and the (r, points) of the pulses r steps past x that show a point no
+    earlier one shows.  The pulse r steps past x is fixed by its offset
+    (q - r) mod m to the target's positions q mod m (see the module
+    docstring): its integer point is lit at offset 0, its end at offset
+    1, and on a cyclic clock its mid-pulse points come from
+    :func:`_mid_fidelities`.  So the new pulses are r < m; for an exact
+    label on the unbounded clock, met at r = q alone, r = 0, q - 1 and q;
+    for a target never met, r = 0.  A beacon reads the run's bit b, so
+    only an exact target builds x.  Each offset's tuple is built when the
+    scan first reaches it and repeated from then on; ``plain[a][b]`` is
+    the pulse with no mid-pulse points whose integer point reads a and
+    whose end reads b.  A Niven fidelity is a dyadic ``Fraction``, so its
     compare with the float ceiling is exact too."""
     cyclic = step.cycle_length is not None
     if isinstance(target, BeaconSubspace):
-        m, q = 2, 1 - x.b
+        m, q = 2, 1 - run.b
     elif cyclic:
-        m, q = step.cycle_length, step.cycle_offset(x, target.phi)
+        m, q = step.cycle_length, step.cycle_offset(run.label(), target.phi)
     else:
+        x = run.label()
         m, q = None, target.phi.tau - x.tau
         if q < 0 or step.advance(x, q) != target.phi:
             q = None
@@ -225,10 +236,20 @@ def _post_halt_pulses(
         return (ends[0], *((j, f, f >= ceiling) for j, f in mids), ends[1])
 
     if q is None:
-        return itertools.repeat(pulse(None))
+        dark = pulse(None)
+        return False, itertools.repeat(dark), iter([(0, dark)])
     if m is None:  # lit once: the offsets count down to q, then stay dark
-        return itertools.chain(map(pulse, range(q, -1, -1)), itertools.repeat(pulse(None)))
-    return itertools.cycle(pulse((q - r) % m) for r in range(m))
+        news = sorted({0, max(q - 1, 0), q})
+        return (
+            q == 0,
+            itertools.chain(map(pulse, range(q, -1, -1)), itertools.repeat(pulse(None))),
+            ((r, pulse(q - r)) for r in news),
+        )
+    return (
+        q == 0,
+        itertools.cycle(pulse((q - r) % m) for r in range(m)),
+        ((r, pulse((q - r) % m)) for r in range(m)),
+    )
 
 
 def _scan(inst: InstanceDescriptor, *, dark_tail: bool = True) -> Iterator[tuple[int, Pulse]]:
@@ -248,15 +269,27 @@ def _scan(inst: InstanceDescriptor, *, dark_tail: bool = True) -> Iterator[tuple
     built once per offset past the halt, and each is yielded as the same
     object every time, so a consumer may keep per-pulse work by identity.
 
-    Before the halt, Brent's detector saves the work half (state, head,
-    tape) at steps 0, 1, 2, 4, 8, ... and compares each label with it.  At
-    a revisit past the one step an exact target can match, len(phi.hist),
-    the remaining pulses are yielded as integer 0s without stepping, or
-    not at all when ``dark_tail`` is false.  From the first halted label
-    on the pulses come from :func:`_post_halt_pulses`, with no step and
-    no predicate call."""
+    Before the halt the work half steps in place (:class:`LiveRun`), and
+    a label is built only where an exact label phi can match: at step
+    len(phi.hist), and at the first halted label.  A beacon is dark on
+    every pre-halt label (b = 0) and reads the run's bit at the first
+    halted one, so its scan builds no label but the initial one.  Brent's
+    detector saves a copy of the work half (state, head, tape) at steps
+    0, 1, 2, 4, 8, ... and compares the run with it, head first.  At a
+    revisit past the one step an exact target can match, the remaining
+    pulses are yielded as integer 0s without stepping.  A translated
+    looper (one that never revisits, like a right-mover writing 1s)
+    steps in linear time up to the horizon; only its jump is missing.
+    From the first halted label on the pulses come from
+    :func:`_post_halt_pulses`, with no step and no predicate call.
+
+    With ``dark_tail`` false the scan leaves out points that repeat an
+    earlier one: all after a revisit, and past the halt all but the
+    pulses that :func:`_post_halt_pulses` names as new, the horizon's
+    point too (the label that ends the pulse before it).  A repeated
+    point can neither raise the maximum nor be the first hit, so no
+    report changes."""
     step = BeaconStep(inst.machine, inst.schedule.clock)
-    forward = step.forward
     target = inst.target
     pred = step.target_predicate(target)
     grid = inst.grid
@@ -269,33 +302,46 @@ def _scan(inst: InstanceDescriptor, *, dark_tail: bool = True) -> Iterator[tuple
     alone = ((0, 0, False),), ((0, 1, True),)  # an integer point, by lit
     ends = ((grid, 0, False),), ((grid, 1, True),)  # a pulse end, by lit
     plain = tuple(tuple(a + e for e in ends) for a in alone)
-    cur = step.initial_label()
-    lit = pred(cur)
+    run = LiveRun(step, step.initial_label())
+    tape = run.tape
+    lit = last == 0 and pred(run.label())
     # before the halt: Brent's detector, one head compare per step
     n = save_at = 0
-    head = state = tape = None  # the saved work half; None is no head
-    while not cur.h:
-        if cur.head == head and cur.state == state and cur.tape == tape and n > last:
+    head = state = saved = None  # the saved work half; None is no head
+    while True:
+        if run.head == head and run.state == state and tape == saved and n > last:
             if dark_tail:
                 for n in range(n, horizon):
                     yield n, plain[0][0]
                 yield horizon, alone[0]
             return
         if n == save_at:
-            head, state, tape = cur.head, cur.state, cur.tape
+            head, state, saved = run.head, run.state, dict(tape)
             save_at = 2 * n or 1
         if lit or n == horizon:
             yield n, alone[lit]
             if n == horizon:
                 return
-        cur = forward(cur)
-        was, lit = lit, pred(cur)
+        run.step()
+        if run.h:
+            break
+        was, lit = lit, n + 1 == last and pred(run.label())
         yield n, ends[lit] if was else plain[0][lit]
         n += 1
-    pulses = _post_halt_pulses(step, target, cur, grid, _float_ceiling(1 - inst.epsilon), plain)
-    for n, points in zip(range(n, horizon), pulses):
-        yield n, points
-    yield horizon, alone[next(pulses)[0][2]]  # read off the horizon's pulse
+    ceiling = _float_ceiling(1 - inst.epsilon)
+    was = lit
+    lit, pulses, news = _post_halt_pulses(step, target, run, grid, ceiling, plain)
+    yield n, ends[lit] if was else plain[0][lit]
+    n += 1
+    if dark_tail:
+        for n, points in zip(range(n, horizon), pulses):
+            yield n, points
+        yield horizon, alone[next(pulses)[0][2]]  # read off the horizon's pulse
+        return
+    for r, points in news:
+        if n + r >= horizon:
+            return
+        yield n + r, points
 
 
 def _time(inst: InstanceDescriptor, n: int, j: int) -> Fraction:
@@ -330,8 +376,11 @@ def uhit_semidecide(inst: InstanceDescriptor) -> HitReport:
     A run whose work half revisits a configuration before halting is dark
     from there on (past an exact target's step), so the scan stops at the
     revisit: such a looper's ``Exhausted`` costs O(prefix + period) steps
-    whatever the horizon, while a translated looper (one that never
-    revisits, like a right-mover writing 1s) still steps to the horizon."""
+    whatever the horizon.  A translated looper (one that never revisits,
+    like a right-mover writing 1s) steps in place in linear time up to
+    the horizon; only the jump over its translated cycle is missing.  Past
+    the halt the scan stops after the pulses that can still show a new
+    point, so an ``Exhausted`` there costs one period, not the horizon."""
     best: Number = 0
     for n, points in _scan(inst, dark_tail=False):
         for j, fid, reached in points:

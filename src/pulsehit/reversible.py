@@ -31,6 +31,10 @@ is never injective.  The backward map tries its candidate preimages in one
 order, tail first, and returns the first that keeps the run rule and maps
 onto the image under the forward map; every other label gets
 ``NO_PREIMAGE``.
+
+Up to the halt flag's rise, a run's labels differ only in the work half,
+which the run rule lets :class:`LiveRun` step in place: a step there
+builds no label, and a label is built only where a caller asks for one.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .errors import IllFormedMachineError, LabelError, OrbitNotClosedError
 from .errors import ParameterRangeError, as_count, is_count
-from .machine import MachineSpec, rule_table
+from .machine import MachineSpec, Rule, rule_table
 
 _OFFSET = {"L": -1, "R": 1, "S": 0}
 
@@ -314,9 +318,9 @@ class BeaconStep:
     lcm(L, 2) of every post-halt orbit on a ``Cyclic(L)`` clock (the clock
     ticks modulo L and the beacon toggles modulo 2 while the work half is
     frozen), or ``None`` on an unbounded clock, where no orbit closes;
-    :meth:`advance` takes n steps in at most K + 1 forward calls on a run
-    that halts at step K, on either clock, and :meth:`cycle_offset` places
-    a label on a cycle.
+    :meth:`advance` takes n steps with at most K + 1 of them stepped, in
+    place, on a run that halts at step K, on either clock, and
+    :meth:`cycle_offset` places a label on a cycle.
     """
 
     def __init__(self, spec: MachineSpec, clock: ClockMode):
@@ -380,6 +384,16 @@ class BeaconStep:
 
     # -- forward ---------------------------------------------------------------
 
+    def _rule(self, x: Union[ExtendedBasisState, "LiveRun"]) -> tuple[int, Rule]:
+        """The index and rule that fire on the live label or run ``x`` (its
+        state and the symbol under its head), shared by :meth:`forward` and
+        :class:`LiveRun`; a missing rule is an ill-formed machine."""
+        read = x.tape.get(x.head, self._blank)
+        hit = self._table.get((x.state, read))
+        if hit is None:
+            raise IllFormedMachineError(f"no rule for ({x.state!r}, {read!r}) at clock {x.tau}")
+        return hit
+
     def _tick(self, tau: int, r: int = 1) -> int:
         if self._cyclic is None:
             return tau + r
@@ -403,15 +417,9 @@ class BeaconStep:
             return ExtendedBasisState(
                 x.state, x.head, x.tape, x.hist, self._tick(x.tau), 1, x.b ^ 1
             )
-        read = x.tape.get(x.head, self._blank)
-        hit = self._table.get((x.state, read))
-        if hit is None:
-            raise IllFormedMachineError(
-                f"no rule for ({x.state!r}, {read!r}) at clock {x.tau}"
-            )
-        idx, rule = hit
+        idx, rule = self._rule(x)
         tape = x.tape
-        if rule.write != read:
+        if rule.write != rule.read:
             tape = dict(tape)
             if rule.write == self._blank:
                 tape.pop(x.head, None)
@@ -429,20 +437,24 @@ class BeaconStep:
         )
 
     def advance(self, x: ExtendedBasisState, n: int) -> ExtendedBasisState:
-        """The label ``n`` forward steps from ``x``.  Steps are taken one by
-        one only until the halt flag is set at a nonnegative clock, the rest
-        by :meth:`_halted_after`: a run that halts at step K costs at most
-        K + 1 forward calls on either clock, whatever ``n`` is; the idle
-        shift below clock 0 of an unbounded clock is one jump too."""
+        """The label ``n`` forward steps from ``x``, equal to ``n``
+        :meth:`forward` calls.  The idle shift below clock 0 of an unbounded
+        clock is one jump; the live steps up to the halt flag run in place
+        (:class:`LiveRun`), with one label built at their end; the rest is
+        :meth:`_halted_after`.  A run that halts at step K costs O(K + len
+        of the tape) on either clock, whatever ``n`` is."""
         _require_label(x)
         as_count(n, "step count")
         if self._cyclic is None and x.tau < 0:
             r = min(n, -x.tau)
             x = ExtendedBasisState(x.state, x.head, x.tape, x.hist, x.tau + r, x.h, x.b)
             n -= r
-        while n and not (x.h and x.tau >= 0):
-            x = self.forward(x)
-            n -= 1
+        if n and not x.h:
+            run = LiveRun(self, x)
+            while n and not run.h:
+                run.step()
+                n -= 1
+            x = run.label()
         return self._halted_after(x, n) if n else x
 
     def _require_cycle(self, x: ExtendedBasisState) -> None:
@@ -544,3 +556,71 @@ class BeaconStep:
             phi = target.phi
             return lambda label: label == phi
         raise ParameterRangeError(f"unknown target {target!r}")
+
+
+# ---------------------------------------------------------------------------
+# the live run, in place
+
+
+class LiveRun:
+    """The run from a live label x (halt flag 0, at a nonnegative clock),
+    with its work half stepped in place.
+
+    By the run rule, n steps after x and up to the step that sets the halt
+    flag, the label is the work half (state, head, tape) at step n, the
+    history x.hist extended by the n rule indices applied, clock x.tau + n
+    (mod L), h = 0 and b = x.b.  The flag rises on a rule into the halt
+    state, with b kept, or on the step out of a live label that already
+    sits in the halt state (the step-0 halt), with the work half frozen
+    and b toggled.  So a step updates one tape dict, the head, the state,
+    the step count n and a list of rule indices, and builds no label,
+    history node or tape copy; :meth:`label` builds the current label on
+    request, in O(new history + tape).  The tape is the run's own and
+    changes with every step that writes.
+    """
+
+    __slots__ = ("state", "head", "tape", "n", "h", "b", "_step", "_tau", "_hist", "_pending")
+
+    def __init__(self, step: BeaconStep, x: ExtendedBasisState):
+        self._step = step
+        self.state, self.head, self.tape = x.state, x.head, dict(x.tape)
+        self.n, self.h, self.b = 0, x.h, x.b
+        self._tau = x.tau
+        self._hist = x.hist
+        self._pending: list[int] = []
+
+    @property
+    def tau(self) -> int:
+        """The clock of the current label."""
+        return self._step._tick(self._tau, self.n)
+
+    def step(self) -> None:
+        """One :meth:`BeaconStep.forward` step of the live label, in place."""
+        beacon = self._step
+        if self.state == beacon._halt:
+            self.h = 1
+            self.b ^= 1
+        else:
+            idx, rule = beacon._rule(self)
+            if rule.write != rule.read:
+                if rule.write == beacon._blank:
+                    del self.tape[self.head]
+                else:
+                    self.tape[self.head] = rule.write
+            self._pending.append(idx)
+            self.head += _OFFSET[rule.move]
+            self.state = rule.next_state
+            if rule.next_state == beacon._halt:
+                self.h = 1
+        self.n += 1
+
+    def label(self) -> ExtendedBasisState:
+        """The current label, with a copy of the tape."""
+        hist = self._hist
+        for idx in self._pending:
+            hist = hist.append(idx)
+        self._hist = hist
+        self._pending.clear()
+        return ExtendedBasisState(
+            self.state, self.head, dict(self.tape), hist, self.tau, self.h, self.b
+        )

@@ -9,7 +9,9 @@ the window [K, K + delta], whose first crossing of 3/4 at G = 6 is the
 Niven point j = 4, t = K + 1/3, with fidelity exactly 3/4.
 """
 
+import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 from unittest.mock import patch
@@ -32,7 +34,7 @@ from pulsehit.dynamics import (
     fractional_coeffs,
     subspace_fidelity,
 )
-from pulsehit.errors import ParameterRangeError
+from pulsehit.errors import IllFormedMachineError, ParameterRangeError
 from pulsehit.hitting import (
     Exhausted,
     Hit,
@@ -47,7 +49,7 @@ from pulsehit.hitting import (
 )
 from pulsehit.machine import Halted, classical_run, parse_machine
 from pulsehit.protocol import NoiseModel, ProtocolBudget, classify_with_noise, run_bounded_protocol
-from pulsehit.reduction import builtin_corpus
+from pulsehit.reduction import builtin_corpus, counter_family
 from pulsehit.reversible import (
     BeaconStep,
     BeaconSubspace,
@@ -386,8 +388,9 @@ def test_mid_pulse_values_match_the_full_coefficient_vector_exactly(period, targ
 
 def test_mid_pulse_rows_cost_no_walk_of_a_long_cycle(monkeypatch):
     # past the halt at K = 3 the target is placed on the 10^4-label cycle
-    # by arithmetic and the scan steps no further, so the only forward
-    # calls are the K = 3 steps up to the halt, whatever the report
+    # by arithmetic and the scan steps no further, and the K = 3 steps up
+    # to the halt run in place, so no forward call is made, whatever the
+    # report
     clock = Cyclic(10**4)
     step = BeaconStep(MOVE_RIGHT_3, clock)
     sched = PulseSchedule(HALF, clock)
@@ -406,7 +409,7 @@ def test_mid_pulse_rows_cost_no_walk_of_a_long_cycle(monkeypatch):
             assert isinstance(report, Exhausted)
         else:
             assert report.t_hit == want
-        assert len(calls) == 3
+        assert len(calls) == 0
 
 
 @pytest.mark.parametrize(
@@ -732,3 +735,98 @@ def test_an_exact_target_ahead_of_the_revisit_is_still_met():
         assert uhit_semidecide(inst) == Hit(Fraction(79, 2), 1, (Fraction(39), Fraction(79, 2)))
         late = InstanceDescriptor(spec, QUARTER, sched, ExactLabel(phi), 39, 6)
         assert uhit_semidecide(late) == Exhausted(39, 0)
+
+
+# -- before the halt: the work half in place ----------------------------------------
+
+
+def test_a_beacon_scan_builds_as_many_labels_at_any_halting_step(monkeypatch):
+    # the run before the halt steps its work half in place, and a beacon
+    # reads the first halted label's bit off the run, so the number of
+    # labels built does not grow with the halting step K = n + 1
+    built = []
+    init = ExtendedBasisState.__init__
+
+    def counting_init(self, *fields):
+        built.append(fields)
+        init(self, *fields)
+
+    monkeypatch.setattr(ExtendedBasisState, "__init__", counting_init)
+    counts = []
+    for n in (100, 10_000):
+        del built[:]
+        report = uhit_semidecide(beacon_instance(counter_family(n), Unbounded(), n + 10))
+        assert report.t_hit == n + 1 + HALF  # the beacon lights at clock K + 1
+        counts.append(len(built))
+    assert counts[0] == counts[1]
+
+
+def test_a_missing_rule_raises_the_same_error_after_the_same_points():
+    # q2 reads the 1 that step 0 wrote and has no rule for it, so the step
+    # out of label 2 raises, with the clock of label 2 in the message
+    spec = parse_machine(
+        "states: q0 q1 q2 qH\nalphabet: _ 1\nstart: q0\nhalt: qH\n"
+        "rule: q0 _ -> q1 1 R\nrule: q1 _ -> q2 _ L\nrule: q2 _ -> qH _ S\n"
+    )
+
+    def oracle(inst, dark_tail=True):
+        return stepwise_scan(inst)
+
+    def points_before_the_error(scan, message):
+        rows = []
+        with pytest.raises(IllFormedMachineError, match=message):
+            for n, points in scan:
+                rows.extend((n, j, f, reached) for j, f, reached in points)
+        return rows
+
+    consumers = [
+        uhit_semidecide,
+        fidelity_trace,
+        lambda inst: run_bounded_protocol(inst, ProtocolBudget(100, 100)),
+    ]
+    for clock, tau in ((Unbounded(), 2), (Cyclic(2), 0), (Cyclic(5), 2)):
+        message = re.escape(f"no rule for ('q2', '1') at clock {tau}")
+        inst = beacon_instance(spec, clock, 10, grid=4)
+        got = points_before_the_error(_scan(inst), message)
+        assert got == points_before_the_error(stepwise_scan(inst), message)
+        assert [(n, j) for n, j, *_ in got] == [(0, 0), (0, 4), (1, 0), (1, 4)]
+        step = BeaconStep(spec, clock)
+        with pytest.raises(IllFormedMachineError, match=message):
+            step.advance(step.initial_label(), 3)
+        for consume in consumers:
+            with pytest.raises(IllFormedMachineError, match=message):
+                consume(inst)
+            with patch.object(hitting, "_scan", oracle), patch.object(protocol, "_scan", oracle):
+                with pytest.raises(IllFormedMachineError, match=message):
+                    consume(inst)
+
+
+@pytest.mark.parametrize("horizon, want", [(10**7, Exhausted(10**7, 0)),
+                                           (10**9, Hit(10**9 - HALF, 1, (10**9 - 1, 10**9 - HALF)))])
+def test_an_exact_target_far_past_the_halt_is_reached_by_arithmetic(horizon, want):
+    # move-right-3 halts at K = 3, and the label 10^9 steps in is met at
+    # one pulse of the unbounded clock: the scan yields the first pulse
+    # past the halt, then jumps to the lit pulses if the horizon has them
+    step = BeaconStep(MOVE_RIGHT_3, Unbounded())
+    phi = step.advance(step.initial_label(), 10**9)
+    inst = InstanceDescriptor(MOVE_RIGHT_3, QUARTER, PulseSchedule(HALF, Unbounded()),
+                              ExactLabel(phi), horizon, 5)
+    assert len(list(itertools.islice(_scan(inst, dark_tail=False), 10))) <= 6
+    assert uhit_semidecide(inst) == want
+
+
+@pytest.mark.parametrize("clock", [Cyclic(7), Cyclic(10**6)], ids=["cyclic7", "cyclic1e6"])
+def test_an_exhausted_past_the_halt_scans_one_period_not_the_horizon(clock):
+    # the first halted label is the frozen work half at K = 3; a label
+    # off its cycle is never met, and a repeat of a yielded pulse changes
+    # no report, so the scan stops after the halt's first pulse, and a
+    # beacon scan after the period m = 2 at most
+    step = BeaconStep(MOVE_RIGHT_3, clock)
+    sched = PulseSchedule(HALF, clock)
+    off = step.make_label("qH", 4, {}, [0, 1, 2], 0, 1, 0)
+    never = InstanceDescriptor(MOVE_RIGHT_3, QUARTER, sched, ExactLabel(off), 10**9, 6)
+    beacon = InstanceDescriptor(MOVE_RIGHT_3, QUARTER, sched, BeaconSubspace(), 10**9, 6)
+    for inst in (never, beacon):
+        assert len(list(itertools.islice(_scan(inst, dark_tail=False), 10))) <= 3 + 2
+    assert uhit_semidecide(never) == Exhausted(10**9, 0)
+    assert uhit_semidecide(beacon) == Hit(Fraction(10, 3), Fraction(3, 4), (Fraction(3), Fraction(7, 2)))

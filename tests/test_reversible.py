@@ -9,7 +9,7 @@ negative unbounded times shift idly) and serve as frozen oracles.
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from support import machines
+from support import CENSUS_SIZE, census_machine, machines
 
 from pulsehit.errors import (
     IllFormedMachineError,
@@ -32,6 +32,7 @@ from pulsehit.reversible import (
     Cyclic,
     ExactLabel,
     ExtendedBasisState,
+    LiveRun,
     Unbounded,
     history_of,
 )
@@ -702,6 +703,41 @@ def test_advance_equals_repeated_forward(spec, period, data):
     for _ in range(n):
         want = step.forward(want)
     assert step.advance(start, n) == want
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.one_of(st.sampled_from([4, 0, 47764, 2, 30355]), st.integers(0, CENSUS_SIZE - 1)),
+    st.one_of(st.just(Unbounded()), st.integers(2, 7).map(Cyclic)),
+    st.integers(0, 40),
+    st.integers(0, 60),
+)
+def test_advance_equals_repeated_forward_on_census_runs(index, clock, k, n):
+    # from the initial label or a mid-run label k steps in, the in-place
+    # run and the label it builds at the end are the n forward steps, and
+    # the start label's tape is left as it was
+    step = BeaconStep(census_machine(index), clock)
+    start = step.initial_label()
+    for _ in range(k):
+        start = step.forward(start)
+    tape = dict(start.tape)
+    want = start
+    for _ in range(n):
+        want = step.forward(want)
+    got = step.advance(start, n)
+    assert got == want and got.serial == want.serial
+    assert start.tape == tape
+
+
+def test_a_live_run_label_keeps_its_tape_while_the_run_steps_on():
+    # the run's tape changes in place, so a label it built must not share it
+    step = BeaconStep(BINARY_INC, Unbounded())
+    run = LiveRun(step, step.initial_label())
+    run.step()
+    first = run.label()
+    run.step()
+    assert first == step.forward(step.initial_label())
+    assert run.label() == step.advance(step.initial_label(), 2)
 
 
 def test_advance_on_an_unbounded_clock_costs_the_halt_not_the_time():
