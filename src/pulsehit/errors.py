@@ -92,8 +92,11 @@ def as_count(x, what: str, least: int = 0) -> None:
 
 
 def as_rational(x, what: str) -> Fraction:
-    """``x`` as an exact Fraction, else a typed error naming ``what``."""
-    try:
-        return Fraction(x)
-    except (TypeError, ValueError, OverflowError):
-        raise ParameterRangeError(f"{what} must be rational, got {x!r}") from None
+    """``x`` as an exact Fraction, else a typed error naming ``what``; a
+    bool is refused, as :func:`as_count` refuses it."""
+    if not isinstance(x, bool):
+        try:
+            return Fraction(x)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ParameterRangeError(f"{what} must be rational, got {x!r}")

@@ -27,27 +27,19 @@ projections and are available in every mode.
 
 Before the halt the scan steps the work half (state, head, tape) in
 place, with no label, history node or tape copy per step, and watches it
-for a revisit, by Brent's cycle detection.  A revisit proves the run
-repeats and never halts, so once the scan is past the one step where an
-exact target could sit, every later point is a dark integer 0, known
-without stepping: a looper whose work half repeats exactly costs
-O(prefix + period) steps whatever the horizon, and a translated looper
-(one that never revisits a configuration, like a right-mover writing 1s)
-steps in place in linear time up to the horizon; only the jump over its
-translated cycle is missing.
+for a revisit, by Brent's cycle detection; past the halt it steps
+nothing.  How either end of the live run hands over to the rest of the
+scan is :func:`_scan`'s one-tail rule.
 
-Past the halt the scan steps nothing.  The label r steps after the first
-halted label x is x's frozen work half with the clock moved by r and the
-beacon toggled r times, so the target is lit at the positions r = q
-(mod m): m = 2 and q = 1 - x.b for the beacon on either clock; on a
-cyclic clock m is the cycle length and q the target's offset on x's
-cycle (none if it is off the cycle); on the unbounded clock an exact
-label is met at the one r = phi.tau - x.tau, if at all.  Every later
-pulse, its integer point, its mid-pulse points and its pulse end, is
-then fixed by its offset (q - r) mod m, and is built once per offset.
-A report reads no pulse that repeats an earlier one, so
-:func:`uhit_semidecide` stops one period m past the halt, or, for an
-exact label on the unbounded clock, jumps to its two lit pulses.
+The label r steps after the first halted label x is x's frozen work
+half with the clock moved by r and the beacon toggled r times, so the
+target is lit at the positions r = q (mod m): m = 2 and q = 1 - x.b
+for the beacon on either clock; on a cyclic clock m is the cycle length
+and q the target's offset on x's cycle (none if it is off the cycle); on
+the unbounded clock an exact label is met at the one r = phi.tau -
+x.tau, if at all.  Every later pulse, its integer point, its mid-pulse
+points and its pulse end, is then fixed by its offset (q - r) mod m, and
+is built once per offset.
 Mid-pulse points are evaluable only on a cyclic clock, where the orbit
 past the halt is one closed cycle, and their fidelities have a closed
 form: the beacon alternates around any post-halt cycle, and pairing each
@@ -275,25 +267,30 @@ def _scan(inst: InstanceDescriptor, *, dark_tail: bool = True) -> Iterator[tuple
     every pre-halt label (b = 0) and reads the run's bit at the first
     halted one, so its scan builds no label but the initial one.  Brent's
     detector saves a copy of the work half (state, head, tape) at steps
-    0, 1, 2, 4, 8, ... and compares the run with it, head first.  At a
-    revisit past the one step an exact target can match, the remaining
-    pulses are yielded as integer 0s without stepping.  A translated
-    looper (one that never revisits, like a right-mover writing 1s)
-    steps in linear time up to the horizon; only its jump is missing.
-    From the first halted label on the pulses come from
-    :func:`_post_halt_pulses`, with no step and no predicate call.
+    0, 1, 2, 4, 8, ... and compares the run with it, head first.
 
-    With ``dark_tail`` false the scan leaves out points that repeat an
-    earlier one: all after a revisit, and past the halt all but the
-    pulses that :func:`_post_halt_pulses` names as new, the horizon's
-    point too (the label that ends the pulse before it).  A repeated
-    point can neither raise the maximum nor be the first hit, so no
-    report changes."""
+    The one-tail rule: the live run ends at a revisit or at the halt, and
+    either end hands one tail the same pair, the pulses from there on,
+    without end, and the (r, points) of the pulses r steps on that show a
+    point no earlier one shows.  A revisit past the one step an exact
+    target can match proves the run never halts, so every later pulse is
+    a dark integer 0 and none is new; at the first halted label the pair
+    comes from :func:`_post_halt_pulses`, with no step and no target
+    compare.  The tail yields its pulses up to the horizon and then the
+    horizon's integer point; with ``dark_tail`` false it yields only the
+    new pulses below the horizon, since a repeated point can neither
+    raise the maximum nor be the first hit, so no report changes.  So a
+    looper that revisits costs O(prefix + period) steps whatever the
+    horizon, and a halter one period past its halt (an exact label on the
+    unbounded clock, its two lit pulses); a translated looper (one that
+    never revisits, like a right-mover writing 1s) steps in place in
+    linear time up to the horizon, as the jump over its translated cycle
+    is missing."""
     step = BeaconStep(inst.machine, inst.schedule.clock)
     target = inst.target
-    pred = step.target_predicate(target)
     grid = inst.grid
     horizon = inst.horizon
+    ceiling = _float_ceiling(1 - inst.epsilon)
     last = len(target.phi.hist) if isinstance(target, ExactLabel) else -1
 
     # integer and pulse-end points are 0/1 projections, and 0 < 1 - epsilon
@@ -304,17 +301,14 @@ def _scan(inst: InstanceDescriptor, *, dark_tail: bool = True) -> Iterator[tuple
     plain = tuple(tuple(a + e for e in ends) for a in alone)
     run = LiveRun(step, step.initial_label())
     tape = run.tape
-    lit = last == 0 and pred(run.label())
+    lit = last == 0 and run.label() == target.phi
     # before the halt: Brent's detector, one head compare per step
     n = save_at = 0
     head = state = saved = None  # the saved work half; None is no head
-    while True:
+    while not run.h:
         if run.head == head and run.state == state and tape == saved and n > last:
-            if dark_tail:
-                for n in range(n, horizon):
-                    yield n, plain[0][0]
-                yield horizon, alone[0]
-            return
+            pulses, news = itertools.repeat(plain[0][0]), ()
+            break
         if n == save_at:
             head, state, saved = run.head, run.state, dict(tape)
             save_at = 2 * n or 1
@@ -323,16 +317,13 @@ def _scan(inst: InstanceDescriptor, *, dark_tail: bool = True) -> Iterator[tuple
             if n == horizon:
                 return
         run.step()
+        was = lit
         if run.h:
-            break
-        was, lit = lit, n + 1 == last and pred(run.label())
+            lit, pulses, news = _post_halt_pulses(step, target, run, grid, ceiling, plain)
+        else:
+            lit = n + 1 == last and run.label() == target.phi
         yield n, ends[lit] if was else plain[0][lit]
         n += 1
-    ceiling = _float_ceiling(1 - inst.epsilon)
-    was = lit
-    lit, pulses, news = _post_halt_pulses(step, target, run, grid, ceiling, plain)
-    yield n, ends[lit] if was else plain[0][lit]
-    n += 1
     if dark_tail:
         for n, points in zip(range(n, horizon), pulses):
             yield n, points
@@ -373,14 +364,8 @@ def uhit_semidecide(inst: InstanceDescriptor) -> HitReport:
     comparison wrongly (see the certified threshold comparisons item in
     ROADMAP.md).
 
-    A run whose work half revisits a configuration before halting is dark
-    from there on (past an exact target's step), so the scan stops at the
-    revisit: such a looper's ``Exhausted`` costs O(prefix + period) steps
-    whatever the horizon.  A translated looper (one that never revisits,
-    like a right-mover writing 1s) steps in place in linear time up to
-    the horizon; only the jump over its translated cycle is missing.  Past
-    the halt the scan stops after the pulses that can still show a new
-    point, so an ``Exhausted`` there costs one period, not the horizon."""
+    It reads only the points that repeat no earlier one, so an
+    ``Exhausted`` costs what :func:`_scan`'s one-tail rule says."""
     best: Number = 0
     for n, points in _scan(inst, dark_tail=False):
         for j, fid, reached in points:

@@ -293,7 +293,8 @@ def classical_run(
     """Run from the initial configuration for at most ``max_steps`` steps.
 
     Returns ``Halted(K, final)`` with the exact halting step when the halt
-    state is reached within the bound, else ``StillRunning`` at the bound.
+    state is reached within the bound, else ``StillRunning`` at the bound;
+    either configuration holds the tape the run built, not a copy.
     This is the ground-truth side of every halting-versus-hitting check, so
     it deliberately shares no code with the reversible dynamics.
     """
@@ -307,9 +308,9 @@ def classical_run(
     k = 0
     while True:
         if state == halt:
-            return Halted(k, Configuration(state, head, dict(tape), k))
+            return Halted(k, Configuration(state, head, tape, k))
         if k == max_steps:
-            return StillRunning(Configuration(state, head, dict(tape), k))
+            return StillRunning(Configuration(state, head, tape, k))
         read = tape.get(head, blank)
         hit = table.get((state, read))
         if hit is None:

@@ -32,7 +32,7 @@ from .hitting import (
     _report_payload,
     uhit_semidecide,
 )
-from .machine import MachineSpec, Rule, classical_trace, parse_machine, read_document
+from .machine import Halted, MachineSpec, Rule, classical_run, parse_machine, read_document
 from .reversible import BeaconSubspace, ClockMode, ExactLabel
 
 
@@ -99,18 +99,16 @@ def encode(
 def _replay_halts(entry: CorpusEntry, claim: Halts) -> None:
     if not is_count(claim.steps) or claim.steps < 0:
         raise CorpusBugError(f"{entry.name}: not a nonnegative step count: {claim.steps!r}")
-    last = None
-    for cfg in classical_trace(entry.machine, claim.steps):
-        last = cfg
-    if last is None or last.step_count != claim.steps:
+    run = classical_run(entry.machine, claim.steps)
+    if not isinstance(run, Halted):
+        raise CorpusBugError(
+            f"{entry.name}: still in state {run.at.state} after "
+            f"{claim.steps} steps, not halted"
+        )
+    if run.steps != claim.steps:
         raise CorpusBugError(
             f"{entry.name}: claimed to halt at step {claim.steps} but the "
-            f"trace ended at {last.step_count if last else 'nowhere'}"
-        )
-    if last.state != entry.machine.halt_state:
-        raise CorpusBugError(
-            f"{entry.name}: still in state {last.state} after "
-            f"{claim.steps} steps, not halted"
+            f"trace ended at {run.steps}"
         )
 
 
@@ -124,15 +122,11 @@ def _replay_loops(entry: CorpusEntry, claim: LoopsForever) -> None:
     ):
         raise CorpusBugError(f"{entry.name}: malformed revisit pair {pair}")
     r, r2 = pair
-    # the trace stops short of r2 only at a halt, which is rejected here
-    for cfg in classical_trace(entry.machine, r2):
-        if cfg.state == entry.machine.halt_state:
-            raise CorpusBugError(
-                f"{entry.name}: halts at step {cfg.step_count}, cannot loop"
-            )
-        if cfg.step_count == r:
-            at_r = cfg
-    if not at_r.same_snapshot(cfg):
+    at_r2 = classical_run(entry.machine, r2)
+    if isinstance(at_r2, Halted):
+        raise CorpusBugError(f"{entry.name}: halts at step {at_r2.steps}, cannot loop")
+    # not halted by step r2, so still running at r < r2
+    if not classical_run(entry.machine, r).at.same_snapshot(at_r2.at):
         raise CorpusBugError(
             f"{entry.name}: configurations at steps {r} and {r2} differ, "
             "revisit certificate is false"

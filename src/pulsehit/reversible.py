@@ -407,8 +407,10 @@ class BeaconStep:
         )
 
     def forward(self, x: ExtendedBasisState) -> ExtendedBasisState:
-        """The label one step after ``x``.  Unchecked: this is the scan's
-        hot path, so it trusts its caller to pass a basis label."""
+        """The label one step after ``x``.  Unchecked: each caller passes a
+        label it has checked or built itself (``dynamics.cycle_of`` walks
+        on from a label it checked, :meth:`backward` steps the candidates
+        it built), so a check here would only repeat theirs."""
         if self._cyclic is None and x.tau < 0:
             return ExtendedBasisState(
                 x.state, x.head, x.tape, x.hist, x.tau + 1, x.h, x.b

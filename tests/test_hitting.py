@@ -815,6 +815,44 @@ def test_an_exact_target_far_past_the_halt_is_reached_by_arithmetic(horizon, wan
     assert uhit_semidecide(inst) == want
 
 
+@pytest.mark.parametrize("where", ["before-the-halt", "another-work-half"])
+def test_an_unbounded_exact_target_off_the_post_halt_run(where):
+    # move-right-3 halts at K = 3; a target at step 1, or at clock 7 with
+    # its head one cell past the halted one, is not on the run past the
+    # halt, so every pulse from the halt on is dark
+    step = BeaconStep(MOVE_RIGHT_3, Unbounded())
+    phi = {
+        "before-the-halt": step.advance(step.initial_label(), 1),
+        "another-work-half": step.make_label("qH", 4, {}, [0, 1, 2], 7, 1, 0),
+    }[where]
+    inst = InstanceDescriptor(MOVE_RIGHT_3, QUARTER, PulseSchedule(HALF, Unbounded()),
+                              ExactLabel(phi), 10, 6)
+    noise = NoiseModel(Fraction(1, 8), 7)
+
+    def consumers():
+        return (
+            uhit_semidecide(inst),
+            fidelity_trace(inst),
+            run_bounded_protocol(inst, ProtocolBudget(8, 8)),
+            classify_with_noise(inst, noise),
+        )
+
+    def oracle(inst, dark_tail=True):
+        return stepwise_scan(inst)
+
+    want = _points(stepwise_scan(inst))
+    assert _points(_scan(inst)) == want
+    sparse = list(_scan(inst, dark_tail=False))
+    ns = [n for n, _ in sparse]
+    assert ns == sorted(ns)
+    ticks = [(n, j) for n, j, *_ in _points(sparse)]
+    assert ticks == sorted(set(ticks))
+    assert set(_points(sparse)) <= set(want)
+    got = consumers()
+    with patch.object(hitting, "_scan", oracle), patch.object(protocol, "_scan", oracle):
+        assert got == consumers()
+
+
 @pytest.mark.parametrize("clock", [Cyclic(7), Cyclic(10**6)], ids=["cyclic7", "cyclic1e6"])
 def test_an_exhausted_past_the_halt_scans_one_period_not_the_horizon(clock):
     # the first halted label is the frozen work half at K = 3; a label

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from pulsehit.dynamics import (
     PulseSchedule,
     SparseState,
+    approx_unitary,
     evolve_integer,
     evolve_to,
     fractional_coeffs,
@@ -504,6 +505,34 @@ INTEGER_PARAMETERS = {
     "coeffs-cycle-length": ("cycle length", lambda v: fractional_coeffs(v, HALF)),
     "noise-seed": ("seed", lambda v: NoiseModel(Fraction(1, 10), v)),
 }
+
+
+# (parameter named in the message, call taking the value); a bool would
+# pass Fraction() as 0 or 1, so every rational parameter refuses it too
+RATIONAL_PARAMETERS = {
+    "budget-tau_max": ("tau_max", lambda v: ProtocolBudget(v, 3)),
+    "noise-gamma": ("gamma", lambda v: NoiseModel(v)),
+    "evolve-time": ("t", lambda v: evolve_to(_step(), PulseSchedule(HALF, Cyclic(3)), _psi(), v)),
+    "approx-time": (
+        "t",
+        lambda v: approx_unitary(
+            _step(), PulseSchedule(HALF, Cyclic(3)), [_step().initial_label()], v, 10
+        ),
+    ),
+    "work-time": ("t", lambda v: work_to_reach(v)),
+    "state-time_tag": ("time_tag", lambda v: SparseState([], v)),
+    "coeffs-alpha": ("alpha", lambda v: fractional_coeffs(3, v)),
+    "schedule-delta": ("delta", lambda v: PulseSchedule(v, Unbounded())),
+    "grid-epsilon": ("epsilon", lambda v: grid_for(v)),
+}
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("case", sorted(RATIONAL_PARAMETERS))
+def test_booleans_are_not_rational_parameters(case, value):
+    name, call = RATIONAL_PARAMETERS[case]
+    with pytest.raises(ParameterRangeError, match=f"^{name} must be rational, got {value}$"):
+        call(value)
 
 
 @pytest.mark.parametrize("value", [True, False])

@@ -6,6 +6,7 @@ drift between file and manifest surfaces as a corpus bug, not a verdict).
 """
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,9 +16,14 @@ from hypothesis import strategies as st
 
 import pulsehit
 from pulsehit.cli import main
-from pulsehit.errors import CorpusBugError, MachineSyntaxError, ParameterRangeError
+from pulsehit.errors import (
+    CorpusBugError,
+    IllFormedMachineError,
+    MachineSyntaxError,
+    ParameterRangeError,
+)
 from pulsehit.hitting import Exhausted, Hit, uhit_semidecide
-from pulsehit.machine import Halted, classical_run
+from pulsehit.machine import Halted, classical_run, parse_machine
 from pulsehit.reduction import (
     CorpusEntry,
     Halts,
@@ -95,28 +101,41 @@ def test_manifest_step_counts_match_fresh_classical_runs():
 
 
 def test_false_certificates_raise_corpus_bug():
+    """Each false certificate is refused with its whole message."""
     entries = by_name(builtin_corpus())
-    wrong_k = CorpusEntry("bad", entries["move-right-3"].machine, Halts(5))
-    with pytest.raises(CorpusBugError, match="trace ended"):
-        validate_entry(wrong_k)
-    looper_as_halter = CorpusEntry("bad", entries["loop-stay"].machine, Halts(3))
-    with pytest.raises(CorpusBugError, match="not halted"):
-        validate_entry(looper_as_halter)
-    halter_as_looper = CorpusEntry(
-        "bad", entries["halt-now"].machine, LoopsForever((0, 1))
+    cases = [
+        ("move-right-3", Halts(5), "claimed to halt at step 5 but the trace ended at 3"),
+        ("move-right-3", Halts(2), "still in state q2 after 2 steps, not halted"),
+        ("loop-stay", Halts(3), "still in state q0 after 3 steps, not halted"),
+        ("halt-now", LoopsForever((0, 1)), "halts at step 0, cannot loop"),
+        ("move-right-3", LoopsForever((1, 5)), "halts at step 3, cannot loop"),
+        ("move-right-3", LoopsForever((1, 3)), "halts at step 3, cannot loop"),
+        ("move-right-3", LoopsForever((4, 6)), "halts at step 3, cannot loop"),
+        (
+            "loop-shuttle",
+            LoopsForever((0, 2)),
+            "configurations at steps 0 and 2 differ, revisit certificate is false",
+        ),
+        ("loop-stay", LoopsForever((1, 1)), "malformed revisit pair (1, 1)"),
+    ]
+    for machine, claim, message in cases:
+        with pytest.raises(CorpusBugError, match=f"^{re.escape('bad: ' + message)}$"):
+            validate_entry(CorpusEntry("bad", entries[machine].machine, claim))
+
+
+@pytest.mark.parametrize(
+    "claim", [Halts(3), LoopsForever((0, 3)), LoopsForever((2, 3))], ids=str
+)
+def test_a_missing_rule_before_the_claimed_step_is_an_ill_formed_machine(claim):
+    """The replay runs into the missing rule before it reaches any step the
+    certificate names, and reports the rule and the step."""
+    machine = parse_machine(
+        "states: q0 q1 qH\nalphabet: _ 1\nstart: q0\nhalt: qH\n"
+        "rule: q0 _ -> q1 1 R\n"
     )
-    with pytest.raises(CorpusBugError, match="cannot loop"):
-        validate_entry(halter_as_looper)
-    false_revisit = CorpusEntry(
-        "bad", entries["loop-shuttle"].machine, LoopsForever((0, 2))
-    )
-    with pytest.raises(CorpusBugError, match="differ"):
-        validate_entry(false_revisit)
-    malformed = CorpusEntry(
-        "bad", entries["loop-stay"].machine, LoopsForever((1, 1))
-    )
-    with pytest.raises(CorpusBugError, match="malformed revisit"):
-        validate_entry(malformed)
+    message = "no rule for ('q1', '_') at step 1"
+    with pytest.raises(IllFormedMachineError, match=f"^{re.escape(message)}$"):
+        validate_entry(CorpusEntry("bad", machine, claim))
 
 
 @pytest.mark.parametrize(

@@ -204,6 +204,19 @@ def test_backward_no_preimage_cases_unbounded():
     assert halt_now.backward(halt_now.make_label("q0", 0, {}, [], 1, 1, 0)) is NO_PREIMAGE
 
 
+def test_backward_skips_a_candidate_with_no_rule():
+    # the step-0 rise's candidate (q0 at clock 0 on a blank tape) keeps
+    # the run rule, but the machine has no rule on a blank, so stepping
+    # it forward raises; backward skips it and finds no other preimage
+    spec = parse_machine(
+        "states: q0 qH\nalphabet: _ 1\nstart: q0\nhalt: qH\nrule: q0 1 -> qH 1 S\n"
+    )
+    step = BeaconStep(spec, Unbounded())
+    with pytest.raises(IllFormedMachineError):
+        step.forward(step.initial_label())
+    assert step.backward(step.make_label("q0", 0, {}, [], 1, 1, 1)) is NO_PREIMAGE
+
+
 @pytest.mark.parametrize("period", [2, 3, 4])
 def test_backward_no_preimage_cases_cyclic(period):
     step = BeaconStep(MOVE_RIGHT_3, Cyclic(period))
