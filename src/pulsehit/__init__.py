@@ -43,10 +43,8 @@ from .reversible import (
     Cyclic,
     ExactLabel,
     ExtendedBasisState,
-    HistChain,
     NoPreimage,
     Unbounded,
-    history_of,
 )
 from .dynamics import (
     Amplitude,

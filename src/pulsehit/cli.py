@@ -28,6 +28,7 @@ bytes.  Exit codes are stable across commands: 0 for success or a hit,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -255,7 +256,10 @@ def _add_out_flag(sub) -> None:
     sub.add_argument("--out", default=None, help="write output here instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use: parsing leaves
+    it unchanged and every default is immutable, so calls can share it."""
     parser = _Parser(prog="pulsehit", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
 

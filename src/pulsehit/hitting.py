@@ -26,7 +26,7 @@ certified fidelity value.  Integer and pulse-end points are exact 0/1
 projections and are available in every mode.
 
 Before the halt the scan steps the work half (state, head, tape) in
-place, with no label, history node or tape copy per step, and watches it
+place, with no label, history or tape copy per step, and watches it
 for a revisit, by Brent's cycle detection; past the halt it steps
 nothing.  How either end of the live run hands over to the rest of the
 scan is :func:`_scan`'s one-tail rule.
@@ -76,6 +76,8 @@ from .reversible import BeaconStep, BeaconSubspace, ExactLabel, LiveRun
 
 Number = Union[int, float, Fraction]
 
+_GRID_CAP = 2**52  # most points per pulse: up to it, float(1/G) still tells G apart
+
 
 def grid_for(epsilon: Fraction) -> int:
     """Grid refinement fine enough that a fidelity ramp from 0 to 1 over
@@ -83,11 +85,17 @@ def grid_for(epsilon: Fraction) -> int:
     G = max(2, ceil(2*delta / (delta - (2*delta/pi) asin sqrt(1-eps)))),
     that is the least G >= 2 with sin^2(pi/G) <= eps (delta cancels).
     The search starts below the float estimate and compares
-    :func:`_sin2_pi`, exact at the Niven G = 2, 3, 4 and 6, with eps."""
+    :func:`_sin2_pi`, exact at the Niven G = 2, 3, 4 and 6, with eps.  An
+    eps that needs more than 2**52 points per pulse (eps below about
+    4.9e-31) is refused."""
     epsilon = _as_epsilon(epsilon)
-    g = max(2, math.floor(math.pi / math.asin(math.sqrt(float(epsilon)))) - 1)
-    while _sin2_pi(Fraction(1, g)) > epsilon:
+    eps = float(epsilon)
+    estimate = math.pi / math.asin(math.sqrt(eps)) if eps else math.inf
+    g = max(2, math.floor(min(estimate, _GRID_CAP)) - 1)
+    while g <= _GRID_CAP and _sin2_pi(Fraction(1, g)) > epsilon:
         g += 1
+    if g > _GRID_CAP:
+        raise ParameterRangeError(f"epsilon {epsilon} needs more than 2**52 grid points per pulse")
     return g
 
 

@@ -82,6 +82,9 @@ class ExactLabel:
 
     phi: "ExtendedBasisState"
 
+    def __post_init__(self):
+        _require_label(self.phi)
+
 
 @dataclass(frozen=True)
 class NoPreimage:
@@ -89,78 +92,6 @@ class NoPreimage:
 
 
 NO_PREIMAGE = NoPreimage()
-
-
-class HistChain:
-    """Immutable rule-index history with O(1) append and shared tails.
-
-    Chains built by repeated ``append`` along one orbit share structure, so
-    equality checks between nearby orbit labels short-circuit on identity;
-    the hash is built incrementally from the rule indices, so chains of
-    different content almost always differ in it and compare unequal in
-    O(1).  Iteration yields rule indices oldest first.
-    """
-
-    __slots__ = ("prev", "rule_index", "length", "_hash")
-
-    def __init__(self, prev: Optional["HistChain"], rule_index: Optional[int]):
-        self.prev = prev
-        self.rule_index = rule_index
-        if prev is None:
-            self.length = 0
-            self._hash = hash(("hist",))
-        else:
-            self.length = prev.length + 1
-            self._hash = hash((prev._hash, rule_index))
-
-    def append(self, rule_index: int) -> "HistChain":
-        return HistChain(self, rule_index)
-
-    def pop(self) -> tuple[int, "HistChain"]:
-        if self.prev is None:
-            raise LabelError("cannot pop an empty history")
-        return self.rule_index, self.prev
-
-    def __len__(self) -> int:
-        return self.length
-
-    def __iter__(self):
-        out = []
-        node = self
-        while node.prev is not None:
-            out.append(node.rule_index)
-            node = node.prev
-        return iter(reversed(out))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, HistChain):
-            return NotImplemented
-        if self._hash != other._hash or self.length != other.length:
-            return False
-        a, b = self, other
-        while a is not b:
-            if a.rule_index != b.rule_index:
-                return False
-            a, b = a.prev, b.prev
-        return True
-
-    def __repr__(self) -> str:
-        return f"HistChain({list(self)})"
-
-
-EMPTY_HISTORY = HistChain(None, None)
-
-
-def history_of(indices: Iterable[int]) -> HistChain:
-    node = EMPTY_HISTORY
-    for i in indices:
-        node = node.append(i)
-    return node
 
 
 # ---------------------------------------------------------------------------
@@ -187,12 +118,14 @@ def _field(out: bytearray, tag: int, payload: bytes) -> None:
 class ExtendedBasisState:
     """One basis label of the extended space.
 
-    ``tape`` is sparse (blank cells absent) and must never be mutated.
+    ``tape`` is sparse (blank cells absent) and must never be mutated;
+    ``hist`` is the tuple of rule indices applied so far, oldest first.
     Labels are value objects whose identity is their seven fields: equality
     compares the small fields first, then the history and the tape (each by
-    identity before content, since labels along one orbit share them), and
-    the hash combines the history's O(1) incremental hash with the small
-    fields.  :attr:`serial` is the canonical byte form of the same identity,
+    identity before content, since the labels of one cycle share them).
+    The hash covers only O(1) fields, the history's length among them, so
+    it never walks the history or the tape; equal labels agree on all of
+    them.  :attr:`serial` is the canonical byte form of the same identity,
     built on demand for ordering and printing.
     """
 
@@ -203,7 +136,7 @@ class ExtendedBasisState:
         state: str,
         head: int,
         tape: dict[int, str],
-        hist: HistChain,
+        hist: tuple[int, ...],
         tau: int,
         h: int,
         b: int,
@@ -259,7 +192,7 @@ class ExtendedBasisState:
     def __hash__(self) -> int:
         if self._hash is None:
             self._hash = hash(
-                (self.hist._hash, self.tau, self.h, self.b, self.head, self.state)
+                (len(self.hist), self.tau, self.h, self.b, self.head, self.state)
             )
         return self._hash
 
@@ -344,25 +277,25 @@ class BeaconStep:
 
     def initial_label(self) -> ExtendedBasisState:
         tape = {i: s for i, s in enumerate(self.spec.input_word)}
-        return ExtendedBasisState(self.spec.start_state, 0, tape, EMPTY_HISTORY, 0, 0, 0)
+        return ExtendedBasisState(self.spec.start_state, 0, tape, (), 0, 0, 0)
 
     def make_label(
         self,
         state: str,
         head: int,
         tape: dict[int, str],
-        hist: Union[HistChain, Iterable[int]],
+        hist: Iterable[int],
         tau: int,
         h: int,
         b: int,
     ) -> ExtendedBasisState:
-        """Validated public constructor (forward/backward build labels
-        directly and skip these checks)."""
+        """Validated public constructor; ``hist`` is any iterable of rule
+        indices, stored as a tuple (forward/backward build labels directly
+        and skip these checks)."""
         spec = self.spec
         if state not in spec.states:
             raise LabelError(f"undeclared state {state!r}")
-        if not isinstance(hist, HistChain):
-            hist = history_of(hist)
+        hist = tuple(hist)
         if not all(map(is_count, (head, tau, *tape, *hist))):
             raise LabelError("head, clock, tape cells and history indices must be integers")
         symbols = set(spec.alphabet)
@@ -410,7 +343,9 @@ class BeaconStep:
         """The label one step after ``x``.  Unchecked: each caller passes a
         label it has checked or built itself (``dynamics.cycle_of`` walks
         on from a label it checked, :meth:`backward` steps the candidates
-        it built), so a check here would only repeat theirs."""
+        it built), so a check here would only repeat theirs.  A live step
+        copies the history, and the tape if it writes: O(K + tape) at
+        depth K; a halted or idle step shares both."""
         if self._cyclic is None and x.tau < 0:
             return ExtendedBasisState(
                 x.state, x.head, x.tape, x.hist, x.tau + 1, x.h, x.b
@@ -432,7 +367,7 @@ class BeaconStep:
             rule.next_state,
             x.head + _OFFSET[rule.move],
             tape,
-            x.hist.append(idx),
+            x.hist + (idx,),
             self._tick(x.tau),
             h,
             x.b,
@@ -521,10 +456,9 @@ class BeaconStep:
         if len(y.hist) == 0:  # the flag's rise out of a step-0 halt
             yield ExtendedBasisState(y.state, y.head, y.tape, y.hist, 0, 0, y.b ^ 1)
         else:  # the last rule undone
-            idx, hist = y.hist.pop()
-            work = self._unapply(y, idx)
+            work = self._unapply(y, y.hist[-1])
             if work is not None:
-                yield ExtendedBasisState(*work, hist, self._tick(y.tau, -1), 0, y.b)
+                yield ExtendedBasisState(*work, y.hist[:-1], self._tick(y.tau, -1), 0, y.b)
         yield self._halted_after(y, -1)
         if self._cyclic is None:  # the idle shift below clock 0
             yield ExtendedBasisState(y.state, y.head, y.tape, y.hist, y.tau - 1, y.h, y.b)
@@ -537,6 +471,8 @@ class BeaconStep:
         rule (b = 0 and tau = K before the halt, b = (tau - K) mod 2 after
         it; see the module docstring) and steps onto ``y``.  The tail comes
         first, so a cyclic clock's halt-entry pinch resolves to the tail.
+        Undoing a rule copies the history without its last index, O(K) at
+        depth K.
         """
         _require_label(y)
         for cand in self._candidates(y):
@@ -576,20 +512,19 @@ class LiveRun:
     sits in the halt state (the step-0 halt), with the work half frozen
     and b toggled.  So a step updates one tape dict, the head, the state,
     the step count n and a list of rule indices, and builds no label,
-    history node or tape copy; :meth:`label` builds the current label on
-    request, in O(new history + tape).  The tape is the run's own and
-    changes with every step that writes.
+    history or tape copy; :meth:`label` builds the current label on
+    request, in O(history + tape).  The tape is the run's own and changes
+    with every step that writes.
     """
 
-    __slots__ = ("state", "head", "tape", "n", "h", "b", "_step", "_tau", "_hist", "_pending")
+    __slots__ = ("state", "head", "tape", "n", "h", "b", "_step", "_tau", "_hist")
 
     def __init__(self, step: BeaconStep, x: ExtendedBasisState):
         self._step = step
         self.state, self.head, self.tape = x.state, x.head, dict(x.tape)
         self.n, self.h, self.b = 0, x.h, x.b
         self._tau = x.tau
-        self._hist = x.hist
-        self._pending: list[int] = []
+        self._hist = list(x.hist)
 
     @property
     def tau(self) -> int:
@@ -609,7 +544,7 @@ class LiveRun:
                     del self.tape[self.head]
                 else:
                     self.tape[self.head] = rule.write
-            self._pending.append(idx)
+            self._hist.append(idx)
             self.head += _OFFSET[rule.move]
             self.state = rule.next_state
             if rule.next_state == beacon._halt:
@@ -617,12 +552,7 @@ class LiveRun:
         self.n += 1
 
     def label(self) -> ExtendedBasisState:
-        """The current label, with a copy of the tape."""
-        hist = self._hist
-        for idx in self._pending:
-            hist = hist.append(idx)
-        self._hist = hist
-        self._pending.clear()
+        """The current label, with copies of the history and the tape."""
         return ExtendedBasisState(
-            self.state, self.head, dict(self.tape), hist, self.tau, self.h, self.b
+            self.state, self.head, dict(self.tape), tuple(self._hist), self.tau, self.h, self.b
         )

@@ -7,9 +7,11 @@ from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
+from pulsehit import cli
 from pulsehit.cli import main
 from pulsehit.hitting import fidelity_trace, hit_report_json, trace_to_csv, uhit_semidecide
 from pulsehit.machine import parse_machine, read_document
@@ -484,6 +486,49 @@ def test_no_command_exits_one(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("hit", "MOVER"), ("compile", "MOVER"), ("trace", "MOVER", "--horizon", "6")],
+    ids=["hit", "compile", "trace"],
+)
+def test_spelled_out_defaults_print_the_defaults_bytes(capsys, mover, argv):
+    argv = [mover if arg == "MOVER" else arg for arg in argv]
+    default = run(capsys, *argv)
+    assert run(capsys, *argv, "--clock", "unbounded", "--target", "beacon") == default
+
+
+def test_main_builds_one_parser_per_process(capsys, mover):
+    built = []
+    init = cli._Parser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    with patch.object(cli._Parser, "__init__", spy):
+        run(capsys, "hit", mover)
+        run(capsys, "verify", "--horizon", "10")
+    assert built.count("pulsehit") <= 1
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_a_shared_parser_answers_as_a_fresh_one(capsys, mover):
+    # an argument error and --help first, then three commands, all in one
+    # process: the same bytes and exit codes as a new parser for each call
+    sequence = [
+        ("hit", mover, "--clock", "bogus"),
+        ("--help",),
+        ("verify", "--horizon", "100"),
+        ("hit", mover, "--clock", "cyclic:3"),
+        ("sweep", "--budgets", "10,20"),
+    ]
+    shared = [run(capsys, *argv) for argv in sequence]
+    with patch.object(cli, "build_parser", cli.build_parser.__wrapped__):
+        fresh = [run(capsys, *argv) for argv in sequence]
+    assert shared == fresh
+    assert [code for code, _out, _err in shared] == [1, 0, 0, 0, 0]
 
 
 # -- frozen stdout bytes -----------------------------------------------------------

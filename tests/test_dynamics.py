@@ -327,6 +327,18 @@ def test_sparse_state_drops_exact_zeros_and_rejects_duplicates():
         SparseState([(labels[0], 1)])
 
 
+def test_sparse_state_equality_checks_every_part():
+    step = BeaconStep(MOVE_RIGHT_3, Unbounded())
+    labels = walk(step, step.initial_label(), 2)
+    three, four = Amplitude.exact(Fraction(3, 5)), Amplitude.exact(Fraction(4, 5))
+    psi = SparseState([(labels[0], three), (labels[2], four)], 1)
+    assert psi == SparseState([(labels[2], four), (labels[0], three)], 1)
+    assert psi.__eq__("x") is NotImplemented and psi != "x"
+    assert psi != SparseState([(labels[0], three), (labels[2], four)], 2)  # time tag
+    assert psi != SparseState.basis_state(labels[0], 1)  # support size
+    assert psi != SparseState([(labels[0], four), (labels[2], three)], 1)  # amplitude
+
+
 def test_sparse_state_norm_enforcement():
     step = BeaconStep(MOVE_RIGHT_3, Unbounded())
     lab = step.initial_label()

@@ -12,6 +12,7 @@ Niven point j = 4, t = K + 1/3, with fidelity exactly 3/4.
 import itertools
 import math
 import re
+import time
 import tracemalloc
 from fractions import Fraction
 from unittest.mock import patch
@@ -34,7 +35,7 @@ from pulsehit.dynamics import (
     fractional_coeffs,
     subspace_fidelity,
 )
-from pulsehit.errors import IllFormedMachineError, ParameterRangeError
+from pulsehit.errors import IllFormedMachineError, LabelError, ParameterRangeError
 from pulsehit.hitting import (
     Exhausted,
     Hit,
@@ -49,7 +50,7 @@ from pulsehit.hitting import (
 )
 from pulsehit.machine import Halted, classical_run, parse_machine
 from pulsehit.protocol import NoiseModel, ProtocolBudget, classify_with_noise, run_bounded_protocol
-from pulsehit.reduction import builtin_corpus, counter_family
+from pulsehit.reduction import builtin_corpus, counter_family, encode
 from pulsehit.reversible import (
     BeaconStep,
     BeaconSubspace,
@@ -113,6 +114,50 @@ def test_grid_for_rejects_bad_epsilon():
             grid_for(eps)
 
 
+def _least_grid(eps: Fraction) -> int:
+    """The least G >= 2 with sin^2(pi/G) <= eps, by bisection at 60 digits."""
+    import mpmath
+
+    def ok(g):
+        return mpmath.sin(mpmath.pi / g) ** 2 <= bound
+
+    with mpmath.workdps(60):
+        bound = mpmath.mpf(eps.numerator) / eps.denominator
+        lo, hi = 1, 2
+        while not ok(hi):
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if ok(mid) else (mid, hi)
+        return hi
+
+
+def test_grid_for_is_the_least_grid_up_to_the_cap():
+    # the least grids for eps = 10**-k, k = 1..30, all below the 2**52 cap
+    frozen = [
+        10, 32, 100, 315, 994, 3142, 9935, 31416, 99346, 314160, 993459,
+        3141593, 9934589, 31415927, 99345883, 314159266, 993458827,
+        3141592654, 9934588266, 31415926536, 99345882658, 314159265359,
+        993458826580, 3141592653590, 9934588265797, 31415926535898,
+        99345882657962, 314159265358980, 993458826579611, 3141592653589794,
+    ]
+    for k, want in enumerate(frozen, start=1):
+        eps = Fraction(1, 10**k)
+        assert grid_for(eps) == want == _least_grid(eps)
+    for eps in (Fraction(1, 4), Fraction(1, 3), Fraction(2, 5)):
+        assert grid_for(eps) == _least_grid(eps)
+
+
+@pytest.mark.parametrize("k", [32, 100, 300, 400])
+def test_grid_for_refuses_an_epsilon_past_the_cap(k):
+    # past the cap: 10**-32 needs G above 2**53, where consecutive float(1/G)
+    # coincide (10**-100, 10**-300), and 10**-400 is 0.0 as a float
+    start = time.perf_counter()
+    with pytest.raises(ParameterRangeError, match="epsilon"):
+        grid_for(Fraction(1, 10**k))
+    assert time.perf_counter() - start < 0.5
+
+
 # -- instance validation ---------------------------------------------------------
 
 
@@ -132,6 +177,16 @@ def test_instance_descriptor_validation():
         InstanceDescriptor("machine", QUARTER, sched, BeaconSubspace(), 10, 6)
     with pytest.raises(ParameterRangeError):
         InstanceDescriptor(MOVE_RIGHT_3, QUARTER, "sched", BeaconSubspace(), 10, 6)
+
+
+@pytest.mark.parametrize("phi", ["x", None, 3])
+def test_exact_target_refuses_a_non_label(phi):
+    # refused where the target is built, before any scan reads phi.hist
+    sched = PulseSchedule(HALF, Unbounded())
+    with pytest.raises(LabelError, match=f"^not a basis label: {phi!r}$"):
+        InstanceDescriptor(MOVE_RIGHT_3, QUARTER, sched, ExactLabel(phi), 10, 6)
+    with pytest.raises(LabelError, match=f"^not a basis label: {phi!r}$"):
+        uhit_semidecide(encode(MOVE_RIGHT_3, QUARTER, HALF, Unbounded(), ExactLabel(phi), 10))
 
 
 # -- frozen first hits -----------------------------------------------------------

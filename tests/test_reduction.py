@@ -123,6 +123,12 @@ def test_false_certificates_raise_corpus_bug():
             validate_entry(CorpusEntry("bad", entries[machine].machine, claim))
 
 
+def test_an_unknown_ground_truth_is_a_corpus_bug():
+    entry = CorpusEntry("odd", by_name(builtin_corpus())["halt-now"].machine, "halts")
+    with pytest.raises(CorpusBugError, match="^odd: unknown ground truth 'halts'$"):
+        validate_entry(entry)
+
+
 @pytest.mark.parametrize(
     "claim", [Halts(3), LoopsForever((0, 3)), LoopsForever((2, 3))], ids=str
 )

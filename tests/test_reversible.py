@@ -25,7 +25,6 @@ from pulsehit.machine import (
 )
 from pulsehit.reduction import Halts, builtin_corpus
 from pulsehit.reversible import (
-    EMPTY_HISTORY,
     NO_PREIMAGE,
     BeaconStep,
     BeaconSubspace,
@@ -34,7 +33,6 @@ from pulsehit.reversible import (
     ExtendedBasisState,
     LiveRun,
     Unbounded,
-    history_of,
 )
 
 MOVE_RIGHT_3 = parse_machine(
@@ -161,11 +159,20 @@ def test_backward_retraces_orbit_across_the_rise():
         assert step.backward(later) == earlier
 
 
+def test_backward_of_an_out_of_range_rule_index_has_no_preimage():
+    # move-right-3 has rules 0..2; no rule 3 or -1 can be undone
+    for clock in (Unbounded(), Cyclic(3)):
+        step = BeaconStep(MOVE_RIGHT_3, clock)
+        for idx in (3, -1):
+            y = ExtendedBasisState("q1", 1, {}, (idx,), 1, 0, 0)
+            assert step.backward(y) is NO_PREIMAGE
+
+
 def test_backward_of_initial_is_idle_shift():
     step = BeaconStep(MOVE_RIGHT_3, Unbounded())
     init = step.initial_label()
     prev = step.backward(init)
-    assert prev == ExtendedBasisState("q0", 0, {}, EMPTY_HISTORY, -1, 0, 0)
+    assert prev == ExtendedBasisState("q0", 0, {}, (), -1, 0, 0)
     assert step.forward(prev) == init
     # and the idle region extends indefinitely backward
     prev2 = step.backward(prev)
@@ -403,6 +410,12 @@ def test_label_entry_points_refuse_a_non_label(call):
         call(step, y)
 
 
+@pytest.mark.parametrize("phi", ["x", None, 3])
+def test_exact_label_refuses_a_non_label(phi):
+    with pytest.raises(LabelError, match=f"^not a basis label: {phi!r}$"):
+        ExactLabel(phi)
+
+
 def test_clock_mode_validation():
     with pytest.raises(ParameterRangeError):
         Cyclic(1)
@@ -418,20 +431,24 @@ def test_step_rejects_rules_out_of_halt():
         BeaconStep(spec, Unbounded())
 
 
-def test_hist_chain_behaviour():
-    h3 = history_of([2, 0, 1])
-    assert len(h3) == 3
-    assert list(h3) == [2, 0, 1]
-    assert h3.rule_index == 1
-    idx, prev = h3.pop()
-    assert idx == 1 and list(prev) == [2, 0]
-    assert history_of([2, 0, 1]) == h3
-    assert hash(history_of([2, 0, 1])) == hash(h3)
-    assert history_of([2, 0]) != h3
-    assert history_of([2, 0, 0]) != h3
-    assert len(EMPTY_HISTORY) == 0
-    with pytest.raises(LabelError):
-        EMPTY_HISTORY.pop()
+def test_history_is_a_plain_tuple():
+    # on the initial label, after advance (live and past the halt), on a
+    # live run's label, and from make_label given a list
+    step = BeaconStep(BINARY_INC, Cyclic(3))
+    init = step.initial_label()
+    assert init.hist == () and type(init.hist) is tuple
+    for n in (2, 4, 9):
+        assert type(step.advance(init, n).hist) is tuple
+    run = LiveRun(step, init)
+    run.step()
+    run.step()
+    lab = run.label()
+    assert type(lab.hist) is tuple and lab.hist == (0, 0)
+    run.step()
+    assert lab.hist == (0, 0)  # a label keeps its history as the run goes on
+    assert run.label().hist == (0, 0, 0)
+    built = step.make_label("q0", 0, {}, [2, 0, 1], 0, 0, 0)
+    assert type(built.hist) is tuple and built.hist == (2, 0, 1)
 
 
 def test_serialization_separates_all_orbit_labels():
@@ -478,10 +495,10 @@ def _one_field_mutants(step, lab):
         del tape[lab.head]
     else:
         tape[lab.head] = spec.alphabet[-1]
-    hists = [lab.hist.append(0)]
-    if len(lab.hist):
+    hists = [lab.hist + (0,)]
+    if lab.hist:
         # same length, last rule index changed
-        hists.append(history_of(list(lab.hist)[:-1] + [lab.hist.rule_index + 1]))
+        hists.append(lab.hist[:-1] + (lab.hist[-1] + 1,))
     fields = (lab.state, lab.head, lab.tape, lab.hist, lab.tau, lab.h, lab.b)
     changes = [
         (0, next(q for q in spec.states if q != lab.state)),
@@ -514,7 +531,7 @@ def test_label_identity_agrees_with_serial_bytes(spec, period, steps, data):
     orbit = walk(step, step.initial_label(), steps)
     lab = data.draw(st.sampled_from(orbit))
     twin = step.make_label(
-        lab.state, lab.head, lab.tape, history_of(list(lab.hist)), lab.tau, lab.h, lab.b
+        lab.state, lab.head, lab.tape, list(lab.hist), lab.tau, lab.h, lab.b
     )
     assert twin is not lab
     mutants = _one_field_mutants(step, lab)
