@@ -13,7 +13,8 @@ Each command declares only the flags it reads.  ``compile``, ``hit`` and
 --epsilon --delta --family-cap``.  Every command takes ``--out``, and
 ``trace`` alone takes ``--format csv|json``.  The parser only turns text
 into exact values; the library checks every range and raises a typed
-error.
+error.  Each command returns its text and exit code, and :func:`main`
+alone writes the text, to stdout or to the ``--out`` file.
 
 Rational parameters are written exactly as ``p/q`` (or a bare integer);
 float spellings are rejected so thresholds and grid ties stay exact.
@@ -135,13 +136,6 @@ def _instance(args: argparse.Namespace):
     return replace(inst, target=ExactLabel(label))
 
 
-def _emit(text: str, args: argparse.Namespace) -> None:
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _clock_payload(clock: ClockMode) -> str:
     return "unbounded" if isinstance(clock, Unbounded) else f"cyclic:{clock.period}"
 
@@ -151,7 +145,7 @@ def _target_payload(args: argparse.Namespace) -> str:
     return "beacon" if kind == "beacon" else f"exact:{steps}"
 
 
-def cmd_compile(args: argparse.Namespace) -> int:
+def cmd_compile(args: argparse.Namespace) -> tuple[str, int]:
     inst = _instance(args)
     spec = inst.machine
     payload = {
@@ -172,45 +166,38 @@ def cmd_compile(args: argparse.Namespace) -> int:
         },
         "target": _target_payload(args),
     }
-    _emit(json.dumps(payload, sort_keys=True) + "\n", args)
-    return EXIT_OK
+    return json.dumps(payload, sort_keys=True) + "\n", EXIT_OK
 
 
-def cmd_evolve(args: argparse.Namespace) -> int:
+def cmd_evolve(args: argparse.Namespace) -> tuple[str, int]:
     machine = _read_machine(args)
     step = BeaconStep(machine, args.clock)
     sched = PulseSchedule(args.delta, args.clock)
     psi0 = SparseState.basis_state(step.initial_label())
     psi = evolve_to(step, sched, psi0, args.time)
-    _emit(state_to_json(psi) + "\n", args)
-    return EXIT_OK
+    return state_to_json(psi) + "\n", EXIT_OK
 
 
-def cmd_hit(args: argparse.Namespace) -> int:
+def cmd_hit(args: argparse.Namespace) -> tuple[str, int]:
     report = uhit_semidecide(_instance(args))
-    _emit(hit_report_json(report) + "\n", args)
-    return EXIT_OK if isinstance(report, Hit) else EXIT_NEGATIVE
+    return hit_report_json(report) + "\n", EXIT_OK if isinstance(report, Hit) else EXIT_NEGATIVE
 
 
-def cmd_trace(args: argparse.Namespace) -> int:
+def cmd_trace(args: argparse.Namespace) -> tuple[str, int]:
     trace = fidelity_trace(_instance(args))
     if args.format == "json":
-        rows = [[str(t), fid] for t, fid in trace]
-        _emit(json.dumps(rows) + "\n", args)
-    else:
-        _emit(trace_to_csv(trace), args)
-    return EXIT_OK
+        return json.dumps([[str(t), fid] for t, fid in trace]) + "\n", EXIT_OK
+    return trace_to_csv(trace), EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     corpus = load_corpus(args.corpus) if args.corpus else builtin_corpus()
     reports = verify_corpus(corpus, args.epsilon, args.delta, args.clock, args.horizon)
-    _emit(reduction_report_json(reports), args)
     agreed = all(rep.verdict == "agree" for rep in reports)
-    return EXIT_OK if agreed else EXIT_NEGATIVE
+    return reduction_report_json(reports), EXIT_OK if agreed else EXIT_NEGATIVE
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
     budgets = [ProtocolBudget(n, n) for n in args.budgets]
     witnesses = adversarial_sweep(
         budgets,
@@ -218,8 +205,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         delta=args.delta,
         family_cap=args.family_cap,
     )
-    _emit(sweep_report_json(witnesses), args)
-    return EXIT_OK
+    return sweep_report_json(witnesses), EXIT_OK
 
 
 _COMMANDS = {
@@ -315,7 +301,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        text, code = _COMMANDS[args.command](args)
+        if args.out:
+            Path(args.out).write_text(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except (PulsehitError, OSError) as exc:
         print(f"pulsehit: error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -43,6 +43,7 @@ from .errors import (
     TimeTagError,
     as_count,
     as_rational,
+    as_time,
 )
 from .reversible import (
     BeaconStep,
@@ -107,8 +108,6 @@ class Amplitude:
         return float(self.re) * float(self.re) + float(self.im) * float(self.im)
 
     def conj(self) -> "Amplitude":
-        if self.is_exact:
-            return Amplitude(self.re, -self.im, 0.0)
         return Amplitude(self.re, -self.im, self.err)
 
     def add(self, other: "Amplitude") -> "Amplitude":
@@ -208,12 +207,7 @@ class SparseState:
         return all(amp.is_exact for amp in self._amps.values())
 
     def norm2(self) -> Union[Fraction, float]:
-        if self.is_exact:
-            total = Fraction(0)
-            for amp in self._amps.values():
-                total += amp.abs2()
-            return total
-        return math.fsum(float(amp.abs2()) for amp in self._amps.values())
+        return _weight(self)
 
     def max_err(self) -> float:
         return max((amp.err for amp in self._amps.values()), default=0.0)
@@ -221,17 +215,24 @@ class SparseState:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseState):
             return NotImplemented
-        if self.time_tag != other.time_tag or len(self._amps) != len(other._amps):
-            return False
-        for label, amp in self._amps.items():
-            if other._amps.get(label) != amp:
-                return False
-        return True
+        return self.time_tag == other.time_tag and self._amps == other._amps
 
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
         return f"<SparseState t={self.time_tag} support={self.support_size}>"
+
+
+def _weight(
+    state: SparseState, predicate: Optional[Callable[[ExtendedBasisState], bool]] = None
+) -> Union[Fraction, float]:
+    """Total squared weight of the labels satisfying ``predicate`` (every
+    label when it is None): an exact sum when every amplitude is exact,
+    else ``math.fsum``, which is correctly rounded, so the order is free."""
+    lit = [amp.abs2() for lab, amp in state._amps.items() if predicate is None or predicate(lab)]
+    if state.is_exact:
+        return sum(lit, Fraction(0))
+    return math.fsum(map(float, lit))
 
 
 def state_to_json(psi: SparseState) -> str:
@@ -272,9 +273,7 @@ def _pulsed_time(step: BeaconStep, sched: PulseSchedule, t, m) -> tuple[Fraction
             f"schedule clock {sched.clock!r} does not match step clock {step.clock!r}"
         )
     as_count(m, "precision exponent", 1)
-    t = as_rational(t, "t")
-    if t < 0:
-        raise ParameterRangeError(f"time must be nonnegative, got {t}")
+    t = as_time(t)
     n, s = divmod(t, 1)
     return (t, n + 1, Fraction(0)) if s >= sched.delta else (t, n, s / sched.delta)
 
@@ -475,23 +474,16 @@ def _clamp01(x: float) -> float:
 def fidelity(alpha: SparseState, beta: SparseState) -> Union[Fraction, float]:
     """|<alpha|beta>|^2 over the support intersection; exact Fraction when
     both states are exact, clamped float otherwise."""
+    amps = beta._amps
+    terms = [a.conj().mul(amps[lab]) for lab, a in alpha.items() if lab in amps]
     if alpha.is_exact and beta.is_exact:
-        re = Fraction(0)
-        im = Fraction(0)
-        for lab, a in alpha.items():
-            b = beta.amplitude(lab)
-            if b is None:
-                continue
-            prod = a.conj().mul(b)
-            re += prod.re
-            im += prod.im
+        re = sum((z.re for z in terms), Fraction(0))
+        im = sum((z.im for z in terms), Fraction(0))
         return re * re + im * im
+    # a += loop, not sum(): sum compensates float sums from Python 3.12 on
     total = complex(0.0)
-    for lab, a in alpha.items():
-        b = beta.amplitude(lab)
-        if b is None:
-            continue
-        total += a.conj().mul(b).as_complex()
+    for z in terms:
+        total += z.as_complex()
     return _clamp01(abs(total) ** 2)
 
 
@@ -499,11 +491,8 @@ def subspace_fidelity(
     alpha: SparseState, predicate: Callable[[ExtendedBasisState], bool]
 ) -> Union[Fraction, float]:
     """Total squared weight of the labels satisfying the predicate."""
-    # both sums are exact or correctly rounded, so the label order is free
-    lit = [amp.abs2() for lab, amp in alpha._amps.items() if predicate(lab)]
-    if alpha.is_exact:
-        return sum(lit, Fraction(0))
-    return _clamp01(math.fsum(map(float, lit)))
+    w = _weight(alpha, predicate)
+    return w if isinstance(w, Fraction) else _clamp01(w)
 
 
 # ---------------------------------------------------------------------------

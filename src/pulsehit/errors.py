@@ -100,3 +100,11 @@ def as_rational(x, what: str) -> Fraction:
         except (TypeError, ValueError, OverflowError):
             pass
     raise ParameterRangeError(f"{what} must be rational, got {x!r}")
+
+
+def as_time(x) -> Fraction:
+    """``x`` as an exact time t >= 0, else a typed error."""
+    t = as_rational(x, "t")
+    if t < 0:
+        raise ParameterRangeError(f"time must be nonnegative, got {t}")
+    return t

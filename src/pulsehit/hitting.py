@@ -67,7 +67,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .dynamics import PulseSchedule, _float_coeffs
 from .errors import ParameterRangeError, as_count, as_rational
@@ -449,6 +449,12 @@ def _report_payload(report: HitReport) -> dict:
 
 def hit_report_json(report: HitReport) -> str:
     return json.dumps(_report_payload(report), sort_keys=True)
+
+
+def _json_lines(payloads: Iterable[dict]) -> str:
+    """One sorted-key JSON object per line, each line ended; no records
+    give no text."""
+    return "".join(json.dumps(payload, sort_keys=True) + "\n" for payload in payloads)
 
 
 @functools.lru_cache(maxsize=256)

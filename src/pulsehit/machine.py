@@ -174,19 +174,17 @@ def parse_machine(text: str) -> MachineSpec:
         if key not in sections:
             raise MachineSemanticsError(f"missing mandatory section '{key}:'")
 
-    lineno, body = sections["states"]
-    if not body:
-        raise MachineSyntaxError("empty 'states:' line", lineno, 1)
-    states = tuple(tok for _, tok in body)
-    if len(set(states)) != len(states):
-        raise MachineSemanticsError("duplicate state name in 'states:'")
+    def distinct_tokens(key: str, what: str) -> tuple[str, ...]:
+        lineno, body = sections[key]
+        if not body:
+            raise MachineSyntaxError(f"empty '{key}:' line", lineno, 1)
+        toks = tuple(tok for _, tok in body)
+        if len(set(toks)) != len(toks):
+            raise MachineSemanticsError(f"duplicate {what} in '{key}:'")
+        return toks
 
-    lineno, body = sections["alphabet"]
-    if not body:
-        raise MachineSyntaxError("empty 'alphabet:' line", lineno, 1)
-    alphabet = tuple(tok for _, tok in body)
-    if len(set(alphabet)) != len(alphabet):
-        raise MachineSemanticsError("duplicate symbol in 'alphabet:'")
+    states = distinct_tokens("states", "state name")
+    alphabet = distinct_tokens("alphabet", "symbol")
 
     def one_token(key: str) -> str:
         lineno, body = sections[key]

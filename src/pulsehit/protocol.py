@@ -23,7 +23,6 @@ the lit and dark plateaus separated.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, replace
@@ -37,6 +36,7 @@ from .errors import (
     SearchRangeExhaustedError,
     as_count,
     as_rational,
+    as_time,
     is_count,
 )
 from .hitting import (
@@ -45,6 +45,7 @@ from .hitting import (
     InstanceDescriptor,
     _float_ceiling,
     _hit,
+    _json_lines,
     _scan,
     _time,
     grid_for,
@@ -98,9 +99,7 @@ class ProtocolOutcome:
 def work_to_reach(t: Fraction) -> int:
     """Pulses begun by time t: one per completed unit interval, plus one
     when t lands inside or at the end of a pulse window."""
-    t = as_rational(t, "t")
-    if t < 0:
-        raise ParameterRangeError(f"time must be nonnegative, got {t}")
+    t = as_time(t)
     whole = t.numerator // t.denominator
     return whole + (1 if t != whole else 0)
 
@@ -227,26 +226,18 @@ def _verdict_payload(verdict: Verdict) -> str:
 
 def sweep_report_json(witnesses: Sequence[SweepWitness]) -> str:
     """One JSON object per budget, one line each."""
-    lines = []
-    for w in witnesses:
-        lines.append(
-            json.dumps(
-                {
-                    "budget": {
-                        "tau_max": str(w.budget.tau_max),
-                        "e_max": w.budget.e_max,
-                    },
-                    "witness": {"name": w.name, "n": w.n, "K": w.halting_step},
-                    "outcome": _verdict_payload(w.outcome.verdict),
-                    "resources": {
-                        "time_used": str(w.outcome.resources.time_used),
-                        "work_used": w.outcome.resources.work_used,
-                    },
-                },
-                sort_keys=True,
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _json_lines(
+        {
+            "budget": {"tau_max": str(w.budget.tau_max), "e_max": w.budget.e_max},
+            "witness": {"name": w.name, "n": w.n, "K": w.halting_step},
+            "outcome": _verdict_payload(w.outcome.verdict),
+            "resources": {
+                "time_used": str(w.outcome.resources.time_used),
+                "work_used": w.outcome.resources.work_used,
+            },
+        }
+        for w in witnesses
+    )
 
 
 # ---------------------------------------------------------------------------

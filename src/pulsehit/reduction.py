@@ -29,6 +29,7 @@ from .hitting import (
     HitReport,
     InstanceDescriptor,
     grid_for,
+    _json_lines,
     _report_payload,
     uhit_semidecide,
 )
@@ -210,20 +211,15 @@ def _truth_payload(truth: GroundTruth) -> dict:
 
 def reduction_report_json(reports: Sequence[ReductionReport]) -> str:
     """One JSON object per line, one line per corpus entry."""
-    lines = []
-    for rep in reports:
-        lines.append(
-            json.dumps(
-                {
-                    "name": rep.entry.name,
-                    "expected": _truth_payload(rep.entry.ground_truth),
-                    "observed": _report_payload(rep.observed),
-                    "verdict": rep.verdict,
-                },
-                sort_keys=True,
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _json_lines(
+        {
+            "name": rep.entry.name,
+            "expected": _truth_payload(rep.entry.ground_truth),
+            "observed": _report_payload(rep.observed),
+            "verdict": rep.verdict,
+        }
+        for rep in reports
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -470,12 +470,19 @@ def test_sweep_rejects_a_negative_family_cap(capsys):
 # -- plumbing ----------------------------------------------------------------------
 
 
-def test_out_flag_writes_the_same_bytes(capsys, mover, tmp_path):
-    dest = tmp_path / "instance.json"
-    code, out, _err = run(capsys, "compile", mover, "--out", str(dest))
-    assert code == 0 and out == ""
-    _code, direct, _err = run(capsys, "compile", mover)
-    assert dest.read_text() == direct
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        *((argv, 0) for argv in BASE.values()),
+        (("hit", "MOVER", "--horizon", "1"), 2),  # exhausted: a negative verdict
+    ],
+    ids=[*BASE, "hit exhausted"],
+)
+def test_out_flag_writes_the_same_bytes(capsys, mover, tmp_path, argv, want):
+    argv = [mover if arg == "MOVER" else arg for arg in argv]
+    dest = tmp_path / "out.txt"
+    assert run(capsys, *argv, "--out", str(dest)) == (want, "", "")
+    assert run(capsys, *argv) == (want, dest.read_text(), "")
 
 
 def test_no_command_exits_one(capsys):

@@ -35,6 +35,7 @@ from pulsehit.dynamics import (
     Amplitude,
     PulseSchedule,
     SparseState,
+    _clamp01,
     _closed_form_arg,
     _float_coeffs,
     _rational_coeffs,
@@ -337,6 +338,12 @@ def test_sparse_state_equality_checks_every_part():
     assert psi != SparseState([(labels[0], three), (labels[2], four)], 2)  # time tag
     assert psi != SparseState.basis_state(labels[0], 1)  # support size
     assert psi != SparseState([(labels[0], four), (labels[2], three)], 1)  # amplitude
+
+
+def test_sparse_state_repr_names_its_tag_and_support():
+    step = BeaconStep(MOVE_RIGHT_3, Unbounded())
+    psi = SparseState.basis_state(step.initial_label(), Fraction(3, 2))
+    assert repr(psi) == "<SparseState t=3/2 support=1>"
 
 
 def test_sparse_state_norm_enforcement():
@@ -707,6 +714,115 @@ def test_subspace_fidelity_beacon_weights():
         ]
     )
     assert subspace_fidelity(combo, on_beacon) == Fraction(16, 25)
+
+
+# The two-branch formulas that fidelity, norm2, subspace_fidelity and
+# SparseState.__eq__ replaced with one sum each, kept verbatim as the
+# reference the folded code must match bit for bit.
+
+
+def _old_conj(a):
+    if a.is_exact:
+        return Amplitude(a.re, -a.im, 0.0)
+    return Amplitude(a.re, -a.im, a.err)
+
+
+def _old_fidelity(alpha, beta):
+    if alpha.is_exact and beta.is_exact:
+        re = Fraction(0)
+        im = Fraction(0)
+        for lab, a in alpha.items():
+            b = beta.amplitude(lab)
+            if b is None:
+                continue
+            prod = _old_conj(a).mul(b)
+            re += prod.re
+            im += prod.im
+        return re * re + im * im
+    total = complex(0.0)
+    for lab, a in alpha.items():
+        b = beta.amplitude(lab)
+        if b is None:
+            continue
+        total += _old_conj(a).mul(b).as_complex()
+    return _clamp01(abs(total) ** 2)
+
+
+def _old_norm2(psi):
+    if psi.is_exact:
+        total = Fraction(0)
+        for amp in psi._amps.values():
+            total += amp.abs2()
+        return total
+    return math.fsum(float(amp.abs2()) for amp in psi._amps.values())
+
+
+def _old_subspace_fidelity(alpha, predicate):
+    lit = [amp.abs2() for lab, amp in alpha._amps.items() if predicate(lab)]
+    if alpha.is_exact:
+        return sum(lit, Fraction(0))
+    return _clamp01(math.fsum(map(float, lit)))
+
+
+def _old_eq(psi, other):
+    if psi.time_tag != other.time_tag or len(psi._amps) != len(other._amps):
+        return False
+    for label, amp in psi._amps.items():
+        if other._amps.get(label) != amp:
+            return False
+    return True
+
+
+_RUN = BeaconStep(MOVE_RIGHT_3, Unbounded())
+RUN_LABELS = walk(_RUN, _RUN.initial_label(), 8)  # live, halt and post-halt labels
+
+
+@st.composite
+def run_states(draw):
+    """A unit state on some labels of one run, with exact, float or mixed
+    amplitudes.  Exact parts are a rational point of the unit sphere (the
+    inverse stereographic image of 2n - 1 rationals); a mixed state rounds
+    some of them to floats; a float state is normalized in floats."""
+    labels = draw(st.lists(st.sampled_from(RUN_LABELS), min_size=1, max_size=6, unique=True))
+    kind = draw(st.sampled_from(["exact", "float", "mixed"]))
+    err = st.floats(0.0, 1e-15)
+    if kind == "float":
+        part = st.floats(-1.0, 1.0, allow_subnormal=False)
+        zs = [complex(draw(part), draw(part)) for _ in labels]
+        norm = math.sqrt(math.fsum(abs(z) ** 2 for z in zs))
+        assume(norm > 1e-3)
+        return SparseState(
+            [(lab, Amplitude.approx(z / norm, draw(err))) for lab, z in zip(labels, zs)]
+        )
+    ts = [
+        Fraction(draw(st.integers(-30, 30)), draw(st.integers(1, 30)))
+        for _ in range(2 * len(labels) - 1)
+    ]
+    s = sum(t * t for t in ts)
+    coords = [(1 - s) / (1 + s)] + [2 * t / (1 + s) for t in ts]
+    pairs = []
+    for lab, re, im in zip(labels, coords[::2], coords[1::2]):
+        if kind == "mixed" and draw(st.booleans()):
+            pairs.append((lab, Amplitude(float(re), float(im), draw(err))))
+        else:
+            pairs.append((lab, Amplitude.exact(re, im)))
+    return SparseState(pairs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(run_states(), run_states(), st.sets(st.sampled_from(RUN_LABELS)))
+def test_folded_sums_keep_the_bits_of_the_two_branch_formulas(alpha, beta, lit):
+    def same(new, old):
+        assert type(new) is type(old) and new == old, (new, old)
+
+    same(fidelity(alpha, beta), _old_fidelity(alpha, beta))
+    same(fidelity(beta, alpha), _old_fidelity(beta, alpha))
+    same(alpha.norm2(), _old_norm2(alpha))
+    in_lit = lit.__contains__
+    same(subspace_fidelity(alpha, in_lit), _old_subspace_fidelity(alpha, in_lit))
+    assert (alpha == beta) is _old_eq(alpha, beta)
+    twin = SparseState(reversed(alpha.items()), alpha.time_tag)
+    assert (alpha == twin) is _old_eq(alpha, twin) is True
 
 
 # -- the rational approximation oracle -----------------------------------------

@@ -318,6 +318,10 @@ def test_sweep_report_json_is_frozen_and_deterministic():
         json.loads(line)
 
 
+def test_no_budgets_report_no_lines():
+    assert sweep_report_json(adversarial_sweep([])) == ""
+
+
 def _linear_sweep(budget, family_cap):
     """The witness search as an upward walk over every family index."""
     for n in range(family_cap + 1):

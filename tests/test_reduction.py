@@ -339,6 +339,15 @@ def test_reduction_report_json_frozen_lines():
     assert again == blob
 
 
+def test_an_empty_corpus_reports_no_lines(tmp_path, capsys):
+    # no entry, no line: an empty line is not a JSON object
+    assert reduction_report_json([]) == ""
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text("[]")
+    assert main(["verify", "--corpus", str(manifest)]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
 # -- loading ----------------------------------------------------------------------
 
 

@@ -486,6 +486,13 @@ def test_equal_labels_from_different_construction_paths():
     assert walked.serial == built.serial
 
 
+def test_a_label_is_unequal_to_a_non_label():
+    label = BeaconStep(BINARY_INC, Unbounded()).initial_label()
+    assert label.__eq__("x") is NotImplemented
+    assert (label == "x") is False
+    assert (label != 3) is True
+
+
 def _one_field_mutants(step, lab):
     """Labels that differ from ``lab`` in exactly one field, built directly
     (they need not be reachable or well formed)."""
