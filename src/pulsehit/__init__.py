@@ -43,7 +43,6 @@ from .reversible import (
     Cyclic,
     ExactLabel,
     ExtendedBasisState,
-    NoPreimage,
     Unbounded,
 )
 from .dynamics import (

@@ -55,6 +55,11 @@ from .reversible import (
 )
 
 _EPS = 2.220446049250313e-16  # double-precision unit roundoff (2^-52)
+# a real product that underflows loses up to half the least subnormal,
+# which no relative term covers; the four real products of a complex one
+# lose at most 2^-1073 together, and twice that leaves room for the
+# rounding of the bound's own sum
+_UNDERFLOW = 2.0**-1072
 
 Rational = Union[Fraction, int]
 
@@ -126,17 +131,14 @@ class Amplitude:
                 self.re * other.im + self.im * other.re,
                 0.0,
             )
-        z = self.as_complex() * other.as_complex()
-        a, b = self.mag_upper(), other.mag_upper()
-        err = self.err * b + other.err * a + 8.0 * _EPS * a * b
-        return Amplitude.approx(z, err)
+        return self.mul_complex(other.as_complex(), other.err)
 
     def mul_complex(self, z: complex, zerr: float) -> "Amplitude":
         """Multiply by a floating coefficient with its own error bound."""
         w = self.as_complex() * z
         a = self.mag_upper()
         zmag = abs(z) + zerr
-        err = self.err * zmag + zerr * a + 8.0 * _EPS * a * zmag
+        err = self.err * zmag + zerr * a + 8.0 * _EPS * a * zmag + _UNDERFLOW
         return Amplitude.approx(w, err)
 
 

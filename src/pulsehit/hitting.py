@@ -204,19 +204,21 @@ def _post_halt_pulses(
 ) -> tuple[bool, Iterator[Pulse], Iterator[tuple[int, Pulse]]]:
     """Whether the first halted label x, where ``run`` stands, is lit;
     the points of the pulses from x on, one tuple per pulse, without end;
-    and the (r, points) of the pulses r steps past x that show a point no
-    earlier one shows.  The pulse r steps past x is fixed by its offset
+    and the (r, points) of the new pulses r steps past x, those that can
+    change a report.  The pulse r steps past x is fixed by its offset
     (q - r) mod m to the target's positions q mod m (see the module
     docstring): its integer point is lit at offset 0, its end at offset
     1, and on a cyclic clock its mid-pulse points come from
-    :func:`_mid_fidelities`.  So the new pulses are r < m; for an exact
-    label on the unbounded clock, met at r = q alone, r = 0, q - 1 and q;
-    for a target never met, r = 0.  A beacon reads the run's bit b, so
-    only an exact target builds x.  Each offset's tuple is built when the
-    scan first reaches it and repeated from then on; ``plain[a][b]`` is
-    the pulse with no mid-pulse points whose integer point reads a and
-    whose end reads b.  A Niven fidelity is a dyadic ``Fraction``, so its
-    compare with the float ceiling is exact too."""
+    :func:`_mid_fidelities`.  A pulse that repeats an earlier one, or is
+    dark at every point, can neither be the first hit nor raise the
+    maximum, so the new pulses are r < m; for an exact label on the
+    unbounded clock, met at r = q alone, r = q - 1 and q (r = 0 alone
+    when q = 0); for a target never met, none.  A beacon reads the run's
+    bit b, so only an exact target builds x.  Each offset's tuple is
+    built when the scan first reaches it and repeated from then on;
+    ``plain[a][b]`` is the pulse with no mid-pulse points whose integer
+    point reads a and whose end reads b.  A Niven fidelity is a dyadic
+    ``Fraction``, so its compare with the float ceiling is exact too."""
     cyclic = step.cycle_length is not None
     if isinstance(target, BeaconSubspace):
         m, q = 2, 1 - run.b
@@ -236,14 +238,12 @@ def _post_halt_pulses(
         return (ends[0], *((j, f, f >= ceiling) for j, f in mids), ends[1])
 
     if q is None:
-        dark = pulse(None)
-        return False, itertools.repeat(dark), iter([(0, dark)])
+        return False, itertools.repeat(pulse(None)), ()
     if m is None:  # lit once: the offsets count down to q, then stay dark
-        news = sorted({0, max(q - 1, 0), q})
         return (
             q == 0,
             itertools.chain(map(pulse, range(q, -1, -1)), itertools.repeat(pulse(None))),
-            ((r, pulse(q - r)) for r in news),
+            ((r, pulse(q - r)) for r in range(max(q - 1, 0), q + 1)),
         )
     return (
         q == 0,
@@ -279,15 +279,16 @@ def _scan(inst: InstanceDescriptor, *, dark_tail: bool = True) -> Iterator[tuple
 
     The one-tail rule: the live run ends at a revisit or at the halt, and
     either end hands one tail the same pair, the pulses from there on,
-    without end, and the (r, points) of the pulses r steps on that show a
-    point no earlier one shows.  A revisit past the one step an exact
-    target can match proves the run never halts, so every later pulse is
-    a dark integer 0 and none is new; at the first halted label the pair
-    comes from :func:`_post_halt_pulses`, with no step and no target
-    compare.  The tail yields its pulses up to the horizon and then the
-    horizon's integer point; with ``dark_tail`` false it yields only the
-    new pulses below the horizon, since a repeated point can neither
-    raise the maximum nor be the first hit, so no report changes.  So a
+    without end, and the (r, points) of the new pulses r steps on, those
+    that can change a report: a pulse that repeats an earlier one, or is
+    dark at every point, can neither be the first hit nor raise the
+    maximum.  A revisit past the one step an exact target can match
+    proves the run never halts, so every later pulse is a dark integer 0
+    and none is new; at the first halted label the pair comes from
+    :func:`_post_halt_pulses`, with no step and no target compare.  The
+    tail yields its pulses up to the horizon and then the horizon's
+    integer point; with ``dark_tail`` false it yields only the new pulses
+    below the horizon, so no report changes.  So a
     looper that revisits costs O(prefix + period) steps whatever the
     horizon, and a halter one period past its halt (an exact label on the
     unbounded clock, its two lit pulses); a translated looper (one that

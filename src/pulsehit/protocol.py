@@ -3,8 +3,9 @@
 A protocol owns a time budget and a work budget: evolving to a grid point
 t costs t units of time, and one unit of work per pulse begun (floor(t)
 completed pulses, plus one if t lands inside or at the end of a pulse).
-The scan is gated before each point, so a reported verdict never spends
-past its budget; observing the initial state at t = 0 is free.
+The scan checks each point against both budgets before it is examined,
+so a reported verdict never spends past its budget; observing the
+initial state at t = 0 is free.
 
 Within any fixed budget there are halting machines whose beacon lights
 only after the budget is spent: the unary counter family pushes its
@@ -99,18 +100,16 @@ class ProtocolOutcome:
 def work_to_reach(t: Fraction) -> int:
     """Pulses begun by time t: one per completed unit interval, plus one
     when t lands inside or at the end of a pulse window."""
-    t = as_time(t)
-    whole = t.numerator // t.denominator
-    return whole + (1 if t != whole else 0)
+    return math.ceil(as_time(t))
 
 
 def run_bounded_protocol(inst: InstanceDescriptor, budget: ProtocolBudget) -> ProtocolOutcome:
     """Scan the instance's grid until a hit, the horizon, or the budget.
 
-    Each grid point is gated before it is examined: if reaching it would
-    exceed tau_max or e_max, the scan stops and reports unreachable with
-    the resources actually spent.  A verdict therefore never overdraws,
-    which the returned resources make checkable."""
+    Each grid point is checked once, before it is examined: if reaching
+    it would exceed tau_max or e_max, the scan stops and reports
+    unreachable with the resources actually spent.  A verdict therefore
+    never overdraws, which the returned resources make checkable."""
     delta = inst.schedule.delta
     ticks = inst.grid * delta.denominator  # grid ticks per unit of time
     # the point (n, j) lies n*ticks + j*num(delta) ticks in, so it is past
@@ -118,21 +117,18 @@ def run_bounded_protocol(inst: InstanceDescriptor, budget: ProtocolBudget) -> Pr
     # pulses, plus one if j > 0 (delta < 1 keeps it inside pulse n)
     tick_limit = math.floor(budget.tau_max * ticks)
     num, e_max = delta.numerator, budget.e_max
-    at, found = (0, 0), False  # observing the initial state is free
+    at, found = (0, 0), False  # (0, 0) fits every budget: observing is free
     for n, points in _scan(inst):
-        # points ascend in time and work, so a pulse whose last point fits
-        # both budgets needs no gate; only the one that crosses a budget does
-        j = points[-1][0]
-        gated = n * ticks + j * num > tick_limit or n + (j > 0) > e_max
         for j, _fid, reached in points:
-            if gated and (n * ticks + j * num > tick_limit or n + (j > 0) > e_max):
+            if n * ticks + j * num > tick_limit or n + (j > 0) > e_max:
                 break
             at = (n, j)
             if reached:
                 found = True
                 break
-        if found or gated:
-            break
+        else:
+            continue
+        break
     t = _time(inst, *at)
     verdict = ReachableAt(t) if found else ReportedUnreachable()
     outcome = ProtocolOutcome(verdict, Resources(t, work_to_reach(t)))
@@ -183,7 +179,7 @@ def adversarial_sweep(
     Member n halts at step n + 1, so the witness is n = floor(tau_max):
     two classical runs confirm that it halts past tau_max and that member
     n - 1 halts within it, which with the family's growth makes it minimal.
-    Its beacon first lights at K + delta > tau_max, so the gated protocol
+    Its beacon first lights at K + delta > tau_max, so the budgeted protocol
     must report it unreachable.  The scan costs O(tau_max), so a cap on the
     family index turns an oversized witness into a typed error before any
     machine is built.  The parameters are checked before any budget, so a

@@ -30,7 +30,7 @@ predecessor on the post-halt cycle, since a ray that enters a finite cycle
 is never injective.  The backward map tries its candidate preimages in one
 order, tail first, and returns the first that keeps the run rule and maps
 onto the image under the forward map; every other label gets
-``NO_PREIMAGE``.
+``None``.
 
 Up to the halt flag's rise, a run's labels differ only in the work half,
 which the run rule lets :class:`LiveRun` step in place: a step there
@@ -86,14 +86,6 @@ class ExactLabel:
         _require_label(self.phi)
 
 
-@dataclass(frozen=True)
-class NoPreimage:
-    """Answer of the backward map at labels no label on a run steps onto."""
-
-
-NO_PREIMAGE = NoPreimage()
-
-
 # ---------------------------------------------------------------------------
 # labels and their serialization
 
@@ -107,12 +99,6 @@ def _uvarint(out: bytearray, n: int) -> None:
 
 def _zigzag(n: int) -> int:
     return (n << 1) if n >= 0 else ((-n << 1) - 1)
-
-
-def _field(out: bytearray, tag: int, payload: bytes) -> None:
-    out.append(tag)
-    _uvarint(out, len(payload))
-    out.extend(payload)
 
 
 class ExtendedBasisState:
@@ -163,29 +149,24 @@ class ExtendedBasisState:
         (zigzag varint), halt flag, beacon bit.
         """
         if self._serial is None:
-            out = bytearray()
-            _field(out, 0x01, self.state.encode("utf-8"))
-            head = bytearray()
+            head, tape, hist, tau = bytearray(), bytearray(), bytearray(), bytearray()
             _uvarint(head, _zigzag(self.head))
-            _field(out, 0x02, bytes(head))
-            tp = bytearray()
-            _uvarint(tp, len(self.tape))
+            _uvarint(tape, len(self.tape))
             for cell in sorted(self.tape):
-                _uvarint(tp, _zigzag(cell))
+                _uvarint(tape, _zigzag(cell))
                 sym = self.tape[cell].encode("utf-8")
-                _uvarint(tp, len(sym))
-                tp.extend(sym)
-            _field(out, 0x03, bytes(tp))
-            hs = bytearray()
-            _uvarint(hs, len(self.hist))
+                _uvarint(tape, len(sym))
+                tape.extend(sym)
+            _uvarint(hist, len(self.hist))
             for idx in self.hist:
-                _uvarint(hs, idx)
-            _field(out, 0x04, bytes(hs))
-            tv = bytearray()
-            _uvarint(tv, _zigzag(self.tau))
-            _field(out, 0x05, bytes(tv))
-            _field(out, 0x06, bytes([self.h]))
-            _field(out, 0x07, bytes([self.b]))
+                _uvarint(hist, idx)
+            _uvarint(tau, _zigzag(self.tau))
+            payloads = self.state.encode("utf-8"), head, tape, hist, tau, (self.h,), (self.b,)
+            out = bytearray()
+            for tag, payload in enumerate(payloads, 1):
+                out.append(tag)
+                _uvarint(out, len(payload))
+                out.extend(payload)
             self._serial = bytes(out)
         return self._serial
 
@@ -463,8 +444,8 @@ class BeaconStep:
         if self._cyclic is None:  # the idle shift below clock 0
             yield ExtendedBasisState(y.state, y.head, y.tape, y.hist, y.tau - 1, y.h, y.b)
 
-    def backward(self, y: ExtendedBasisState) -> Union[ExtendedBasisState, NoPreimage]:
-        """The preimage of ``y`` on a run, or ``NO_PREIMAGE``.
+    def backward(self, y: ExtendedBasisState) -> Optional[ExtendedBasisState]:
+        """The preimage of ``y`` on a run, or ``None``.
 
         The answer is the first candidate, in the order last rule undone,
         step-0 flag rise, post-halt step, idle shift, that keeps the run
@@ -481,7 +462,7 @@ class BeaconStep:
                     return cand
             except IllFormedMachineError:
                 pass
-        return NO_PREIMAGE
+        return None
 
     # -- targets -----------------------------------------------------------------
 

@@ -275,6 +275,55 @@ def test_amplitude_float_error_propagation():
     assert scaled.err >= 0.8 * 1e-13
 
 
+_PART = st.floats(-1, 1)
+_EXACT_AMP = st.builds(
+    Amplitude.exact,
+    st.fractions(-1, 1, max_denominator=10**6),
+    st.fractions(-1, 1, max_denominator=10**6),
+)
+_FLOAT_AMP = st.builds(Amplitude, _PART, _PART, st.floats(0, 1e-12))
+
+
+def _exact_product(a, b):
+    """The product of the stored values, in Fractions."""
+    are, aim, bre, bim = (Fraction(x) for x in (a.re, a.im, b.re, b.im))
+    return are * bre - aim * bim, are * bim + aim * bre
+
+
+def _within_err(p, want):
+    dre, dim = Fraction(p.re) - want[0], Fraction(p.im) - want[1]
+    return dre * dre + dim * dim <= Fraction(p.err) ** 2
+
+
+@given(
+    st.one_of(
+        st.tuples(_EXACT_AMP, _EXACT_AMP),
+        st.tuples(_FLOAT_AMP, _FLOAT_AMP),
+        st.tuples(_EXACT_AMP, _FLOAT_AMP),
+        st.tuples(_FLOAT_AMP, _EXACT_AMP),
+    ),
+    _PART,
+    _PART,
+    st.floats(0, 1e-12),
+)
+def test_amplitude_products_bound_their_rounding(pair, zre, zim, zerr):
+    # the error bound of mul and of mul_complex covers the distance from
+    # the float product to the exact product of the stored values
+    a, b = pair
+    p = a.mul(b)
+    assert _within_err(p, _exact_product(a, b))
+    if a.is_exact and b.is_exact:
+        assert p.is_exact and (p.re, p.im) == _exact_product(a, b)
+    else:
+        z = a.as_complex() * b.as_complex()
+        assert (p.re, p.im) == (z.real, z.imag)
+    z = complex(zre, zim)
+    q = a.mul_complex(z, zerr)
+    assert _within_err(q, _exact_product(a, Amplitude.approx(z, 0.0)))
+    w = a.as_complex() * z
+    assert (q.re, q.im) == (w.real, w.imag)
+
+
 def test_amplitude_validation():
     with pytest.raises(LabelError):
         Amplitude(Fraction(1), 0.0)

@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from support import CENSUS_SIZE, census_machine
 
 from pulsehit.dynamics import (
     PulseSchedule,
@@ -33,6 +34,8 @@ from pulsehit.hitting import (
     Exhausted,
     Hit,
     InstanceDescriptor,
+    _scan,
+    _time,
     fidelity_trace,
     grid_for,
     uhit_semidecide,
@@ -53,7 +56,7 @@ from pulsehit.protocol import (
     sweep_report_json,
     work_to_reach,
 )
-from pulsehit.reduction import counter_family, encode, verify_corpus
+from pulsehit.reduction import Halts, builtin_corpus, counter_family, encode, verify_corpus
 from pulsehit.reversible import BeaconStep, BeaconSubspace, Cyclic, ExactLabel, Unbounded
 
 MOVE_RIGHT_3 = parse_machine(
@@ -147,6 +150,23 @@ def test_work_to_reach_is_ceiling_off_integers(t):
     whole = t.numerator // t.denominator
     want = whole if t == whole else whole + 1
     assert work_to_reach(t) == want
+
+
+def _whole_plus_remainder(t):
+    """The pulse count as it was computed by hand, before math.ceil."""
+    whole = t.numerator // t.denominator
+    return whole + (1 if t != whole else 0)
+
+
+@given(
+    st.one_of(
+        st.fractions(min_value=0),
+        st.integers(min_value=0),
+        st.integers(0, 10**30).map(lambda n: Fraction(n, 10**15 + 1)),
+    )
+)
+def test_work_to_reach_matches_the_hand_ceiling(t):
+    assert work_to_reach(t) == _whole_plus_remainder(Fraction(t))
 
 
 # -- the bounded scan -------------------------------------------------------------
@@ -244,6 +264,60 @@ def test_time_gate_at_a_grid_point_and_a_tick_either_side(spec, clock, delta, gr
                 continue
             budget = ProtocolBudget(tau_max, e_max)
             assert run_bounded_protocol(inst, budget) == _fraction_gated_protocol(inst, budget)
+
+
+def _two_level_gate(inst, budget):
+    """The budgeted scan with the gate written twice: once on a pulse's
+    last point, then again on every point of a pulse that crossed it."""
+    delta = inst.schedule.delta
+    ticks = inst.grid * delta.denominator
+    tick_limit = math.floor(budget.tau_max * ticks)
+    num, e_max = delta.numerator, budget.e_max
+    at, found = (0, 0), False
+    for n, points in _scan(inst):
+        j = points[-1][0]
+        gated = n * ticks + j * num > tick_limit or n + (j > 0) > e_max
+        for j, _fid, reached in points:
+            if gated and (n * ticks + j * num > tick_limit or n + (j > 0) > e_max):
+                break
+            at = (n, j)
+            if reached:
+                found = True
+                break
+        if found or gated:
+            break
+    t = _time(inst, *at)
+    verdict = ReachableAt(t) if found else ReportedUnreachable()
+    return ProtocolOutcome(verdict, Resources(t, _whole_plus_remainder(t)))
+
+
+CORPUS_HALTERS = [e.machine for e in builtin_corpus() if isinstance(e.ground_truth, Halts)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(st.integers(0, CENSUS_SIZE - 1).map(census_machine), st.sampled_from(CORPUS_HALTERS)),
+    st.one_of(st.just(Unbounded()), st.integers(2, 6).map(Cyclic)),
+    st.one_of(st.none(), st.integers(0, 40)),
+    st.sampled_from([HALF, Fraction(1, 3), Fraction(3, 5)]),
+    st.integers(1, 6),
+    st.integers(1, 40),
+    st.data(),
+)
+def test_one_gate_decides_what_the_two_level_gate_did(
+    spec, clock, exact, delta, grid, horizon, data
+):
+    # tau_max and e_max range past the horizon, so on a cyclic clock the
+    # cut lands inside pulses with mid-pulse points as well as between them
+    step = BeaconStep(spec, clock)
+    target = BeaconSubspace()
+    if exact is not None:
+        target = ExactLabel(step.advance(step.initial_label(), exact))
+    inst = InstanceDescriptor(spec, QUARTER, PulseSchedule(delta, clock), target, horizon, grid)
+    den = data.draw(st.integers(1, 2 * grid * delta.denominator))
+    tau_max = Fraction(data.draw(st.integers(1, (horizon + 2) * den)), den)
+    budget = ProtocolBudget(tau_max, data.draw(st.integers(1, horizon + 2)))
+    assert run_bounded_protocol(inst, budget) == _two_level_gate(inst, budget)
 
 
 # -- the adversarial sweep --------------------------------------------------------

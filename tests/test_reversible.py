@@ -25,7 +25,6 @@ from pulsehit.machine import (
 )
 from pulsehit.reduction import Halts, builtin_corpus
 from pulsehit.reversible import (
-    NO_PREIMAGE,
     BeaconStep,
     BeaconSubspace,
     Cyclic,
@@ -165,7 +164,7 @@ def test_backward_of_an_out_of_range_rule_index_has_no_preimage():
         step = BeaconStep(MOVE_RIGHT_3, clock)
         for idx in (3, -1):
             y = ExtendedBasisState("q1", 1, {}, (idx,), 1, 0, 0)
-            assert step.backward(y) is NO_PREIMAGE
+            assert step.backward(y) is None
 
 
 def test_backward_of_initial_is_idle_shift():
@@ -192,23 +191,23 @@ def test_backward_no_preimage_cases_unbounded():
     step = BeaconStep(MOVE_RIGHT_3, Unbounded())
     # initial-shaped label at positive clock: history too short
     orphan = step.make_label("q0", 0, {}, [], 1, 0, 0)
-    assert step.backward(orphan) is NO_PREIMAGE
+    assert step.backward(orphan) is None
     # nonempty history at clock <= 0
-    assert step.backward(step.make_label("q1", 1, {}, [0], 0, 0, 0)) is NO_PREIMAGE
+    assert step.backward(step.make_label("q1", 1, {}, [0], 0, 0, 0)) is None
     # halt flag set before the history could have produced it
     early = step.make_label("qH", 3, {}, [0, 1, 2], 2, 1, 1)
-    assert step.backward(early) is NO_PREIMAGE
+    assert step.backward(early) is None
     # halt entry with the beacon already lit: its rule preimage would be a
     # pre-halt label with b = 1
-    assert step.backward(step.make_label("qH", 3, {}, [0, 1, 2], 3, 1, 1)) is NO_PREIMAGE
+    assert step.backward(step.make_label("qH", 3, {}, [0, 1, 2], 3, 1, 1)) is None
     # a pre-halt label with b = 1, and its idle counterpart below clock 0
-    assert step.backward(step.make_label("q2", 2, {}, [0, 1], 2, 0, 1)) is NO_PREIMAGE
-    assert step.backward(step.make_label("q0", 0, {}, [], 0, 0, 1)) is NO_PREIMAGE
+    assert step.backward(step.make_label("q2", 2, {}, [0, 1], 2, 0, 1)) is None
+    assert step.backward(step.make_label("q0", 0, {}, [], 0, 0, 1)) is None
     # a halted label with the wrong beacon parity for its clock
-    assert step.backward(step.make_label("qH", 3, {}, [0, 1, 2], 5, 1, 1)) is NO_PREIMAGE
+    assert step.backward(step.make_label("qH", 3, {}, [0, 1, 2], 5, 1, 1)) is None
     # a step-0 halt that rose with the beacon dark
     halt_now = BeaconStep(HALT_NOW, Unbounded())
-    assert halt_now.backward(halt_now.make_label("q0", 0, {}, [], 1, 1, 0)) is NO_PREIMAGE
+    assert halt_now.backward(halt_now.make_label("q0", 0, {}, [], 1, 1, 0)) is None
 
 
 def test_backward_skips_a_candidate_with_no_rule():
@@ -221,22 +220,22 @@ def test_backward_skips_a_candidate_with_no_rule():
     step = BeaconStep(spec, Unbounded())
     with pytest.raises(IllFormedMachineError):
         step.forward(step.initial_label())
-    assert step.backward(step.make_label("q0", 0, {}, [], 1, 1, 1)) is NO_PREIMAGE
+    assert step.backward(step.make_label("q0", 0, {}, [], 1, 1, 1)) is None
 
 
 @pytest.mark.parametrize("period", [2, 3, 4])
 def test_backward_no_preimage_cases_cyclic(period):
     step = BeaconStep(MOVE_RIGHT_3, Cyclic(period))
     # a pre-halt label with b = 1
-    assert step.backward(step.make_label("q2", 2, {}, [0, 1], 2 % period, 0, 1)) is NO_PREIMAGE
+    assert step.backward(step.make_label("q2", 2, {}, [0, 1], 2 % period, 0, 1)) is None
     # halted at clock K mod L with the beacon lit: off an even cycle, which
     # keeps b = (tau - K) mod 2, while an odd cycle passes there with b = 1
     lit = step.make_label("qH", 3, {}, [0, 1, 2], 3 % period, 1, 1)
     if period % 2:
         assert step.backward(lit) == step.make_label("qH", 3, {}, [0, 1, 2], 2 % period, 1, 0)
     else:
-        assert step.backward(lit) is NO_PREIMAGE
-        assert step.backward(step.make_label("qH", 3, {}, [0, 1, 2], 1, 1, 1)) is NO_PREIMAGE
+        assert step.backward(lit) is None
+        assert step.backward(step.make_label("qH", 3, {}, [0, 1, 2], 1, 1, 1)) is None
 
 def test_halt_entry_collision_resolves_to_rule_preimage():
     step = BeaconStep(MOVE_RIGHT_3, Unbounded())
@@ -293,7 +292,7 @@ def test_cyclic_backward_walks_tail_to_initial():
     for expect in reversed(labels[:4]):
         cur = step.backward(cur)
         assert cur == expect
-    assert step.backward(labels[0]) is NO_PREIMAGE
+    assert step.backward(labels[0]) is None
 
 
 def test_cyclic_backward_around_cycle_prefers_tail_at_entry():
@@ -352,7 +351,7 @@ def test_cyclic_backward_k0_rise_and_its_odd_shadow():
     four = labels[4]
     assert (four.tau, four.h, four.b) == (1, 1, 0)
     assert step.backward(four) == labels[3]
-    assert step.backward(labels[0]) is NO_PREIMAGE
+    assert step.backward(labels[0]) is None
 
 
 # -- label plumbing -----------------------------------------------------------
@@ -475,6 +474,71 @@ def test_serialization_separates_all_orbit_labels():
     assert len(by_serial) == len(by_fields)
     for serial, f in by_serial.items():
         assert by_fields[f] == serial
+
+
+def _uvarint(out: bytearray, n: int) -> None:
+    while n > 0x7F:
+        out.append((n & 0x7F) | 0x80)
+        n >>= 7
+    out.append(n)
+
+
+def _zigzag(n: int) -> int:
+    return (n << 1) if n >= 0 else ((-n << 1) - 1)
+
+
+def _field(out: bytearray, tag: int, payload: bytes) -> None:
+    out.append(tag)
+    _uvarint(out, len(payload))
+    out.extend(payload)
+
+
+def _field_by_field_serial(lab):
+    """The label bytes written one tag/length/value field per call."""
+    out = bytearray()
+    _field(out, 0x01, lab.state.encode("utf-8"))
+    head = bytearray()
+    _uvarint(head, _zigzag(lab.head))
+    _field(out, 0x02, bytes(head))
+    tp = bytearray()
+    _uvarint(tp, len(lab.tape))
+    for cell in sorted(lab.tape):
+        _uvarint(tp, _zigzag(cell))
+        sym = lab.tape[cell].encode("utf-8")
+        _uvarint(tp, len(sym))
+        tp.extend(sym)
+    _field(out, 0x03, bytes(tp))
+    hs = bytearray()
+    _uvarint(hs, len(lab.hist))
+    for idx in lab.hist:
+        _uvarint(hs, idx)
+    _field(out, 0x04, bytes(hs))
+    tv = bytearray()
+    _uvarint(tv, _zigzag(lab.tau))
+    _field(out, 0x05, bytes(tv))
+    _field(out, 0x06, bytes([lab.h]))
+    _field(out, 0x07, bytes([lab.b]))
+    return bytes(out)
+
+
+_WITHIN_A_MILLION = st.integers(-(10**6), 10**6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.text(min_size=1, max_size=8),
+    _WITHIN_A_MILLION,
+    st.dictionaries(_WITHIN_A_MILLION, st.text(min_size=1, max_size=4), max_size=200),
+    st.lists(st.integers(0, 1000), max_size=300).map(tuple),
+    _WITHIN_A_MILLION,
+    st.integers(0, 1),
+    st.integers(0, 1),
+)
+def test_label_bytes_keep_their_field_layout(state, head, tape, hist, tau, h, b):
+    # any text (multi-byte UTF-8 too), heads and clocks of either sign and
+    # long histories and tapes: the one framing loop writes the same bytes
+    lab = ExtendedBasisState(state, head, tape, hist, tau, h, b)
+    assert lab.serial == _field_by_field_serial(lab)
 
 
 def test_equal_labels_from_different_construction_paths():
@@ -642,7 +706,7 @@ def test_forward_of_backward_is_identity_unbounded(pair):
     step, labels = pair
     for y in labels:
         x = step.backward(y)
-        if x is not NO_PREIMAGE:
+        if x is not None:
             assert keeps_the_run_rule(step, x)
             assert step.forward(x) == y
 
@@ -653,7 +717,7 @@ def test_forward_of_backward_is_identity_cyclic(pair):
     step, labels = pair
     for y in labels:
         x = step.backward(y)
-        if x is not NO_PREIMAGE:
+        if x is not None:
             assert keeps_the_run_rule(step, x)
             assert step.forward(x) == y
 
