@@ -201,7 +201,7 @@ def _post_halt_pulses(
     grid: int,
     ceiling: float,
     plain: tuple[tuple[Pulse, Pulse], tuple[Pulse, Pulse]],
-) -> tuple[bool, Iterator[Pulse], Iterator[tuple[int, Pulse]]]:
+) -> tuple[bool, Iterator[Pulse], Iterable[tuple[int, Pulse]]]:
     """Whether the first halted label x, where ``run`` stands, is lit;
     the points of the pulses from x on, one tuple per pulse, without end;
     and the (r, points) of the new pulses r steps past x, those that can

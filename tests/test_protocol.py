@@ -145,19 +145,6 @@ def test_work_to_reach_counts_begun_pulses():
         work_to_reach(Fraction(-1, 2))
 
 
-@given(st.fractions(min_value=0, max_value=1000))
-def test_work_to_reach_is_ceiling_off_integers(t):
-    whole = t.numerator // t.denominator
-    want = whole if t == whole else whole + 1
-    assert work_to_reach(t) == want
-
-
-def _whole_plus_remainder(t):
-    """The pulse count as it was computed by hand, before math.ceil."""
-    whole = t.numerator // t.denominator
-    return whole + (1 if t != whole else 0)
-
-
 @given(
     st.one_of(
         st.fractions(min_value=0),
@@ -165,8 +152,11 @@ def _whole_plus_remainder(t):
         st.integers(0, 10**30).map(lambda n: Fraction(n, 10**15 + 1)),
     )
 )
-def test_work_to_reach_matches_the_hand_ceiling(t):
-    assert work_to_reach(t) == _whole_plus_remainder(Fraction(t))
+def test_work_to_reach_is_ceiling_off_integers(t):
+    t = Fraction(t)
+    whole = t.numerator // t.denominator
+    want = whole if t == whole else whole + 1
+    assert work_to_reach(t) == want
 
 
 # -- the bounded scan -------------------------------------------------------------
@@ -288,7 +278,7 @@ def _two_level_gate(inst, budget):
             break
     t = _time(inst, *at)
     verdict = ReachableAt(t) if found else ReportedUnreachable()
-    return ProtocolOutcome(verdict, Resources(t, _whole_plus_remainder(t)))
+    return ProtocolOutcome(verdict, Resources(t, math.ceil(t)))
 
 
 CORPUS_HALTERS = [e.machine for e in builtin_corpus() if isinstance(e.ground_truth, Halts)]
