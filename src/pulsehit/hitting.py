@@ -18,6 +18,9 @@ cost is integer work.  A trace row's time is the coprime pair n*q + p
 over q, where p/q = (j/G)*delta is reduced once per j; since that pair is
 already in lowest terms, :func:`fidelity_trace` sets it into a
 ``Fraction`` directly, without the constructor's type dispatch and gcd.
+It builds the rows with the cyclic garbage collector paused, the only
+``gc`` call in the package; the one proof obligation of that pause is
+that the row loop builds no reference cycle, so no garbage waits for it.
 
 Grid points that land strictly inside a pulse are only evaluable where the
 support orbit closes (a halted label on a cyclic clock); everywhere else
@@ -62,6 +65,7 @@ ROADMAP.md tracks the fix.
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 import json
 import math
@@ -396,7 +400,20 @@ def fidelity_trace(inst: InstanceDescriptor) -> list[tuple[Fraction, float]]:
     any common divisor of n*q + p and q divides p, so gcd(n*q + p, q) =
     gcd(p, q) = 1.  The time is therefore the ``Fraction`` n + p/q
     itself, equal in value, hash and ``str``, and a row costs no rational
-    sum, no gcd and no call but ``object.__new__``."""
+    sum, no gcd and no call but ``object.__new__``.
+
+    The cyclic garbage collector is paused while the rows are built, and
+    this is the only ``gc`` call in the package.  Each row is one tuple
+    and one ``Fraction``, both tracked, so without the pause the growing
+    list sets off young, middle and full collections that re-walk the
+    live rows and free nothing.  The pause's one proof obligation is that
+    the loop builds no reference cycle (the rows, the pulse tuples and
+    the shape cache are all acyclic), so no garbage waits for it.  It is
+    library code changing global state, which is safe here because the
+    pause covers this one call, the caller's state is restored on return
+    or raise (a caller who disabled the collector keeps it disabled), and
+    the only work deferred is one young collection of the new rows, at
+    the caller's next allocation."""
     offsets = [
         (Fraction(j, inst.grid) * inst.schedule.delta).as_integer_ratio()
         for j in range(inst.grid + 1)
@@ -407,17 +424,23 @@ def fidelity_trace(inst: InstanceDescriptor) -> list[tuple[Fraction, float]]:
     # id(points) -> (points, its rows' shape); holding the tuple keeps its
     # id from being reused by another while the trace runs
     shapes: dict[int, tuple[Pulse, list[tuple[int, int, float]]]] = {}
-    for n, points in _scan(inst):
-        seen = shapes.get(id(points))
-        if seen is None:
-            seen = shapes[id(points)] = points, [
-                (*offsets[j], float(fid)) for j, fid, _ in points
-            ]
-        for p, q, fid in seen[1]:
-            t = new(Fraction)
-            t._numerator = n * q + p
-            t._denominator = q
-            append((t, fid))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for n, points in _scan(inst):
+            seen = shapes.get(id(points))
+            if seen is None:
+                seen = shapes[id(points)] = points, [
+                    (*offsets[j], float(fid)) for j, fid, _ in points
+                ]
+            for p, q, fid in seen[1]:
+                t = new(Fraction)
+                t._numerator = n * q + p
+                t._denominator = q
+                append((t, fid))
+    finally:
+        if enabled:
+            gc.enable()
     return rows
 
 

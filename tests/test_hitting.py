@@ -9,6 +9,7 @@ the window [K, K + delta], whose first crossing of 3/4 at G = 6 is the
 Niven point j = 4, t = K + 1/3, with fidelity exactly 3/4.
 """
 
+import gc
 import itertools
 import math
 import re
@@ -346,6 +347,40 @@ def test_trace_fraction_constructions_do_not_grow_with_the_horizon(monkeypatch):
         del made[:]
         assert all(type(t) is Fraction for t, _ in rows)
     assert 0 < counts[0] == counts[1] < 100
+
+
+def test_trace_rows_start_no_collection_and_leave_no_cycle():
+    # the rows are built with the cyclic collector paused: without the
+    # pause this trace of 17 201 rows sets off 49 collections, each of
+    # which only re-walks live rows; dropping the rows leaves nothing
+    # unreachable, so the pause defers no garbage
+    inst = beacon_instance(_corpus_machine("scan-199"), Cyclic(14), 3000, grid=5)
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        rows = fidelity_trace(inst)
+    finally:
+        gc.callbacks.remove(count)
+    assert len(rows) == 17_201
+    assert started == []
+    del rows
+    assert gc.collect() == 0
+
+
+def test_a_trace_leaves_a_caller_paused_collector_paused():
+    inst = beacon_instance(MOVE_RIGHT_3, Cyclic(3), 8, grid=5)
+    gc.disable()
+    try:
+        assert fidelity_trace(inst)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_first_integer_hit_is_k_plus_one():
@@ -857,6 +892,7 @@ def test_a_missing_rule_raises_the_same_error_after_the_same_points():
         for consume in consumers:
             with pytest.raises(IllFormedMachineError, match=message):
                 consume(inst)
+            assert gc.isenabled()
             with patch.object(hitting, "_scan", oracle), patch.object(protocol, "_scan", oracle):
                 with pytest.raises(IllFormedMachineError, match=message):
                     consume(inst)
