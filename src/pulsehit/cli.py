@@ -186,7 +186,7 @@ def cmd_hit(args: argparse.Namespace) -> tuple[str, int]:
 def cmd_trace(args: argparse.Namespace) -> tuple[str, int]:
     trace = fidelity_trace(_instance(args))
     if args.format == "json":
-        return json.dumps([[str(t), fid] for t, fid in trace]) + "\n", EXIT_OK
+        return json.dumps([(str(t), fid) for t, fid in trace]) + "\n", EXIT_OK
     return trace_to_csv(trace), EXIT_OK
 
 

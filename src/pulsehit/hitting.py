@@ -482,10 +482,11 @@ def _json_lines(payloads: Iterable[dict]) -> str:
 
 
 @functools.lru_cache(maxsize=256)
-def _decimal_places(den: int) -> Optional[int]:
-    """Places of the exact decimal of a fraction with denominator den (the
-    larger of its powers of 2 and 5), or None when den does not divide a
-    power of ten.  Cached: a trace has at most G + 1 denominators."""
+def _decimal_scale(den: int) -> Optional[tuple[int, int, int]]:
+    """``(places, 10**places // den, 10**places)`` for the exact decimal of
+    a fraction with denominator den, places being the larger of its powers
+    of 2 and 5, or None when den does not divide a power of ten.  Cached: a
+    trace has at most G + 1 denominators."""
     twos = fives = 0
     while den % 2 == 0:
         den //= 2
@@ -493,25 +494,31 @@ def _decimal_places(den: int) -> Optional[int]:
     while den % 5 == 0:
         den //= 5
         fives += 1
-    return max(twos, fives) if den == 1 else None
+    if den != 1:
+        return None
+    places = max(twos, fives)
+    return places, 2 ** (places - twos) * 5 ** (places - fives), 10**places
 
 
 def _decimal_or_ratio(t: Fraction) -> str:
     """Exact decimal when the denominator divides a power of ten,
-    otherwise the reduced ratio."""
-    places = _decimal_places(t.denominator)
-    if places is None:
+    otherwise the reduced ratio; the sign is rendered apart from the
+    digits of the magnitude."""
+    scale = _decimal_scale(t.denominator)
+    if scale is None:
         return f"{t.numerator}/{t.denominator}"
+    places, mult, unit = scale
     if places == 0:
         return str(t.numerator)
-    scaled = t.numerator * 10**places // t.denominator
-    return f"{scaled // 10**places}.{scaled % 10**places:0{places}d}"
+    whole, frac = divmod(abs(t.numerator) * mult, unit)
+    sign = "-" if t.numerator < 0 else ""
+    return f"{sign}{whole}.{frac:0{places}d}"
 
 
 def trace_to_csv(trace: list[tuple[Fraction, float]]) -> str:
     lines = ["t,fidelity"]
     for t, fid in trace:
         if type(t) is not Fraction:
-            t = Fraction(t)
+            t = as_rational(t, "t")
         lines.append(f"{_decimal_or_ratio(t)},{float(fid):.12f}")
     return "\n".join(lines) + "\n"

@@ -22,11 +22,14 @@ form.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 
+from pulsehit import hitting, protocol
 from pulsehit.dynamics import _closed_form_arg
 from pulsehit.hitting import _float_ceiling, _mid_fidelities
 from pulsehit.reversible import BeaconStep, BeaconSubspace
@@ -119,3 +122,17 @@ def stepwise_scan(inst):
         cur = step.forward(cur)
         lit = pred(cur)
         yield n, (first, *mids, (grid, 1 if lit else 0, lit))
+
+
+@contextlib.contextmanager
+def stepwise_scans():
+    """Within the block, ``hitting._scan`` and ``protocol._scan`` are
+    :func:`stepwise_scan`, which yields the dark tail whatever it is asked,
+    so every report, trace, protocol verdict and noisy draw is read off
+    the oracle scan."""
+
+    def scan(inst, dark_tail=True):
+        return stepwise_scan(inst)
+
+    with patch.object(hitting, "_scan", scan), patch.object(protocol, "_scan", scan):
+        yield

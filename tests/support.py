@@ -1,10 +1,54 @@
-"""Shared test helpers: random machine strategies, the 2-state census and
-a counter of reversible steps."""
+"""Shared test helpers: the shipped corpus machines, random machine
+strategies, the 2-state census, beacon instances, a forward walk and a
+counter of reversible steps."""
+
+from fractions import Fraction
+from importlib import resources
 
 from hypothesis import strategies as st
 
-from pulsehit.machine import MachineSpec, Rule
-from pulsehit.reversible import BeaconStep
+from pulsehit.dynamics import PulseSchedule
+from pulsehit.hitting import InstanceDescriptor, grid_for
+from pulsehit.machine import MachineSpec, Rule, parse_machine, read_document
+from pulsehit.reversible import BeaconStep, BeaconSubspace
+
+
+def corpus_text(name: str) -> str:
+    """The document of the shipped machine ``corpus/<name>.tm``."""
+    return read_document(resources.files("pulsehit").joinpath("corpus", f"{name}.tm"))
+
+
+def corpus_machine(name: str) -> MachineSpec:
+    """The shipped machine ``corpus/<name>.tm``, parsed."""
+    return parse_machine(corpus_text(name))
+
+
+MOVE_RIGHT_3 = corpus_machine("move-right-3")  # three cells right, halts at K = 3
+HALT_NOW = corpus_machine("halt-now")  # the start state is the halt state
+LOOP_STAY = corpus_machine("loop-stay")  # spins in place on one blank
+BINARY_INC = corpus_machine("binary-inc")  # 111 -> 1000, halts at K = 4
+
+QUARTER = Fraction(1, 4)
+HALF = Fraction(1, 2)
+
+
+def beacon_instance(spec, clock, horizon, *, epsilon=QUARTER, delta=HALF, grid=None):
+    """The beacon-target instance of ``spec``, on the grid ``grid_for``
+    picks for ``epsilon`` unless ``grid`` is given."""
+    sched = PulseSchedule(delta, clock)
+    if grid is None:
+        grid = grid_for(epsilon)
+    return InstanceDescriptor(spec, epsilon, sched, BeaconSubspace(), horizon, grid)
+
+
+def walk(step, label, n):
+    """``label`` and the n labels after it, each from ``step.forward``."""
+    out = [label]
+    for _ in range(n):
+        label = step.forward(label)
+        out.append(label)
+    return out
+
 
 name_st = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789", min_size=1, max_size=3)
 

@@ -14,6 +14,7 @@ import time
 from fractions import Fraction
 
 from oracles import cycle_power_oracle
+from support import walk
 
 from pulsehit.dynamics import (
     PulseSchedule,
@@ -45,14 +46,6 @@ LOOPERS = [e for e in CORPUS if isinstance(e.ground_truth, LoopsForever)]
 
 def _passed(number: int, text: str) -> None:
     print(f"criterion {number}: PASS - {text}")
-
-
-def _walk(step, label, n):
-    out = [label]
-    for _ in range(n):
-        label = step.forward(label)
-        out.append(label)
-    return out
 
 
 def test_criterion_1_reduction_biconditional_on_corpus():
@@ -123,7 +116,7 @@ def test_criterion_4_mid_pulse_oracle_agreement():
         psi0 = SparseState.basis_state(step.initial_label())
         k = entry.ground_truth.steps
         lo = max(k, 1)
-        labels = _walk(step, step.initial_label(), lo + period)
+        labels = walk(step, step.initial_label(), lo + period)
         for _ in range(20):
             n = rng.randint(lo, lo + period)
             s = Fraction(rng.randint(1, 63), 64) * DELTA

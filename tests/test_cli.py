@@ -18,31 +18,18 @@ from pulsehit.machine import parse_machine, read_document
 from pulsehit.reduction import encode
 from pulsehit.reversible import BeaconStep, BeaconSubspace, Cyclic, ExactLabel, Unbounded
 
-MOVE_RIGHT_3 = """\
-states: q0 q1 q2 qH
-alphabet: _
-start: q0
-halt: qH
-rule: q0 _ -> q1 _ R
-rule: q1 _ -> q2 _ R
-rule: q2 _ -> qH _ R
-"""
-
-LOOP_STAY = "states: q0 qH\nalphabet: _\nstart: q0\nhalt: qH\nrule: q0 _ -> q0 _ S\n"
+def _corpus_file(name):
+    return str(Path(str(resources.files("pulsehit"))) / "corpus" / name)
 
 
 @pytest.fixture
-def mover(tmp_path):
-    path = tmp_path / "mover.tm"
-    path.write_text(MOVE_RIGHT_3)
-    return str(path)
+def mover():
+    return _corpus_file("move-right-3.tm")
 
 
 @pytest.fixture
-def looper(tmp_path):
-    path = tmp_path / "looper.tm"
-    path.write_text(LOOP_STAY)
-    return str(path)
+def looper():
+    return _corpus_file("loop-stay.tm")
 
 
 def run(capsys, *argv):
@@ -128,7 +115,11 @@ def test_parameters_are_checked_before_an_exact_target_walks(capsys, mover, monk
 def test_a_document_that_is_not_utf8_exits_one_without_a_traceback(capsys, tmp_path, bad):
     machine = tmp_path / "m.tm"
     manifest = tmp_path / "manifest.json"
-    machine.write_bytes(MOVE_RIGHT_3.encode() + (b"# \xff\n" if bad != "manifest" else b""))
+    machine.write_bytes(
+        b"states: q0 q1 q2 qH\nalphabet: _\nstart: q0\nhalt: qH\n"
+        b"rule: q0 _ -> q1 _ R\nrule: q1 _ -> q2 _ R\nrule: q2 _ -> qH _ R\n"
+        + (b"# \xff\n" if bad != "manifest" else b"")
+    )
     manifest.write_bytes(
         b'[{"name": "m", "machine_file": "m.tm", "ground_truth": {"kind": "halts", "K": 3}}]'
         + (b"\xff" if bad == "manifest" else b"")
@@ -264,10 +255,6 @@ def test_hit_exact_targets(capsys, mover):
     assert code == 0 and json.loads(out)["t"] == "3/2"
     code, _out, err = run(capsys, "hit", mover, "--target", "nearby")
     assert code == 1 and "target" in err
-
-
-def _corpus_file(name):
-    return str(Path(str(resources.files("pulsehit"))) / "corpus" / name)
 
 
 @pytest.mark.parametrize("clock", [(), ("--clock", "cyclic:7", "--grid", "5")],
@@ -421,10 +408,8 @@ def test_verify_builtin_corpus_agrees(capsys):
 
 
 def test_verify_explicit_corpus_path(capsys):
-    from importlib import resources
-
-    manifest = Path(str(resources.files("pulsehit"))) / "corpus" / "manifest.json"
-    code, out, _err = run(capsys, "verify", "--corpus", str(manifest), "--horizon", "250")
+    manifest = _corpus_file("manifest.json")
+    code, out, _err = run(capsys, "verify", "--corpus", manifest, "--horizon", "250")
     assert code == 0
     assert len(out.splitlines()) == 17
 
@@ -621,11 +606,8 @@ FROZEN_EXACT_TRACE_SHA256 = "f90b866a9d42635b9081c206e92539aa6e40b34a71083e5de34
 
 
 def test_exact_label_trace_bytes_are_frozen(capsys):
-    from importlib import resources
-
-    machine = Path(str(resources.files("pulsehit"))) / "corpus" / "scan-20.tm"
     code, out, err = run(
-        capsys, "trace", str(machine), "--clock", "cyclic:7", "--grid", "5",
+        capsys, "trace", _corpus_file("scan-20.tm"), "--clock", "cyclic:7", "--grid", "5",
         "--target", "exact:30", "--horizon", "400",
     )
     assert (code, err) == (0, "")
@@ -647,12 +629,9 @@ def test_exact_label_trace_bytes_are_frozen(capsys):
     ids=["cyclic:1024-grid:5", "cyclic:97-grid:6"],
 )
 def test_long_cycle_exact_label_trace_bytes_are_frozen(capsys, period, grid, horizon, lines, md5):
-    from importlib import resources
-
-    machine = Path(str(resources.files("pulsehit"))) / "corpus" / "scan-20.tm"
     code, out, err = run(
-        capsys, "trace", str(machine), "--clock", f"cyclic:{period}", "--grid", str(grid),
-        "--target", "exact:30", "--horizon", str(horizon),
+        capsys, "trace", _corpus_file("scan-20.tm"), "--clock", f"cyclic:{period}",
+        "--grid", str(grid), "--target", "exact:30", "--horizon", str(horizon),
     )
     assert (code, err) == (0, "")
     assert out.count("\n") == lines

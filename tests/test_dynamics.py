@@ -28,7 +28,7 @@ from oracles import (
     transfer_amplitudes_oracle,
     two_cycle_profile,
 )
-from support import count_forward, machines
+from support import HALF, HALT_NOW, LOOP_STAY, MOVE_RIGHT_3, count_forward, machines, walk
 
 from pulsehit.dynamics import (
     AMP_ONE,
@@ -58,7 +58,7 @@ from pulsehit.errors import (
     TimeTagError,
 )
 import pulsehit
-from pulsehit.machine import Halted, classical_run, parse_machine, serialize_machine
+from pulsehit.machine import Halted, classical_run, serialize_machine
 from pulsehit.reversible import (
     BeaconStep,
     BeaconSubspace,
@@ -66,35 +66,6 @@ from pulsehit.reversible import (
     ExtendedBasisState,
     Unbounded,
 )
-
-MOVE_RIGHT_3 = parse_machine(
-    """\
-states: q0 q1 q2 qH
-alphabet: _
-start: q0
-halt: qH
-rule: q0 _ -> q1 _ R
-rule: q1 _ -> q2 _ R
-rule: q2 _ -> qH _ R
-"""
-)
-
-HALT_NOW = parse_machine("states: q0\nalphabet: _\nstart: q0\nhalt: q0\n")
-
-LOOP_STAY = parse_machine(
-    "states: q0 qH\nalphabet: _\nstart: q0\nhalt: qH\nrule: q0 _ -> q0 _ S\n"
-)
-
-HALF = Fraction(1, 2)
-
-
-def walk(step, label, n):
-    out = [label]
-    for _ in range(n):
-        label = step.forward(label)
-        out.append(label)
-    return out
-
 
 # -- fractional cycle coefficients against the eigendecomposition oracle ------
 

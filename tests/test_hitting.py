@@ -16,17 +16,27 @@ import re
 import time
 import tracemalloc
 from fractions import Fraction
-from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import stepwise_scan, transfer_amplitudes_oracle
-from support import CENSUS_SIZE, census_machine, count_forward, machines
+from oracles import stepwise_scan, stepwise_scans, transfer_amplitudes_oracle
+from support import (
+    CENSUS_SIZE,
+    HALF,
+    HALT_NOW,
+    LOOP_STAY,
+    MOVE_RIGHT_3,
+    QUARTER,
+    beacon_instance,
+    census_machine,
+    corpus_machine,
+    count_forward,
+    machines,
+    walk,
+)
 
-from pulsehit import hitting, protocol
 from pulsehit.cli import main
-
 from pulsehit.dynamics import (
     PulseSchedule,
     SparseState,
@@ -41,6 +51,7 @@ from pulsehit.hitting import (
     Exhausted,
     Hit,
     InstanceDescriptor,
+    _decimal_or_ratio,
     _float_ceiling,
     _scan,
     fidelity_trace,
@@ -51,7 +62,7 @@ from pulsehit.hitting import (
 )
 from pulsehit.machine import Halted, classical_run, parse_machine
 from pulsehit.protocol import NoiseModel, ProtocolBudget, classify_with_noise, run_bounded_protocol
-from pulsehit.reduction import builtin_corpus, counter_family, encode
+from pulsehit.reduction import counter_family, encode
 from pulsehit.reversible import (
     BeaconStep,
     BeaconSubspace,
@@ -60,35 +71,6 @@ from pulsehit.reversible import (
     ExtendedBasisState,
     Unbounded,
 )
-
-MOVE_RIGHT_3 = parse_machine(
-    """\
-states: q0 q1 q2 qH
-alphabet: _
-start: q0
-halt: qH
-rule: q0 _ -> q1 _ R
-rule: q1 _ -> q2 _ R
-rule: q2 _ -> qH _ R
-"""
-)
-
-HALT_NOW = parse_machine("states: q0\nalphabet: _\nstart: q0\nhalt: q0\n")
-
-LOOP_STAY = parse_machine(
-    "states: q0 qH\nalphabet: _\nstart: q0\nhalt: qH\nrule: q0 _ -> q0 _ S\n"
-)
-
-QUARTER = Fraction(1, 4)
-HALF = Fraction(1, 2)
-
-
-def beacon_instance(spec, clock, horizon, *, epsilon=QUARTER, delta=HALF, grid=None):
-    sched = PulseSchedule(delta, clock)
-    if grid is None:
-        grid = grid_for(epsilon)
-    return InstanceDescriptor(spec, epsilon, sched, BeaconSubspace(), horizon, grid)
-
 
 # -- grid refinement ------------------------------------------------------------
 
@@ -329,7 +311,7 @@ def test_trace_fraction_constructions_do_not_grow_with_the_horizon(monkeypatch):
     # each row's time is set from its coprime pair, so the Fraction
     # constructor runs a fixed number of times per trace (offsets,
     # threshold, Niven lookups), not once per row
-    spec = _corpus_machine("scan-199")
+    spec = corpus_machine("scan-199")
     made = []
     original = Fraction.__new__
 
@@ -354,7 +336,7 @@ def test_trace_rows_start_no_collection_and_leave_no_cycle():
     # pause this trace of 17 201 rows sets off 49 collections, each of
     # which only re-walks live rows; dropping the rows leaves nothing
     # unreachable, so the pause defers no garbage
-    inst = beacon_instance(_corpus_machine("scan-199"), Cyclic(14), 3000, grid=5)
+    inst = beacon_instance(corpus_machine("scan-199"), Cyclic(14), 3000, grid=5)
     started = []
 
     def count(phase, info):
@@ -393,12 +375,6 @@ def test_first_integer_hit_is_k_plus_one():
     assert [f for t, f in integers[4:]] == [1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0]
 
 
-def _walk(step, label, n):
-    for _ in range(n):
-        label = step.forward(label)
-    return label
-
-
 # (clock, target: None for the beacon or N for the label N steps in, grid,
 # horizon); the -wraps cases run three or more whole post-halt cycles past
 # the halt at step 3, so the scan's cycle position wraps around
@@ -428,7 +404,7 @@ def test_scanner_fidelities_match_dynamics_route(clock, target_steps, grid, hori
     if target_steps is None:
         target = BeaconSubspace()
     else:
-        target = ExactLabel(_walk(step, start, target_steps))
+        target = ExactLabel(walk(step, start, target_steps)[-1])
     sched = PulseSchedule(HALF, clock)
     inst = InstanceDescriptor(MOVE_RIGHT_3, QUARTER, sched, target, horizon, grid)
     pred = step.target_predicate(target)
@@ -439,7 +415,7 @@ def test_scanner_fidelities_match_dynamics_route(clock, target_steps, grid, hori
         assert abs(fid - float(subspace_fidelity(out, pred))) < 1e-12
         n, s = divmod(t, 1)
         if 0 < s < HALF:
-            cyc = [_walk(step, start, n)]
+            cyc = [walk(step, start, n)[-1]]
             nxt = step.forward(cyc[0])
             while nxt != cyc[0]:
                 cyc.append(nxt)
@@ -462,7 +438,7 @@ def test_mid_pulse_values_match_the_full_coefficient_vector_exactly(period, targ
     clock = Cyclic(period)
     step = BeaconStep(MOVE_RIGHT_3, clock)
     k = step.cycle_length
-    target = ExactLabel(_walk(step, step.initial_label(), target_steps))
+    target = ExactLabel(walk(step, step.initial_label(), target_steps)[-1])
     sched = PulseSchedule(HALF, clock)
     horizon = target_steps + 2 * k
     inst = InstanceDescriptor(MOVE_RIGHT_3, QUARTER, sched, target, horizon, grid)
@@ -487,8 +463,8 @@ def test_mid_pulse_rows_cost_no_walk_of_a_long_cycle(monkeypatch):
     # (target, frozen first hit, or None for exhaustion)
     cases = [
         (BeaconSubspace(), Fraction(17, 5)),
-        (ExactLabel(_walk(step, step.initial_label(), 5)), Fraction(22, 5)),
-        (ExactLabel(_walk(step, step.initial_label(), 5000)), None),
+        (ExactLabel(walk(step, step.initial_label(), 5)[-1]), Fraction(22, 5)),
+        (ExactLabel(walk(step, step.initial_label(), 5000)[-1]), None),
     ]
     calls = count_forward(monkeypatch)
     for target, want in cases:
@@ -510,7 +486,7 @@ def test_mid_pulse_rows_cost_no_walk_of_a_long_cycle(monkeypatch):
 def test_trace_steps_only_to_the_halt_whatever_the_horizon(name, clock, exact, monkeypatch):
     # every pulse past the halt at K comes from its offset on the orbit,
     # so a longer trace makes no further forward call
-    spec = _corpus_machine(name)
+    spec = corpus_machine(name)
     k = classical_run(spec, 10**4).steps
     step = BeaconStep(spec, clock)
     target = BeaconSubspace() if exact is None else ExactLabel(step.advance(step.initial_label(), exact))
@@ -541,7 +517,7 @@ def test_scans_and_certified_route_never_build_serial_bytes(monkeypatch):
     clock = Cyclic(7)
     step = BeaconStep(MOVE_RIGHT_3, clock)
     sched = PulseSchedule(HALF, clock)
-    phi = _walk(step, step.initial_label(), 10)  # post-halt, on a 14-cycle
+    phi = walk(step, step.initial_label(), 10)[-1]  # post-halt, on a 14-cycle
     exact = InstanceDescriptor(MOVE_RIGHT_3, QUARTER, sched, ExactLabel(phi), 40, 5)
     beacon = beacon_instance(MOVE_RIGHT_3, clock, 40, grid=5)
     cycle = cycle_of(step, phi)
@@ -596,8 +572,6 @@ def test_trace_csv_format_and_time_rendering():
 
 
 def test_time_rendering_cases():
-    from pulsehit.hitting import _decimal_or_ratio
-
     assert _decimal_or_ratio(Fraction(7, 2)) == "3.5"
     assert _decimal_or_ratio(Fraction(10, 3)) == "10/3"
     assert _decimal_or_ratio(Fraction(4)) == "4"
@@ -649,7 +623,9 @@ def test_cyclic_hit_lands_inside_the_halt_window(spec, period):
 
 
 def _per_row_decimal_or_ratio(t: Fraction) -> str:
-    """The per-row rendering of a trace time, kept verbatim as the oracle."""
+    """The old per-row rendering of a trace time, kept verbatim as the
+    oracle.  It holds only for t >= 0: its digits come from floor division
+    of the numerator, so it renders -1/2 as -1.5."""
     den = t.denominator
     twos = fives = 0
     while den % 2 == 0:
@@ -667,17 +643,23 @@ def _per_row_decimal_or_ratio(t: Fraction) -> str:
     return f"{scaled // 10**places}.{scaled % 10**places:0{places}d}"
 
 
+def _fractions(numerators):
+    """Fractions over denominators 2^a 5^b r: an exact decimal when r = 1,
+    a ratio otherwise."""
+    return st.builds(
+        lambda num, a, b, r: Fraction(num, 2**a * 5**b * r),
+        numerators,
+        st.integers(0, 12),
+        st.integers(0, 12),
+        st.sampled_from([1, 1, 3, 7, 11, 49, 97]),
+    )
+
+
 # times as Fractions, plus the ints and floats that the CSV converts itself
 _trace_times = st.one_of(
     st.integers(0, 10**6),
     st.floats(0, 10**6),
-    st.builds(
-        lambda num, a, b, r: Fraction(num, 2**a * 5**b * r),
-        st.integers(0, 10**9),
-        st.integers(0, 12),
-        st.integers(0, 12),
-        st.sampled_from([1, 1, 3, 7, 11, 49, 97]),
-    ),
+    _fractions(st.integers(0, 10**9)),
 )
 
 
@@ -687,6 +669,18 @@ def test_trace_csv_matches_per_row_rendering(trace):
     want = ["t,fidelity"]
     want += [f"{_per_row_decimal_or_ratio(Fraction(t))},{float(f):.12f}" for t, f in trace]
     assert trace_to_csv(trace) == "\n".join(want) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fractions(st.integers(-(10**9), 10**9)))
+def test_a_rendered_time_reads_back_as_the_same_number(t):
+    assert Fraction(_decimal_or_ratio(t)) == t
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, True, "x"], ids=["nan", "inf", "True", "x"])
+def test_trace_csv_refuses_a_time_that_is_not_rational(t):
+    with pytest.raises(ParameterRangeError, match=r"^t must be rational"):
+        trace_to_csv([(t, 0.5)])
 
 
 # thresholds in (1/2, 1): doubles themselves, ratios with large denominators,
@@ -770,9 +764,6 @@ def test_scan_equals_the_stepwise_scan(index, clock, exact, grid, horizon, eps, 
             classify_with_noise(inst, noise),
         )
 
-    def oracle(inst, dark_tail=True):
-        return stepwise_scan(inst)
-
     assert _points(_scan(inst)) == _points(stepwise_scan(inst))
     # the sparse tail misses no pulse below the horizon that shows a
     # nonzero point, which is all uhit_semidecide reads
@@ -781,19 +772,15 @@ def test_scan_equals_the_stepwise_scan(index, clock, exact, grid, horizon, eps, 
         if n < horizon and any(fid for _, fid, _ in points):
             assert points in news
     got = consumers()
-    with patch.object(hitting, "_scan", oracle), patch.object(protocol, "_scan", oracle):
+    with stepwise_scans():
         want = consumers()
     assert got == want
-
-
-def _corpus_machine(name):
-    return next(e.machine for e in builtin_corpus() if e.name == name)
 
 
 @pytest.mark.parametrize("name", ["loop-blink", "loop-with-prefix"])
 @pytest.mark.parametrize("clock", [Unbounded(), Cyclic(7)], ids=["unbounded", "cyclic7"])
 def test_looper_exhaustion_costs_its_loop_not_the_horizon(name, clock, monkeypatch):
-    spec = _corpus_machine(name)
+    spec = corpus_machine(name)
     uhit_semidecide(beacon_instance(spec, clock, 10))  # warm any lazy state
     calls = count_forward(monkeypatch)
     peaks = {}
@@ -822,7 +809,7 @@ def test_verify_steps_its_loopers_only_to_their_revisits(capsys, monkeypatch):
 def test_an_exact_target_ahead_of_the_revisit_is_still_met():
     # loop-blink revisits at step 2, but the label 40 steps in is still a
     # point of the run: the scan keeps stepping until it is past it
-    spec = _corpus_machine("loop-blink")
+    spec = corpus_machine("loop-blink")
     for clock in (Unbounded(), Cyclic(7)):
         step = BeaconStep(spec, clock)
         phi = step.advance(step.initial_label(), 40)
@@ -865,9 +852,6 @@ def test_a_missing_rule_raises_the_same_error_after_the_same_points():
         "rule: q0 _ -> q1 1 R\nrule: q1 _ -> q2 _ L\nrule: q2 _ -> qH _ S\n"
     )
 
-    def oracle(inst, dark_tail=True):
-        return stepwise_scan(inst)
-
     def points_before_the_error(scan, message):
         rows = []
         with pytest.raises(IllFormedMachineError, match=message):
@@ -893,7 +877,7 @@ def test_a_missing_rule_raises_the_same_error_after_the_same_points():
             with pytest.raises(IllFormedMachineError, match=message):
                 consume(inst)
             assert gc.isenabled()
-            with patch.object(hitting, "_scan", oracle), patch.object(protocol, "_scan", oracle):
+            with stepwise_scans():
                 with pytest.raises(IllFormedMachineError, match=message):
                     consume(inst)
 
@@ -934,9 +918,6 @@ def test_an_unbounded_exact_target_off_the_post_halt_run(where):
             classify_with_noise(inst, noise),
         )
 
-    def oracle(inst, dark_tail=True):
-        return stepwise_scan(inst)
-
     want = _points(stepwise_scan(inst))
     assert _points(_scan(inst)) == want
     sparse = list(_scan(inst, dark_tail=False))
@@ -946,7 +927,7 @@ def test_an_unbounded_exact_target_off_the_post_halt_run(where):
     assert ticks == sorted(set(ticks))
     assert set(_points(sparse)) <= set(want)
     got = consumers()
-    with patch.object(hitting, "_scan", oracle), patch.object(protocol, "_scan", oracle):
+    with stepwise_scans():
         assert got == consumers()
 
 

@@ -5,12 +5,18 @@ step-by-step tape traces) before the implementation existed; they must not
 be regenerated from the code under test.
 """
 
-from importlib import resources
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from support import machines
+from support import (
+    BINARY_INC,
+    HALT_NOW,
+    LOOP_STAY,
+    MOVE_RIGHT_3,
+    corpus_machine,
+    corpus_text,
+    machines,
+)
 
 from pulsehit import machine
 from pulsehit.errors import (
@@ -31,46 +37,8 @@ from pulsehit.machine import (
     serialize_machine,
 )
 
-MOVE_RIGHT_3 = """\
-# walks three cells right over blanks, then halts
-states: q0 q1 q2 qH
-alphabet: _
-start: q0
-halt: qH
-rule: q0 _ -> q1 _ R
-rule: q1 _ -> q2 _ R
-rule: q2 _ -> qH _ R
-"""
-
-BINARY_INC = """\
-states: q0 qH
-alphabet: _ 0 1
-start: q0
-halt: qH
-input: 111
-rule: q0 1 -> q0 0 R
-rule: q0 0 -> qH 1 S
-rule: q0 _ -> qH 1 S
-"""
-
-HALT_NOW = """\
-states: q0
-alphabet: _
-start: q0
-halt: q0
-"""
-
-LOOP_STAY = """\
-states: q0 qH
-alphabet: _
-start: q0
-halt: qH
-rule: q0 _ -> q0 _ S
-"""
-
-
 def test_parse_move_right_3_field_by_field():
-    spec = parse_machine(MOVE_RIGHT_3)
+    spec = parse_machine(corpus_text("move-right-3"))
     assert spec.states == ("q0", "q1", "q2", "qH")
     assert spec.alphabet == ("_",)
     assert spec.blank == "_"
@@ -85,7 +53,7 @@ def test_parse_move_right_3_field_by_field():
 
 
 def test_parse_compact_input_splits_into_characters():
-    spec = parse_machine(BINARY_INC)
+    spec = parse_machine(corpus_text("binary-inc"))
     assert spec.input_word == ("1", "1", "1")
 
 
@@ -104,14 +72,12 @@ rule: q0 aa -> qH bb S
 
 
 def test_initial_configuration_lays_out_input_from_cell_zero():
-    spec = parse_machine(BINARY_INC)
-    c = next(classical_trace(spec, 10))
+    c = next(classical_trace(BINARY_INC, 10))
     assert c == Configuration("q0", 0, {0: "1", 1: "1", 2: "1"}, 0)
 
 
 def test_classical_run_move_right_3_halts_at_step_3():
-    spec = parse_machine(MOVE_RIGHT_3)
-    out = classical_run(spec, 100)
+    out = classical_run(MOVE_RIGHT_3, 100)
     assert isinstance(out, Halted)
     assert out.steps == 3
     assert out.final == Configuration("qH", 3, {}, 3)
@@ -120,33 +86,29 @@ def test_classical_run_move_right_3_halts_at_step_3():
 def test_classical_run_binary_inc_hand_trace():
     # hand trace: three 1s flip to 0 while moving right (steps 1..3), then
     # the blank at cell 3 becomes 1 and the machine halts in place (step 4)
-    spec = parse_machine(BINARY_INC)
-    out = classical_run(spec, 100)
+    out = classical_run(BINARY_INC, 100)
     assert isinstance(out, Halted)
     assert out.steps == 4
     assert out.final == Configuration("qH", 3, {0: "0", 1: "0", 2: "0", 3: "1"}, 4)
 
 
 def test_classical_run_halt_now_is_zero_steps():
-    spec = parse_machine(HALT_NOW)
-    out = classical_run(spec, 10)
+    out = classical_run(HALT_NOW, 10)
     assert isinstance(out, Halted)
     assert out.steps == 0
     assert out.final == Configuration("q0", 0, {}, 0)
 
 
 def test_classical_run_loop_reports_still_running_at_bound():
-    spec = parse_machine(LOOP_STAY)
-    out = classical_run(spec, 57)
+    out = classical_run(LOOP_STAY, 57)
     assert isinstance(out, StillRunning)
     assert out.at == Configuration("q0", 0, {}, 57)
 
 
 def test_classical_run_exact_boundary():
     # halting exactly at the bound still counts as halted
-    spec = parse_machine(MOVE_RIGHT_3)
-    assert isinstance(classical_run(spec, 3), Halted)
-    out = classical_run(spec, 2)
+    assert isinstance(classical_run(MOVE_RIGHT_3, 3), Halted)
+    out = classical_run(MOVE_RIGHT_3, 2)
     assert isinstance(out, StillRunning)
     assert out.at.state == "q2"
 
@@ -154,15 +116,14 @@ def test_classical_run_exact_boundary():
 def test_classical_run_rejects_a_cap_that_is_not_a_nonnegative_int():
     # scan-5 halts at step 6: an unchecked 2.5 would run past the cap to
     # Halted(6) instead of stopping, and -1 would be a bare ValueError
-    spec = parse_machine(resources.files("pulsehit").joinpath("corpus/scan-5.tm").read_text())
+    spec = corpus_machine("scan-5")
     for cap in (2.5, -1):
         with pytest.raises(ParameterRangeError, match="max_steps"):
             classical_run(spec, cap)
 
 
 def test_trace_of_halted_start_yields_one_configuration():
-    spec = parse_machine(HALT_NOW)
-    assert list(classical_trace(spec, 10)) == [Configuration("q0", 0, {}, 0)]
+    assert list(classical_trace(HALT_NOW, 10)) == [Configuration("q0", 0, {}, 0)]
 
 
 def test_trace_missing_rule_raises():
@@ -182,16 +143,14 @@ rule: q0 _ -> qH _ S
 
 
 def test_classical_trace_yields_each_configuration():
-    spec = parse_machine(MOVE_RIGHT_3)
-    cs = list(classical_trace(spec, 10))
+    cs = list(classical_trace(MOVE_RIGHT_3, 10))
     assert [c.step_count for c in cs] == [0, 1, 2, 3]
     assert [c.state for c in cs] == ["q0", "q1", "q2", "qH"]
     assert [c.head for c in cs] == [0, 1, 2, 3]
 
 
 def test_trace_truncates_at_bound():
-    spec = parse_machine(LOOP_STAY)
-    cs = list(classical_trace(spec, 4))
+    cs = list(classical_trace(LOOP_STAY, 4))
     assert len(cs) == 5
     assert all(c.state == "q0" for c in cs)
 
@@ -199,7 +158,6 @@ def test_trace_truncates_at_bound():
 def test_trace_builds_the_rule_table_once_and_matches_stepping(monkeypatch):
     # the hand trace of test_classical_run_binary_inc_hand_trace, one
     # snapshot per step
-    spec = parse_machine(BINARY_INC)
     stepped = [
         Configuration("q0", 0, {0: "1", 1: "1", 2: "1"}, 0),
         Configuration("q0", 1, {0: "0", 1: "1", 2: "1"}, 1),
@@ -215,7 +173,7 @@ def test_trace_builds_the_rule_table_once_and_matches_stepping(monkeypatch):
         return real(s)
 
     monkeypatch.setattr(machine, "rule_table", counting_table)
-    assert list(classical_trace(spec, 20)) == stepped
+    assert list(classical_trace(BINARY_INC, 20)) == stepped
     assert len(builds) == 1
 
 
@@ -227,9 +185,8 @@ def test_same_snapshot_ignores_step_count():
 
 
 def test_serialize_round_trip_on_fixture():
-    spec = parse_machine(BINARY_INC)
-    again = parse_machine(serialize_machine(spec))
-    assert again == spec
+    again = parse_machine(serialize_machine(BINARY_INC))
+    assert again == BINARY_INC
 
 
 # -- error reporting --------------------------------------------------------
@@ -267,7 +224,7 @@ def test_a_byte_that_is_not_utf8_has_line_and_col(tmp_path):
 
 
 def test_malformed_rule_line():
-    doc = MOVE_RIGHT_3 + "rule: q0 _ q1 _ R\n"
+    doc = corpus_text("move-right-3") + "rule: q0 _ q1 _ R\n"
     with pytest.raises(MachineSyntaxError, match="rule line must read"):
         parse_machine(doc)
 
@@ -283,13 +240,13 @@ def test_bad_move_token_reports_column():
 
 
 def test_duplicate_rule_names_the_pair():
-    doc = MOVE_RIGHT_3 + "rule: q0 _ -> q2 _ L\n"
+    doc = corpus_text("move-right-3") + "rule: q0 _ -> q2 _ L\n"
     with pytest.raises(MachineSemanticsError, match=r"\('q0', '_'\)"):
         parse_machine(doc)
 
 
 def test_rule_out_of_halt_state_rejected():
-    doc = MOVE_RIGHT_3 + "rule: qH _ -> q0 _ S\n"
+    doc = corpus_text("move-right-3") + "rule: qH _ -> q0 _ S\n"
     with pytest.raises(MachineSemanticsError, match="halt state"):
         parse_machine(doc)
 
@@ -301,7 +258,7 @@ def test_missing_section_rejected():
 
 def test_duplicate_section_rejected():
     with pytest.raises(MachineSemanticsError, match="duplicate section"):
-        parse_machine(HALT_NOW + "start: q0\n")
+        parse_machine(corpus_text("halt-now") + "start: q0\n")
 
 
 def test_undeclared_state_in_rule():

@@ -15,7 +15,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from support import CENSUS_SIZE, census_machine
+from support import (
+    CENSUS_SIZE,
+    HALF,
+    HALT_NOW,
+    LOOP_STAY,
+    MOVE_RIGHT_3,
+    QUARTER,
+    beacon_instance,
+    census_machine,
+)
 
 from pulsehit.dynamics import (
     PulseSchedule,
@@ -41,7 +50,7 @@ from pulsehit.hitting import (
     uhit_semidecide,
 )
 from pulsehit import protocol
-from pulsehit.machine import Halted, StillRunning, classical_run, parse_machine
+from pulsehit.machine import Halted, StillRunning, classical_run
 from pulsehit.protocol import (
     NoiseModel,
     ProtocolBudget,
@@ -58,35 +67,6 @@ from pulsehit.protocol import (
 )
 from pulsehit.reduction import Halts, builtin_corpus, counter_family, encode, verify_corpus
 from pulsehit.reversible import BeaconStep, BeaconSubspace, Cyclic, ExactLabel, Unbounded
-
-MOVE_RIGHT_3 = parse_machine(
-    """\
-states: q0 q1 q2 qH
-alphabet: _
-start: q0
-halt: qH
-rule: q0 _ -> q1 _ R
-rule: q1 _ -> q2 _ R
-rule: q2 _ -> qH _ R
-"""
-)
-
-HALT_NOW = parse_machine("states: q0\nalphabet: _\nstart: q0\nhalt: q0\n")
-
-LOOP_STAY = parse_machine(
-    "states: q0 qH\nalphabet: _\nstart: q0\nhalt: qH\nrule: q0 _ -> q0 _ S\n"
-)
-
-QUARTER = Fraction(1, 4)
-HALF = Fraction(1, 2)
-
-
-def beacon_instance(spec, clock, horizon, *, epsilon=QUARTER, delta=HALF, grid=None):
-    sched = PulseSchedule(delta, clock)
-    if grid is None:
-        grid = grid_for(epsilon)
-    return InstanceDescriptor(spec, epsilon, sched, BeaconSubspace(), horizon, grid)
-
 
 # -- budgets and accounting -------------------------------------------------------
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from support import HALF, QUARTER, corpus_text
 
 import pulsehit
 from pulsehit.cli import main
@@ -38,9 +39,6 @@ from pulsehit.reduction import (
     verify_corpus,
 )
 from pulsehit.reversible import BeaconSubspace, Cyclic, Unbounded
-
-QUARTER = Fraction(1, 4)
-HALF = Fraction(1, 2)
 
 EXPECTED_K = {
     "halt-now": 0,
@@ -357,9 +355,7 @@ def test_builtin_corpus_matches_direct_path_load():
 
 
 def test_load_corpus_from_directory(tmp_path):
-    (tmp_path / "m.tm").write_text(
-        "states: q0\nalphabet: _\nstart: q0\nhalt: q0\n"
-    )
+    (tmp_path / "m.tm").write_text(corpus_text("halt-now"))
     (tmp_path / "manifest.json").write_text(
         '[{"name": "m", "machine_file": "m.tm", '
         '"ground_truth": {"kind": "halts", "K": 0}}]'
@@ -385,7 +381,7 @@ def test_load_corpus_rejects_malformed_manifests(tmp_path):
     (tmp_path / "manifest.json").write_text('{"name": "m", "machine_file": "m.tm"}')
     with pytest.raises(CorpusBugError, match="^manifest must be a JSON list$"):
         load_corpus(tmp_path / "manifest.json")
-    (tmp_path / "m.tm").write_text("states: q0\nalphabet: _\nstart: q0\nhalt: q0\n")
+    (tmp_path / "m.tm").write_text(corpus_text("halt-now"))
     (tmp_path / "manifest.json").write_text(
         '[{"name": "m", "machine_file": "m.tm", "ground_truth": {"kind": "halts", "K": 0}},'
         ' {"name": "m", "machine_file": "m.tm", "ground_truth": {"kind": "halts", "K": 0}}]'
@@ -438,7 +434,7 @@ GOOD_ROW = {"name": "m", "machine_file": "m.tm", "ground_truth": {"kind": "halts
     ids=["no-ground-truth", "int-machine-file", "int-name"],
 )
 def test_malformed_manifest_rows_are_corpus_bugs(tmp_path, capsys, row):
-    (tmp_path / "m.tm").write_text("states: q0\nalphabet: _\nstart: q0\nhalt: q0\n")
+    (tmp_path / "m.tm").write_text(corpus_text("halt-now"))
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps([GOOD_ROW | {"name": "ok"}, row]))
     with pytest.raises(CorpusBugError, match="malformed"):

@@ -9,7 +9,16 @@ negative unbounded times shift idly) and serve as frozen oracles.
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from support import CENSUS_SIZE, census_machine, machines
+from support import (
+    BINARY_INC,
+    CENSUS_SIZE,
+    HALT_NOW,
+    LOOP_STAY,
+    MOVE_RIGHT_3,
+    census_machine,
+    machines,
+    walk,
+)
 
 from pulsehit.errors import (
     IllFormedMachineError,
@@ -33,46 +42,6 @@ from pulsehit.reversible import (
     LiveRun,
     Unbounded,
 )
-
-MOVE_RIGHT_3 = parse_machine(
-    """\
-states: q0 q1 q2 qH
-alphabet: _
-start: q0
-halt: qH
-rule: q0 _ -> q1 _ R
-rule: q1 _ -> q2 _ R
-rule: q2 _ -> qH _ R
-"""
-)
-
-BINARY_INC = parse_machine(
-    """\
-states: q0 qH
-alphabet: _ 0 1
-start: q0
-halt: qH
-input: 111
-rule: q0 1 -> q0 0 R
-rule: q0 0 -> qH 1 S
-rule: q0 _ -> qH 1 S
-"""
-)
-
-HALT_NOW = parse_machine("states: q0\nalphabet: _\nstart: q0\nhalt: q0\n")
-
-LOOP_STAY = parse_machine(
-    "states: q0 qH\nalphabet: _\nstart: q0\nhalt: qH\nrule: q0 _ -> q0 _ S\n"
-)
-
-
-def walk(step, label, n):
-    out = [label]
-    for _ in range(n):
-        label = step.forward(label)
-        out.append(label)
-    return out
-
 
 # -- hand-traced orbits -------------------------------------------------------
 
