@@ -78,8 +78,9 @@ class Amplitude:
     err: float = 0.0
 
     def __post_init__(self):
-        exact = isinstance(self.re, Fraction)
-        if exact != isinstance(self.im, Fraction):
+        # a plain float answers before the ABCMeta isinstance check runs
+        exact = type(self.re) is not float and isinstance(self.re, Fraction)
+        if exact != (type(self.im) is not float and isinstance(self.im, Fraction)):
             raise LabelError("amplitude parts must be both exact or both floating")
         if exact and self.err != 0.0:
             raise LabelError("exact amplitudes carry no error bound")
@@ -98,7 +99,7 @@ class Amplitude:
 
     @property
     def is_exact(self) -> bool:
-        return isinstance(self.re, Fraction)
+        return type(self.re) is not float and isinstance(self.re, Fraction)
 
     def as_complex(self) -> complex:
         return complex(float(self.re), float(self.im))
@@ -134,12 +135,38 @@ class Amplitude:
         return self.mul_complex(other.as_complex(), other.err)
 
     def mul_complex(self, z: complex, zerr: float) -> "Amplitude":
-        """Multiply by a floating coefficient with its own error bound."""
-        w = self.as_complex() * z
+        """Multiply by a floating coefficient with its own error bound: the
+        one-coefficient case of :meth:`mul_each`.  A caller with a whole
+        vector of coefficients for one amplitude calls that once instead,
+        which reads the amplitude's value and bound once per vector, not
+        once per coefficient."""
+        return self.mul_each((z,), zerr)[0]
+
+    def mul_each(self, zs: Iterable[complex], zerr: float) -> list["Amplitude"]:
+        """This amplitude times each floating coefficient of ``zs``, every
+        coefficient within ``zerr`` of its true value, in order.  The
+        amplitude's complex value, :meth:`mag_upper` and ``err`` are read
+        once per vector, not once per coefficient; each product's bound is
+        the one formula, summed in the same order, so a coefficient gives
+        the same bits alone or in a vector.  A ``zerr`` that is negative,
+        NaN or infinite is refused before any product: it would bound
+        nothing."""
+        if not 0.0 <= zerr < math.inf:
+            raise ParameterRangeError(
+                f"coefficient error bound must be finite and nonnegative, got {zerr!r}"
+            )
+        v = self.as_complex()
         a = self.mag_upper()
-        zmag = abs(z) + zerr
-        err = self.err * zmag + zerr * a + 8.0 * _EPS * a * zmag + _UNDERFLOW
-        return Amplitude.approx(w, err)
+        e = self.err
+        za = zerr * a
+        ea = 8.0 * _EPS * a
+        new = Amplitude
+        out = []
+        for z in zs:
+            w = v * z
+            zmag = abs(z) + zerr
+            out.append(new(w.real, w.imag, e * zmag + za + ea * zmag + _UNDERFLOW))
+        return out
 
 
 AMP_ONE = Amplitude.exact(1)
@@ -379,7 +406,9 @@ def _rational_coeffs(k: int, alpha: Fraction, entry_bits: int) -> list[tuple[Fra
     within (2k + 2) 2^-W.  Dividing by |sin(pi Y/D)| >= sin(pi s/k) >= 2/D
     amplifies that by at most D/2, so W = entry_bits + bitlen k + bitlen D
     + 32 keeps each part within 2^-(entry_bits + 30) before the final round
-    to nearest.  Cost: O(1) mpmath calls and O(k) integer operations."""
+    to nearest, whose numerator over 2^entry_bits :func:`_dyadic` puts in
+    lowest terms by a shift, not a gcd.  Cost: O(1) mpmath calls and O(k)
+    integer operations."""
     import mpmath  # the certified route is the only one that needs it
 
     a, g = alpha.numerator, alpha.denominator
@@ -398,15 +427,29 @@ def _rational_coeffs(k: int, alpha: Fraction, entry_bits: int) -> list[tuple[Fra
         turn.append(((x * sr - y * si + half) >> w, (x * si + y * sr + half) >> w))
     turn += [(-x, -y) for x, y in turn]
     stride = 2 * ((k + 1) // 2) - 1
-    unit = 1 << entry_bits
     out = []
     for r in range(k):  # each part rounds: floor(num / den + 1/2), either sign of den
         x, y = turn[r]
         den = (x * ei + y * er) * k << (w - entry_bits)
         x, y = turn[stride * r % (2 * k)]
         re, im = (x * cr - y * ci) * sine * 2 + den, (x * ci + y * cr) * sine * 2 + den
-        out.append((Fraction(re // (2 * den), unit), Fraction(im // (2 * den), unit)))
+        out.append((_dyadic(re // (2 * den), entry_bits), _dyadic(im // (2 * den), entry_bits)))
     return out
+
+
+def _dyadic(num: int, bits: int) -> Fraction:
+    """num / 2^bits as the ``Fraction`` in lowest terms, built without a
+    gcd.  The only prime dividing 2^bits is 2, so shifting out the
+    min(trailing zeros of num, bits) factors of 2 the two share leaves
+    either an odd numerator or the denominator 1, a coprime pair with a
+    positive denominator; 0 becomes 0/1.  That is the pair
+    ``Fraction(num, 2**bits)`` normalizes to, so value, hash, ``str`` and
+    ``==`` agree, and setting the two slots directly (as
+    :func:`hitting.fidelity_trace` does) skips only the gcd."""
+    shift = min((num & -num).bit_length() - 1, bits) if num else bits
+    q = object.__new__(Fraction)
+    q._numerator, q._denominator = num >> shift, 1 << (bits - shift)
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -418,15 +461,19 @@ def _mid_pulse_pairs(
     pairs: list[tuple[ExtendedBasisState, Amplitude]],
     alpha: Fraction,
 ) -> list[tuple[ExtendedBasisState, Amplitude]]:
-    # each walk starts at its support label, so entry r of the one vector
-    # (every post-halt cycle has step.cycle_length labels) carries the label
-    # to member r; walking them all first keeps the refusals of cycle_of
+    """The alpha-th cycle power applied to ``pairs``, a state's support in
+    canonical order.  Each walk starts at its support label, so entry r of
+    the one coefficient vector (every post-halt cycle has
+    ``step.cycle_length`` labels) carries the label to member r.  Each
+    support amplitude takes one :meth:`Amplitude.mul_each` over the whole
+    vector, which reads its value and bound once; the parts are added in
+    walk order, since a float sum of overlapping parts depends on it."""
+    # walking every cycle first keeps the refusals of cycle_of
     walks = [(cycle_of(step, label), amp) for label, amp in pairs]
     g, gerr = fractional_coeffs(step.cycle_length, alpha)
     acc: dict[ExtendedBasisState, Amplitude] = {}
     for cyc, amp in walks:
-        for target, z in zip(cyc, g):
-            part = amp.mul_complex(z, gerr)
+        for target, part in zip(cyc, amp.mul_each(g, gerr)):
             prev = acc.get(target)
             acc[target] = part if prev is None else prev.add(part)
     return list(acc.items())

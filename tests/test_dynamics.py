@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     cycle_power_oracle,
@@ -28,16 +28,29 @@ from oracles import (
     transfer_amplitudes_oracle,
     two_cycle_profile,
 )
-from support import HALF, HALT_NOW, LOOP_STAY, MOVE_RIGHT_3, count_forward, machines, walk
+from support import (
+    HALF,
+    HALT_NOW,
+    LOOP_STAY,
+    MOVE_RIGHT_3,
+    corpus_machine,
+    count_forward,
+    machines,
+    walk,
+)
 
 from pulsehit.dynamics import (
+    _EPS,
+    _UNDERFLOW,
     AMP_ONE,
     Amplitude,
     PulseSchedule,
     SparseState,
     _clamp01,
     _closed_form_arg,
+    _dyadic,
     _float_coeffs,
+    _pulsed_time,
     _rational_coeffs,
     approx_unitary,
     cycle_of,
@@ -174,6 +187,25 @@ def test_rational_coeffs_equal_the_mpmath_route(k, alpha, entry_bits):
     assert _rational_coeffs(k, alpha, entry_bits) == rational_coeffs_oracle(k, alpha, entry_bits)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 120), st.data())
+def test_dyadic_entries_equal_the_reduced_fraction(bits, data):
+    # the certified entries are built by a shift, not a gcd: the result must
+    # be the very Fraction the constructor gives, in every observable
+    num = data.draw(
+        st.one_of(
+            st.sampled_from([0, 1, -1, 2 ** (bits + 3), -(2 ** (bits + 3))]),
+            st.integers(-(2**200), 2**200),
+            st.builds(lambda n, j: n << j, st.integers(-(2**64), 2**64), st.integers(0, 130)),
+        )
+    )
+    got, want = _dyadic(num, bits), Fraction(num, 2**bits)
+    assert type(got) is Fraction
+    assert got.numerator == want.numerator and got.denominator == want.denominator
+    assert hash(got) == hash(want) and str(got) == str(want)
+    assert got == want
+
+
 def _fraction_closed_form_arg(k, alpha, r):
     # the closed form's argument reduction as first written, in Fractions
     x = (r - alpha) / k
@@ -293,6 +325,69 @@ def test_amplitude_products_bound_their_rounding(pair, zre, zim, zerr):
     assert _within_err(q, _exact_product(a, Amplitude.approx(z, 0.0)))
     w = a.as_complex() * z
     assert (q.re, q.im) == (w.real, w.imag)
+
+
+def _per_entry_mul_complex(self, z, zerr):
+    # Amplitude.mul_complex before the vector product, body verbatim
+    w = self.as_complex() * z
+    a = self.mag_upper()
+    zmag = abs(z) + zerr
+    err = self.err * zmag + zerr * a + 8.0 * _EPS * a * zmag + _UNDERFLOW
+    return Amplitude.approx(w, err)
+
+
+def _bits(amp):
+    return float.hex(amp.re), float.hex(amp.im), float.hex(amp.err)
+
+
+# coefficient parts from the least subnormal to about 1e150, with both zeros
+_COEFF_PART = st.one_of(
+    _PART,
+    st.floats(-1e150, 1e150),
+    st.floats(-1e-300, 1e-300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0]),
+)
+
+
+# error bounds of comparable size, so that a reordered sum of the bound's
+# terms rounds differently, also at the scale of the underflow term
+_TINY = st.builds(math.ldexp, st.floats(0, 1), st.integers(-1074, -990))
+_SMALL_ERR = st.one_of(st.floats(1e-18, 1e-6), _TINY)
+_TINY_PART = st.one_of(_TINY, _TINY.map(float.__neg__))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        _EXACT_AMP,
+        _FLOAT_AMP,
+        st.builds(Amplitude, _PART, _PART, _SMALL_ERR),
+        st.builds(Amplitude, _TINY_PART, _TINY_PART, _TINY),
+    ),
+    st.lists(st.builds(complex, _COEFF_PART, _COEFF_PART), max_size=40),
+    st.one_of(st.sampled_from([0.0, -0.0]), _SMALL_ERR, st.floats(0, 1e150)),
+)
+# a bound just above 2^-1022, where the place of the underflow term
+# in the sum changes the last bit
+@example(Amplitude(math.ldexp(1.75, -1018), 0.0, math.ldexp(1.25, -1020)), [0.625 + 0j], 0.25)
+def test_vector_product_keeps_every_bit_of_the_per_entry_product(amp, zs, zerr):
+    # one call per vector gives, coefficient by coefficient, the bits of the
+    # per-entry product (float.hex tells -0.0 from 0.0), and mul_complex is
+    # its one-coefficient case; a zerr of -0.0 is drawn and must be taken
+    want = [_bits(_per_entry_mul_complex(amp, z, zerr)) for z in zs]
+    assert [_bits(p) for p in amp.mul_each(zs, zerr)] == want
+    assert [_bits(amp.mul_complex(z, zerr)) for z in zs] == want
+
+
+@pytest.mark.parametrize("zerr", [-0.1, math.nan, math.inf])
+def test_vector_product_refuses_a_bad_coefficient_error_bound(zerr):
+    # a negative bound would shrink the product's bound below that of an
+    # exact coefficient (err 0.70 where zerr = 0 gives 1.0)
+    amp = Amplitude.approx(1 + 0j, 1.0)
+    with pytest.raises(ParameterRangeError, match="coefficient error bound"):
+        amp.mul_complex(1 + 0j, zerr)
+    with pytest.raises(ParameterRangeError, match="coefficient error bound"):
+        amp.mul_each([], zerr)
 
 
 def test_amplitude_validation():
@@ -554,6 +649,73 @@ def test_evolve_to_mid_pulse_superposition_linearity():
             zb.as_complex() if zb else 0
         )
         assert abs(out.amplitude(lab).as_complex() - want) < 1e-14
+
+
+def _per_entry_mid_pulse_pairs(step, pairs, alpha):
+    # _mid_pulse_pairs before the vector product, loop verbatim, with the
+    # per-entry product above in place of the method call
+    walks = [(cycle_of(step, label), amp) for label, amp in pairs]
+    g, gerr = fractional_coeffs(step.cycle_length, alpha)
+    acc = {}
+    for cyc, amp in walks:
+        for target, z in zip(cyc, g):
+            part = _per_entry_mul_complex(amp, z, gerr)
+            prev = acc.get(target)
+            acc[target] = part if prev is None else prev.add(part)
+    return list(acc.items())
+
+
+_EXACT_3_4 = (Amplitude.exact(Fraction(3, 5)), Amplitude.exact(Fraction(4, 5)))
+# (machine, period, walk positions at t = 0, amplitudes, time): every case
+# overlaps several support labels on one cycle, where the float sum of
+# their parts depends on its order
+MID_PULSE_SUPERPOSITIONS = [
+    (MOVE_RIGHT_3, 5, (0, 2), _EXACT_3_4, Fraction(53, 10)),  # alpha 3/5
+    (MOVE_RIGHT_3, 5, (0, 2), _EXACT_3_4, Fraction(27, 5)),  # alpha 4/5
+    (MOVE_RIGHT_3, 2, (0, 1), _EXACT_3_4, Fraction(13, 4)),
+    (
+        MOVE_RIGHT_3,
+        4,
+        (1, 4),
+        (Amplitude.approx(0.6 + 0j, 1e-16), Amplitude.approx(0.8j, 2e-16)),
+        Fraction(57, 8),  # alpha 1/4
+    ),
+    (
+        corpus_machine("scan-20"),
+        6,
+        (0, 1, 3),
+        (
+            Amplitude.exact(Fraction(2, 3)),
+            Amplitude.exact(0, Fraction(2, 3)),
+            Amplitude.exact(Fraction(-1, 3)),
+        ),
+        Fraction(101, 4),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, period, positions, amps, t",
+    MID_PULSE_SUPERPOSITIONS,
+    ids=[
+        f"p{p}-at{len(at)}-t{t.numerator}_{t.denominator}"
+        for _, p, at, _, t in MID_PULSE_SUPERPOSITIONS
+    ],
+)
+def test_evolve_to_mid_pulse_superposition_keeps_every_bit(spec, period, positions, amps, t):
+    step = BeaconStep(spec, Cyclic(period))
+    sched = PulseSchedule(HALF, Cyclic(period))
+    labels = walk(step, step.initial_label(), max(positions))
+    psi0 = SparseState([(labels[i], amp) for i, amp in zip(positions, amps)])
+    _, n, alpha = _pulsed_time(step, sched, t, 1)
+    assert 0 < alpha < 1
+    base = evolve_integer(step, psi0, n)
+    want = SparseState(_per_entry_mid_pulse_pairs(step, base.items(), alpha), t)
+    got = evolve_to(step, sched, psi0, t)
+    assert [(lab, _bits(amp)) for lab, amp in got.items()] == [
+        (lab, _bits(amp)) for lab, amp in want.items()
+    ]
+    assert got.support_size == step.cycle_length
 
 
 def test_evolve_to_precision_budget():
