@@ -10,17 +10,18 @@ which on a cyclic clock happens exactly for halted labels; everywhere else
 the evaluation refuses with a typed error instead of truncating.
 
 Every post-halt cycle of a cyclic clock has the step's ``cycle_length``
-labels; :func:`cycle_of` is the one walk of a cycle, for callers that need
-all its members (the scan places one label by arithmetic).  The fractional
-cycle power has a closed form whose arguments share one denominator and are
-reduced exactly in integers by :func:`_closed_form_arg`.  Two computations
-of the same mid-pulse operator are built on it: :func:`evolve_to` evaluates
-it in floating point with tracked absolute error bounds, and
-:func:`approx_unitary` evaluates it in integer fixed point and rounds
-dyadically, returning an exact rational matrix with a certified
-operator-norm distance to the true evolution.  Only that route uses mpmath,
-for four constants per call, and imports it on its first call, so importing
-this module, or running any scan or CLI command, does not load it.
+labels; :func:`cycle_of` lists a cycle's members by the step's closed form,
+for callers that need all of them (the scan places one label by
+arithmetic).  The fractional cycle power has a closed form whose arguments
+share one denominator and are reduced exactly in integers by
+:func:`_closed_form_arg`.  Two computations of the same mid-pulse
+operator are built on it: :func:`evolve_to` evaluates it in floating point
+with tracked absolute error bounds, and :func:`approx_unitary` evaluates it
+in integer fixed point and rounds dyadically, returning an exact rational
+matrix with a certified operator-norm distance to the true evolution.  Only
+that route uses mpmath, for four constants per call, and imports it on its
+first call, so importing this module, or running any scan or CLI command,
+does not load it.
 """
 
 from __future__ import annotations
@@ -132,15 +133,7 @@ class Amplitude:
                 self.re * other.im + self.im * other.re,
                 0.0,
             )
-        return self.mul_complex(other.as_complex(), other.err)
-
-    def mul_complex(self, z: complex, zerr: float) -> "Amplitude":
-        """Multiply by a floating coefficient with its own error bound: the
-        one-coefficient case of :meth:`mul_each`.  A caller with a whole
-        vector of coefficients for one amplitude calls that once instead,
-        which reads the amplitude's value and bound once per vector, not
-        once per coefficient."""
-        return self.mul_each((z,), zerr)[0]
+        return self.mul_each((other.as_complex(),), other.err)[0]
 
     def mul_each(self, zs: Iterable[complex], zerr: float) -> list["Amplitude"]:
         """This amplitude times each floating coefficient of ``zs``, every
@@ -334,14 +327,14 @@ def cycle_of(step: BeaconStep, label: ExtendedBasisState) -> list[ExtendedBasisS
     a closed loop cannot contain a rule step (histories only grow), so
     every step on it is a post-halt toggle, which forces h = 1 throughout.
     The cycle length comes from the step (:attr:`BeaconStep.cycle_length`);
-    one more step checks that the walk closed.  This is the only walk of a
-    cycle: the label n steps after ``label`` is entry n mod k of it, the
-    entry :meth:`BeaconStep.cycle_offset` computes without walking.
+    member r, r steps after ``label``, is the closed form
+    :meth:`BeaconStep._halted_after`, which :meth:`BeaconStep.cycle_offset`
+    inverts, and one :meth:`BeaconStep.forward` call from the last member
+    checks that the cycle closed.  The label n steps after ``label`` is
+    entry n mod ``cycle_length``.
     """
     step._require_cycle(label)
-    out = [label]
-    while len(out) < step.cycle_length:
-        out.append(step.forward(out[-1]))
+    out = [step._halted_after(label, r) for r in range(step.cycle_length)]
     if step.forward(out[-1]) != label:
         raise OrbitNotClosedError(f"orbit did not close after {len(out)} labels")
     return out
@@ -462,17 +455,17 @@ def _mid_pulse_pairs(
     alpha: Fraction,
 ) -> list[tuple[ExtendedBasisState, Amplitude]]:
     """The alpha-th cycle power applied to ``pairs``, a state's support in
-    canonical order.  Each walk starts at its support label, so entry r of
+    canonical order.  Each cycle starts at its support label, so entry r of
     the one coefficient vector (every post-halt cycle has
     ``step.cycle_length`` labels) carries the label to member r.  Each
     support amplitude takes one :meth:`Amplitude.mul_each` over the whole
     vector, which reads its value and bound once; the parts are added in
-    walk order, since a float sum of overlapping parts depends on it."""
-    # walking every cycle first keeps the refusals of cycle_of
-    walks = [(cycle_of(step, label), amp) for label, amp in pairs]
+    member order, since a float sum of overlapping parts depends on it."""
+    # listing every cycle first keeps the refusals of cycle_of
+    cycles = [(cycle_of(step, label), amp) for label, amp in pairs]
     g, gerr = fractional_coeffs(step.cycle_length, alpha)
     acc: dict[ExtendedBasisState, Amplitude] = {}
-    for cyc, amp in walks:
+    for cyc, amp in cycles:
         for target, part in zip(cyc, amp.mul_each(g, gerr)):
             prev = acc.get(target)
             acc[target] = part if prev is None else prev.add(part)
@@ -583,7 +576,7 @@ def approx_unitary(
     Mid-pulse, the work is O(k) for :func:`_rational_coeffs` plus an
     O(size^2) fill in C: each row is a rotation slice of the reversed
     vector, gathered by the cycle's column map unless the basis lists the
-    cycle in walk order.
+    cycle in member order.
     """
     t, n, alpha = _pulsed_time(step, sched, t, m)
     basis = tuple(basis)
@@ -627,7 +620,7 @@ def approx_unitary(
     for j, lab in enumerate(basis):
         if rows[j] is not None:
             continue
-        # basis positions of the cycle's members, from its one walk
+        # basis positions of the cycle's members, in cycle_of's order
         members = [index.get(member) for member in cycle_of(step, lab)]
         if None in members:
             raise BasisNotClosedError(

@@ -35,6 +35,9 @@ onto the image under the forward map; every other label gets
 Up to the halt flag's rise, a run's labels differ only in the work half,
 which the run rule lets :class:`LiveRun` step in place: a step there
 builds no label, and a label is built only where a caller asks for one.
+The step is written once, as :meth:`BeaconStep.advance`: its idle jump
+below clock 0, :meth:`LiveRun.step` up to the halt, and the closed form
+:meth:`BeaconStep._halted_after` past it; ``forward`` is ``advance(x, 1)``.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .errors import IllFormedMachineError, LabelError, OrbitNotClosedError
 from .errors import ParameterRangeError, as_count, is_count
-from .machine import MachineSpec, Rule, rule_table
+from .machine import MachineSpec, rule_table
 
 _OFFSET = {"L": -1, "R": 1, "S": 0}
 
@@ -213,7 +216,9 @@ def _require_label(label) -> None:
 class BeaconStep:
     """Forward and backward reversible step for one machine and clock mode.
 
-    Forward semantics, in priority order:
+    Forward semantics, in priority order, each written once (in
+    :meth:`advance`'s idle jump, :meth:`LiveRun.step` and
+    :meth:`_halted_after`):
 
     1. Unbounded clock, negative time: pure idle shift, only the clock
        moves.
@@ -271,8 +276,8 @@ class BeaconStep:
         b: int,
     ) -> ExtendedBasisState:
         """Validated public constructor; ``hist`` is any iterable of rule
-        indices, stored as a tuple (forward/backward build labels directly
-        and skip these checks)."""
+        indices, stored as a tuple (the step's own methods build labels
+        directly and skip these checks)."""
         spec = self.spec
         if state not in spec.states:
             raise LabelError(f"undeclared state {state!r}")
@@ -298,16 +303,6 @@ class BeaconStep:
 
     # -- forward ---------------------------------------------------------------
 
-    def _rule(self, x: Union[ExtendedBasisState, "LiveRun"]) -> tuple[int, Rule]:
-        """The index and rule that fire on the live label or run ``x`` (its
-        state and the symbol under its head), shared by :meth:`forward` and
-        :class:`LiveRun`; a missing rule is an ill-formed machine."""
-        read = x.tape.get(x.head, self._blank)
-        hit = self._table.get((x.state, read))
-        if hit is None:
-            raise IllFormedMachineError(f"no rule for ({x.state!r}, {read!r}) at clock {x.tau}")
-        return hit
-
     def _tick(self, tau: int, r: int = 1) -> int:
         if self._cyclic is None:
             return tau + r
@@ -321,46 +316,20 @@ class BeaconStep:
         )
 
     def forward(self, x: ExtendedBasisState) -> ExtendedBasisState:
-        """The label one step after ``x``.  Unchecked: each caller passes a
-        label it has checked or built itself (``dynamics.cycle_of`` walks
-        on from a label it checked, :meth:`backward` steps the candidates
-        it built), so a check here would only repeat theirs.  A live step
-        copies the history, and the tape if it writes: O(K + tape) at
-        depth K; a halted or idle step shares both."""
-        if self._cyclic is None and x.tau < 0:
-            return ExtendedBasisState(
-                x.state, x.head, x.tape, x.hist, x.tau + 1, x.h, x.b
-            )
-        if x.h == 1 or x.state == self._halt:
-            return ExtendedBasisState(
-                x.state, x.head, x.tape, x.hist, self._tick(x.tau), 1, x.b ^ 1
-            )
-        idx, rule = self._rule(x)
-        tape = x.tape
-        if rule.write != rule.read:
-            tape = dict(tape)
-            if rule.write == self._blank:
-                tape.pop(x.head, None)
-            else:
-                tape[x.head] = rule.write
-        h = 1 if rule.next_state == self._halt else 0
-        return ExtendedBasisState(
-            rule.next_state,
-            x.head + _OFFSET[rule.move],
-            tape,
-            x.hist + (idx,),
-            self._tick(x.tau),
-            h,
-            x.b,
-        )
+        """The label one step after ``x``: ``advance(x, 1)``, with its
+        :class:`LabelError` for a non-label.  A live step copies the
+        history and the tape into a :class:`LiveRun` and out again,
+        O(K + tape) at depth K; a halted or idle step shares both."""
+        return self.advance(x, 1)
 
     def advance(self, x: ExtendedBasisState, n: int) -> ExtendedBasisState:
-        """The label ``n`` forward steps from ``x``, equal to ``n``
-        :meth:`forward` calls.  The idle shift below clock 0 of an unbounded
-        clock is one jump; the live steps up to the halt flag run in place
-        (:class:`LiveRun`), with one label built at their end; the rest is
-        :meth:`_halted_after`.  A run that halts at step K costs O(K + len
-        of the tape) on either clock, whatever ``n`` is."""
+        """The label ``n`` forward steps from ``x``: the one statement of
+        the step, which :meth:`forward` takes with ``n = 1``.  The idle
+        shift below clock 0 of an unbounded clock is one jump; the live
+        steps up to the halt flag run in place (:class:`LiveRun`), with one
+        label built at their end; the rest is :meth:`_halted_after`.  A run
+        that halts at step K costs O(K + len of the tape) on either clock,
+        whatever ``n`` is."""
         _require_label(x)
         as_count(n, "step count")
         if self._cyclic is None and x.tau < 0:
@@ -495,7 +464,8 @@ class LiveRun:
     the step count n and a list of rule indices, and builds no label,
     history or tape copy; :meth:`label` builds the current label on
     request, in O(history + tape).  The tape is the run's own and changes
-    with every step that writes.
+    with every step that writes.  :meth:`step` is the step map's only
+    statement of a rule firing and of the flag's rise.
     """
 
     __slots__ = ("state", "head", "tape", "n", "h", "b", "_step", "_tau", "_hist")
@@ -513,13 +483,22 @@ class LiveRun:
         return self._step._tick(self._tau, self.n)
 
     def step(self) -> None:
-        """One :meth:`BeaconStep.forward` step of the live label, in place."""
+        """One step of the live label, in place: a step-0 halt raises the
+        flag and toggles the beacon, any other state fires the rule for
+        its state and the symbol under its head.  A missing rule is an
+        ill-formed machine."""
         beacon = self._step
         if self.state == beacon._halt:
             self.h = 1
             self.b ^= 1
         else:
-            idx, rule = beacon._rule(self)
+            read = self.tape.get(self.head, beacon._blank)
+            hit = beacon._table.get((self.state, read))
+            if hit is None:
+                raise IllFormedMachineError(
+                    f"no rule for ({self.state!r}, {read!r}) at clock {self.tau}"
+                )
+            idx, rule = hit
             if rule.write != rule.read:
                 if rule.write == beacon._blank:
                     del self.tape[self.head]

@@ -11,9 +11,11 @@ entry by entry in mpmath, the route the package's integer rotation
 replaced; it shares only the exact argument reduction with the package.
 
 :func:`stepwise_scan` is the grid scan without its cycle detector and
-without its post-halt arithmetic: it calls ``forward`` and the target
-predicate once per pulse up to the horizon, so a looper's dark tail and
-every pulse past the halt are stepped through rather than inferred.  It
+without its post-halt arithmetic: it calls ``forward`` (one step of the
+package's one step engine, which ``test_reversible`` checks against the
+classical run) and the target predicate once per pulse up to the
+horizon, so a looper's dark tail and every pulse past the halt are
+stepped through rather than inferred.  It
 places each pulse's mid-pulse points from that pulse's own stepped label
 and shares with the package only the closed form at a placed offset,
 because what it checks is the jump and the placement, not the closed
@@ -96,7 +98,8 @@ def two_cycle_profile(alpha: float) -> float:
 def stepwise_scan(inst):
     """(n, points) per pulse of the instance, as ``hitting._scan`` yields
     them (up to how a pulse is split between items), from one forward
-    step and one predicate call per pulse to the horizon."""
+    step (``advance(x, 1)``) and one predicate call per pulse to the
+    horizon."""
     step = BeaconStep(inst.machine, inst.schedule.clock)
     pred = step.target_predicate(inst.target)
     ceiling = _float_ceiling(1 - inst.epsilon)

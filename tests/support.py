@@ -42,7 +42,8 @@ def beacon_instance(spec, clock, horizon, *, epsilon=QUARTER, delta=HALF, grid=N
 
 
 def walk(step, label, n):
-    """``label`` and the n labels after it, each from ``step.forward``."""
+    """``label`` and the n labels after it, each from ``step.forward``
+    (``advance(x, 1)``), one step at a time."""
     out = [label]
     for _ in range(n):
         label = step.forward(label)

@@ -273,7 +273,7 @@ def test_amplitude_float_error_propagation():
     mixed = Amplitude.exact(1).mul(b)
     assert not mixed.is_exact
     assert mixed.err >= b.err
-    scaled = b.mul_complex(0.5 + 0.5j, 1e-13)
+    scaled = b.mul(Amplitude.approx(0.5 + 0.5j, 1e-13))
     assert abs(scaled.as_complex() - (0.8j * (0.5 + 0.5j))) < 1e-15
     assert scaled.err >= 0.8 * 1e-13
 
@@ -310,7 +310,7 @@ def _within_err(p, want):
     st.floats(0, 1e-12),
 )
 def test_amplitude_products_bound_their_rounding(pair, zre, zim, zerr):
-    # the error bound of mul and of mul_complex covers the distance from
+    # the error bound of mul and of mul_each covers the distance from
     # the float product to the exact product of the stored values
     a, b = pair
     p = a.mul(b)
@@ -321,14 +321,14 @@ def test_amplitude_products_bound_their_rounding(pair, zre, zim, zerr):
         z = a.as_complex() * b.as_complex()
         assert (p.re, p.im) == (z.real, z.imag)
     z = complex(zre, zim)
-    q = a.mul_complex(z, zerr)
+    (q,) = a.mul_each((z,), zerr)
     assert _within_err(q, _exact_product(a, Amplitude.approx(z, 0.0)))
     w = a.as_complex() * z
     assert (q.re, q.im) == (w.real, w.imag)
 
 
 def _per_entry_mul_complex(self, z, zerr):
-    # Amplitude.mul_complex before the vector product, body verbatim
+    # the one-coefficient product before the vector product, body verbatim
     w = self.as_complex() * z
     a = self.mag_upper()
     zmag = abs(z) + zerr
@@ -372,11 +372,11 @@ _TINY_PART = st.one_of(_TINY, _TINY.map(float.__neg__))
 @example(Amplitude(math.ldexp(1.75, -1018), 0.0, math.ldexp(1.25, -1020)), [0.625 + 0j], 0.25)
 def test_vector_product_keeps_every_bit_of_the_per_entry_product(amp, zs, zerr):
     # one call per vector gives, coefficient by coefficient, the bits of the
-    # per-entry product (float.hex tells -0.0 from 0.0), and mul_complex is
-    # its one-coefficient case; a zerr of -0.0 is drawn and must be taken
+    # per-entry product (float.hex tells -0.0 from 0.0), and so does a
+    # one-coefficient vector; a zerr of -0.0 is drawn and must be taken
     want = [_bits(_per_entry_mul_complex(amp, z, zerr)) for z in zs]
     assert [_bits(p) for p in amp.mul_each(zs, zerr)] == want
-    assert [_bits(amp.mul_complex(z, zerr)) for z in zs] == want
+    assert [_bits(amp.mul_each((z,), zerr)[0]) for z in zs] == want
 
 
 @pytest.mark.parametrize("zerr", [-0.1, math.nan, math.inf])
@@ -385,7 +385,7 @@ def test_vector_product_refuses_a_bad_coefficient_error_bound(zerr):
     # exact coefficient (err 0.70 where zerr = 0 gives 1.0)
     amp = Amplitude.approx(1 + 0j, 1.0)
     with pytest.raises(ParameterRangeError, match="coefficient error bound"):
-        amp.mul_complex(1 + 0j, zerr)
+        amp.mul_each((1 + 0j,), zerr)
     with pytest.raises(ParameterRangeError, match="coefficient error bound"):
         amp.mul_each([], zerr)
 
@@ -768,8 +768,9 @@ def _variant(y, **fields):
 @settings(max_examples=60, deadline=None)
 @given(machines(total=True), st.integers(2, 41), st.data())
 def test_cycle_offset_is_the_position_in_the_cycle_walk(spec, period, data):
-    # cycle_of is the oracle: every member sits at its index in the walk
-    # from x, and no variant off the cycle is placed anywhere
+    # the forward walk from x is the oracle (cycle_of lists its members by
+    # the closed form cycle_offset inverts): every member sits at its index
+    # in the walk, and no variant off the cycle is placed anywhere
     assume(isinstance(classical_run(spec, 20), Halted))
     step = BeaconStep(spec, Cyclic(period))
     pre_halt = [step.initial_label()]
@@ -777,8 +778,9 @@ def test_cycle_offset_is_the_position_in_the_cycle_walk(spec, period, data):
         pre_halt.append(step.forward(pre_halt[-1]))
     first = step.forward(pre_halt[-1])
     x = step.advance(first, data.draw(st.integers(0, step.cycle_length - 1)))
-    cycle = cycle_of(step, x)
-    k = len(cycle)
+    k = step.cycle_length
+    cycle = walk(step, x, k - 1)
+    assert step.forward(cycle[-1]) == x
     for r, y in enumerate(cycle):
         assert step.cycle_offset(x, y) == r
         off = [
@@ -833,9 +835,14 @@ def test_certified_route_on_a_cyclic_clock_costs_the_cycle_not_the_time(monkeypa
     assert calls == []
     # 10^6 = 4 (mod 6): basis label j is carried to basis label j + 4
     assert all(matrix.column(j)[(j + 4) % 6] == (1, 0) for j in range(6))
+    # mid-pulse, cycle_of lists the one cycle by the closed form: the one
+    # forward call is its closing check
     del calls[:]
     approx_unitary(step, sched, basis, 10**6 + Fraction(1, 5), 20)
-    assert len(calls) == len(basis)  # one walk of the one cycle, closing step included
+    assert len(calls) == 1
+    del calls[:]
+    evolve_to(step, sched, SparseState.basis_state(basis[0]), 10**6 + Fraction(1, 5))
+    assert len(calls) == 1
 
 
 def test_forward_walk_saturates_on_cycles():

@@ -43,8 +43,6 @@ from pulsehit.hitting import (
     Exhausted,
     Hit,
     InstanceDescriptor,
-    _scan,
-    _time,
     fidelity_trace,
     grid_for,
     uhit_semidecide,
@@ -236,31 +234,6 @@ def test_time_gate_at_a_grid_point_and_a_tick_either_side(spec, clock, delta, gr
             assert run_bounded_protocol(inst, budget) == _fraction_gated_protocol(inst, budget)
 
 
-def _two_level_gate(inst, budget):
-    """The budgeted scan with the gate written twice: once on a pulse's
-    last point, then again on every point of a pulse that crossed it."""
-    delta = inst.schedule.delta
-    ticks = inst.grid * delta.denominator
-    tick_limit = math.floor(budget.tau_max * ticks)
-    num, e_max = delta.numerator, budget.e_max
-    at, found = (0, 0), False
-    for n, points in _scan(inst):
-        j = points[-1][0]
-        gated = n * ticks + j * num > tick_limit or n + (j > 0) > e_max
-        for j, _fid, reached in points:
-            if gated and (n * ticks + j * num > tick_limit or n + (j > 0) > e_max):
-                break
-            at = (n, j)
-            if reached:
-                found = True
-                break
-        if found or gated:
-            break
-    t = _time(inst, *at)
-    verdict = ReachableAt(t) if found else ReportedUnreachable()
-    return ProtocolOutcome(verdict, Resources(t, math.ceil(t)))
-
-
 CORPUS_HALTERS = [e.machine for e in builtin_corpus() if isinstance(e.ground_truth, Halts)]
 
 
@@ -274,7 +247,7 @@ CORPUS_HALTERS = [e.machine for e in builtin_corpus() if isinstance(e.ground_tru
     st.integers(1, 40),
     st.data(),
 )
-def test_one_gate_decides_what_the_two_level_gate_did(
+def test_one_gate_decides_what_the_fraction_gated_scan_does(
     spec, clock, exact, delta, grid, horizon, data
 ):
     # tau_max and e_max range past the horizon, so on a cyclic clock the
@@ -287,7 +260,7 @@ def test_one_gate_decides_what_the_two_level_gate_did(
     den = data.draw(st.integers(1, 2 * grid * delta.denominator))
     tau_max = Fraction(data.draw(st.integers(1, (horizon + 2) * den)), den)
     budget = ProtocolBudget(tau_max, data.draw(st.integers(1, horizon + 2)))
-    assert run_bounded_protocol(inst, budget) == _two_level_gate(inst, budget)
+    assert run_bounded_protocol(inst, budget) == _fraction_gated_protocol(inst, budget)
 
 
 # -- the adversarial sweep --------------------------------------------------------

@@ -6,6 +6,8 @@ halting freezes the work half, latches the flag and toggles the beacon;
 negative unbounded times shift idly) and serve as frozen oracles.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +32,7 @@ from pulsehit.machine import (
     MachineSpec,
     Rule,
     classical_run,
+    classical_trace,
     parse_machine,
 )
 from pulsehit.reduction import Halts, builtin_corpus
@@ -363,15 +366,15 @@ def test_make_label_validation():
 @pytest.mark.parametrize(
     "call",
     [
+        lambda step, y: step.forward("x"),
         lambda step, y: step.advance("x", 2),
         lambda step, y: step.backward("x"),
         lambda step, y: step.cycle_offset("x", y),
         lambda step, y: step.cycle_offset(y, "x"),
     ],
-    ids=["advance", "backward", "cycle_offset-from", "cycle_offset-to"],
+    ids=["forward", "advance", "backward", "cycle_offset-from", "cycle_offset-to"],
 )
 def test_label_entry_points_refuse_a_non_label(call):
-    # forward alone trusts its caller, for the scan's sake
     step = BeaconStep(MOVE_RIGHT_3, Cyclic(3))
     y = step.advance(step.initial_label(), 4)  # halted, on a 6-cycle
     with pytest.raises(LabelError, match="^not a basis label: 'x'$"):
@@ -755,12 +758,62 @@ def test_beacon_parity_matches_classical_halting_step(spec, n):
                 assert lab.h == 0
 
 
+def _label_from_the_classical_run(spec, clock, n):
+    """The label n steps into the run of ``spec`` on ``clock``, rebuilt
+    from ``classical_trace`` and ``spec.rules`` alone: the work half of
+    configuration min(n, K), with K the halting step (infinite if the run
+    has not halted by step n); the indices of the rules fired at the
+    configurations before it; clock n (mod L on a cyclic clock); the halt
+    flag from step max(K, 1) on; and the beacon (n - K) mod 2 once the flag
+    is up, else 0."""
+    configs = list(classical_trace(spec, n))
+    last = configs[-1]
+    k = last.step_count if last.state == spec.halt_state else math.inf
+    hist = tuple(
+        next(
+            i
+            for i, rule in enumerate(spec.rules)
+            if (rule.state, rule.read) == (c.state, c.tape.get(c.head, spec.blank))
+        )
+        for c in configs[:-1]
+    )
+    tau = n % clock.period if isinstance(clock, Cyclic) else n
+    h = 1 if n >= max(k, 1) else 0
+    b = (n - k) % 2 if h else 0
+    return ExtendedBasisState(last.state, last.head, dict(last.tape), hist, tau, h, b)
+
+
+# named census machines (translated and in-place loopers, loopers that
+# erase cells, and 30355, which erases a cell and halts at K = 5), then
+# the whole census
+CENSUS_INDEX = st.one_of(st.sampled_from([4, 0, 47764, 2, 30355]), st.integers(0, CENSUS_SIZE - 1))
+CLOCKS = st.one_of(st.just(Unbounded()), st.integers(2, 7).map(Cyclic))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(machines(total=True), CENSUS_INDEX.map(census_machine)),
+    CLOCKS,
+    st.integers(0, 60),
+)
+def test_the_step_rebuilds_the_classical_run(spec, clock, n):
+    # the classical run shares no code with the step, so it is the
+    # reference for the one step engine: the label n steps into the run,
+    # by advance and by n forward calls, is the one it rebuilds
+    step = BeaconStep(spec, clock)
+    want = _label_from_the_classical_run(spec, clock, n)
+    init = step.initial_label()
+    for got in (step.advance(init, n), walk(step, init, n)[n]):
+        assert got == want and got.serial == want.serial
+
+
 @settings(max_examples=80, deadline=None)
 @given(machines(total=True), st.sampled_from([None, 2, 3, 4, 5, 6]), st.data())
 def test_advance_equals_repeated_forward(spec, period, data):
-    # the test-local loop is the reference: up to three cycles past the
-    # halt, from the initial label or from a made label (any flags, the
-    # halt state or not, negative clocks on an unbounded clock)
+    # a composition check: advance(x, n) is n calls of advance(x, 1)
+    # (forward), up to three cycles past the halt, from the initial label
+    # or from a made label (any flags, the halt state or not, negative
+    # clocks on an unbounded clock)
     step = BeaconStep(spec, Unbounded() if period is None else Cyclic(period))
     run = classical_run(spec, 30)
     halt = run.steps if isinstance(run, Halted) else 30
@@ -776,15 +829,10 @@ def test_advance_equals_repeated_forward(spec, period, data):
 
 
 @settings(max_examples=120, deadline=None)
-@given(
-    st.one_of(st.sampled_from([4, 0, 47764, 2, 30355]), st.integers(0, CENSUS_SIZE - 1)),
-    st.one_of(st.just(Unbounded()), st.integers(2, 7).map(Cyclic)),
-    st.integers(0, 40),
-    st.integers(0, 60),
-)
+@given(CENSUS_INDEX, CLOCKS, st.integers(0, 40), st.integers(0, 60))
 def test_advance_equals_repeated_forward_on_census_runs(index, clock, k, n):
-    # from the initial label or a mid-run label k steps in, the in-place
-    # run and the label it builds at the end are the n forward steps, and
+    # a composition check: from the initial label or a mid-run label k
+    # steps in, advance(x, n) is n calls of advance(x, 1) (forward), and
     # the start label's tape is left as it was
     step = BeaconStep(census_machine(index), clock)
     start = step.initial_label()
