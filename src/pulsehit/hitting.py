@@ -29,10 +29,12 @@ certified fidelity value.  Integer and pulse-end points are exact 0/1
 projections and are available in every mode.
 
 Before the halt the scan steps the work half (state, head, tape) in
-place, with no label, history or tape copy per step, and watches it
-for a revisit, by Brent's cycle detection; past the halt it steps
-nothing.  How either end of the live run hands over to the rest of the
-scan is :func:`_scan`'s one-tail rule.
+place, in chunks of :meth:`LiveRun.run`, one loop with no label,
+history or tape copy per step, whose Brent detector watches the work
+half for a revisit; a chunk's dark pulses are handed on with no Python
+work per pulse.  Past the halt it steps nothing.  How either end of the
+live run hands over to the rest of the scan is :func:`_scan`'s one-tail
+rule.
 
 The label r steps after the first halted label x is x's frozen work
 half with the clock moved by r and the beacon toggled r times, so the
@@ -74,7 +76,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
 
 from .dynamics import PulseSchedule, _float_coeffs
-from .errors import ParameterRangeError, as_count, as_rational
+from .errors import IllFormedMachineError, ParameterRangeError, as_count, as_rational
 from .machine import MachineSpec
 from .reversible import BeaconStep, BeaconSubspace, ExactLabel, LiveRun
 
@@ -256,6 +258,23 @@ def _post_halt_pulses(
     )
 
 
+@functools.lru_cache(maxsize=64)
+def _plain_pulses(
+    grid: int,
+) -> tuple[tuple[Pulse, Pulse], tuple[Pulse, Pulse], tuple[tuple[Pulse, Pulse], ...]]:
+    """The points tuples with no mid-pulse point, indexed by lit: an
+    integer point alone, a pulse end alone, and ``plain[a][b]``, the
+    pulse whose integer point reads a and whose end reads b.  Integer and
+    pulse-end points are 0/1 projections, and 0 < 1 - epsilon < 1, so the
+    projection itself says whether the threshold is reached; the label at
+    n + delta is the one at n + 1 (the line idles between).  Cached, so
+    every scan on one grid yields the same objects."""
+    alone = ((0, 0, False),), ((0, 1, True),)
+    ends = ((grid, 0, False),), ((grid, 1, True),)
+    plain = tuple(tuple(a + e for e in ends) for a in alone)
+    return alone, ends, plain
+
+
 def _scan(inst: InstanceDescriptor, *, dark_tail: bool = True) -> Iterator[tuple[int, Pulse]]:
     """Yield (n, points) for the pulse that starts at each integer n below
     the horizon, in ascending order, and last (horizon, (integer point,)).
@@ -269,77 +288,86 @@ def _scan(inst: InstanceDescriptor, *, dark_tail: bool = True) -> Iterator[tuple
 
     Points are carried as these integer ticks; :func:`_time` and
     :func:`_hit` build the ``Fraction`` time and window of the few points
-    that are reported.  Every points tuple is one of a fixed few, or one
-    built once per offset past the halt, and each is yielded as the same
-    object every time, so a consumer may keep per-pulse work by identity.
+    that are reported.  Every points tuple is one of a fixed few (shared
+    by every scan on the grid, :func:`_plain_pulses`), or one built once
+    per offset past the halt, and each is yielded as the same object every
+    time, so a consumer may keep per-pulse work by identity.
 
-    Before the halt the work half steps in place (:class:`LiveRun`), and
-    a label is built only where an exact label phi can match: at step
-    len(phi.hist), and at the first halted label.  A beacon is dark on
-    every pre-halt label (b = 0) and reads the run's bit at the first
-    halted one, so its scan builds no label but the initial one.  Brent's
-    detector saves a copy of the work half (state, head, tape) at steps
-    0, 1, 2, 4, 8, ... and compares the run with it, head first.
+    Before the halt the scan is one loop of chunks: :meth:`LiveRun.run`
+    steps the work half in place up to the nearest of Brent's next save
+    point (so chunks double), step len(phi.hist) of an exact target phi,
+    and the horizon, and stops early at the halt or at the first revisit
+    its detector proves.  A label is built only where phi can match: at
+    step len(phi.hist), and at the first halted label.  Every other
+    pre-halt label is dark (a beacon reads b = 0), so a chunk's pulses but
+    its last come as one ``zip`` of the same dark pulse, with no step or
+    compare per pulse, and without ``dark_tail`` as nothing, since they
+    cannot change a report.  A consumer that stops at pulse s has stepped
+    at most about 2s + 1 steps.  A missing rule raises once the pulses
+    stepped before it are yielded.
 
     The one-tail rule: the live run ends at a revisit or at the halt, and
     either end hands one tail the same pair, the pulses from there on,
     without end, and the (r, points) of the new pulses r steps on, those
     that can change a report: a pulse that repeats an earlier one, or is
     dark at every point, can neither be the first hit nor raise the
-    maximum.  A revisit past the one step an exact target can match
-    proves the run never halts, so every later pulse is a dark integer 0
-    and none is new; at the first halted label the pair comes from
-    :func:`_post_halt_pulses`, with no step and no target compare.  The
-    tail yields its pulses up to the horizon and then the horizon's
-    integer point; with ``dark_tail`` false it yields only the new pulses
-    below the horizon, so no report changes.  So a
-    looper that revisits costs O(prefix + period) steps whatever the
-    horizon, and a halter one period past its halt (an exact label on the
-    unbounded clock, its two lit pulses); a translated looper (one that
-    never revisits, like a right-mover writing 1s) steps in place in
-    linear time up to the horizon, as the jump over its translated cycle
-    is missing."""
+    maximum.  A revisit proves the run never halts, so once the scan is
+    past the one step an exact target can match (stepping on to it, with
+    the detector off, if the revisit came first), every later pulse is a
+    dark integer 0 and none is new; at the first halted label the pair
+    comes from :func:`_post_halt_pulses`, with no step and no target
+    compare.  The tail yields its pulses up to the horizon and then the
+    horizon's integer point; with ``dark_tail`` false it yields only the
+    new pulses below the horizon, so no report changes.  So a looper that
+    revisits costs O(prefix + period) steps whatever the horizon, and a
+    halter one period past its halt (an exact label on the unbounded
+    clock, its two lit pulses); a translated looper (one that never
+    revisits, like a right-mover writing 1s) is stepped up to the horizon,
+    at a flat cost per step (a save copies no tape), as the jump over its
+    translated cycle is missing."""
     step = BeaconStep(inst.machine, inst.schedule.clock)
     target = inst.target
     grid = inst.grid
     horizon = inst.horizon
     ceiling = _float_ceiling(1 - inst.epsilon)
     last = len(target.phi.hist) if isinstance(target, ExactLabel) else -1
-
-    # integer and pulse-end points are 0/1 projections, and 0 < 1 - epsilon
-    # < 1, so the projection itself says whether the threshold is reached;
-    # the label at n + delta is the one at n + 1 (the line idles between)
-    alone = ((0, 0, False),), ((0, 1, True),)  # an integer point, by lit
-    ends = ((grid, 0, False),), ((grid, 1, True),)  # a pulse end, by lit
-    plain = tuple(tuple(a + e for e in ends) for a in alone)
+    alone, ends, plain = _plain_pulses(grid)
+    dark = plain[0][0]
     run = LiveRun(step, step.initial_label())
-    tape = run.tape
     lit = last == 0 and run.label() == target.phi
-    # before the halt: Brent's detector, one head compare per step
-    n = save_at = 0
-    head = state = saved = None  # the saved work half; None is no head
+    n = 0
     while not run.h:
-        if run.head == head and run.state == state and tape == saved and n > last:
-            pulses, news = itertools.repeat(plain[0][0]), ()
+        if run.revisit is not None and n >= last and not lit:
+            pulses, news = itertools.repeat(dark), ()
             break
-        if n == save_at:
-            head, state, saved = run.head, run.state, dict(tape)
-            save_at = 2 * n or 1
         if lit or n == horizon:
             yield n, alone[lit]
             if n == horizon:
                 return
-        run.step()
-        was = lit
+        stop = n + 1 if lit else min(run.next_save, horizon, last if n < last else horizon)
+        error = None
+        try:
+            run.run(stop - n)
+        except IllFormedMachineError as exc:
+            error = exc
+        was, m = lit, run.n
         if run.h:
             lit, pulses, news = _post_halt_pulses(step, target, run, grid, ceiling, plain)
         else:
-            lit = n + 1 == last and run.label() == target.phi
-        yield n, ends[lit] if was else plain[0][lit]
-        n += 1
+            lit = m == last and run.label() == target.phi
+        if m > n:
+            if was:
+                yield n, ends[lit]
+            else:
+                if dark_tail:
+                    yield from zip(range(n, m - 1), itertools.repeat(dark))
+                if dark_tail or lit:
+                    yield m - 1, plain[0][lit]
+        if error is not None:
+            raise error
+        n = m
     if dark_tail:
-        for n, points in zip(range(n, horizon), pulses):
-            yield n, points
+        yield from zip(range(n, horizon), pulses)
         yield horizon, alone[next(pulses)[0][2]]  # read off the horizon's pulse
         return
     for r, points in news:
@@ -377,8 +405,9 @@ def uhit_semidecide(inst: InstanceDescriptor) -> HitReport:
     comparison wrongly (see the certified threshold comparisons item in
     ROADMAP.md).
 
-    It reads only the points that repeat no earlier one, so an
-    ``Exhausted`` costs what :func:`_scan`'s one-tail rule says."""
+    It reads only the points that repeat no earlier one and are not dark
+    before the halt, so an ``Exhausted`` costs the live run's steps, in
+    :func:`_scan`'s chunks, and what its one-tail rule says."""
     best: Number = 0
     for n, points in _scan(inst, dark_tail=False):
         for j, fid, reached in points:

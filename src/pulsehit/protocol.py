@@ -18,8 +18,10 @@ never guess.
 
 Noise is modelled as a seeded uniform perturbation of each sampled
 fidelity by at most gamma, compared against the relaxed threshold
-1 - epsilon - gamma; the margin requirement gamma < 1 - 2*epsilon keeps
-the lit and dark plateaus separated.
+1 - epsilon - gamma.  The margin requirement gamma < min(1 - 2*epsilon,
+(1 - epsilon)/2) keeps the lit and dark plateaus separated and a point of
+fidelity 0 below the relaxed threshold, so a noisy hit is a point of
+true fidelity at least 1 - epsilon - 2*gamma.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .hitting import (
     _float_ceiling,
     _hit,
     _json_lines,
+    _plain_pulses,
     _scan,
     _time,
     grid_for,
@@ -109,7 +112,12 @@ def run_bounded_protocol(inst: InstanceDescriptor, budget: ProtocolBudget) -> Pr
     Each grid point is checked once, before it is examined: if reaching
     it would exceed tau_max or e_max, the scan stops and reports
     unreachable with the resources actually spent.  A verdict therefore
-    never overdraws, which the returned resources make checkable."""
+    never overdraws, which the returned resources make checkable.  The
+    scan's dark pulse with no mid-pulse point (every pre-halt pulse but
+    an exact target's) is passed with one check when it fits the budget
+    whole, that is when its end does; the spent time is then read off the
+    last pulse passed.  The scan has stepped at most about twice as far as
+    the last pulse the budget reaches."""
     delta = inst.schedule.delta
     ticks = inst.grid * delta.denominator  # grid ticks per unit of time
     # the point (n, j) lies n*ticks + j*num(delta) ticks in, so it is past
@@ -117,8 +125,16 @@ def run_bounded_protocol(inst: InstanceDescriptor, budget: ProtocolBudget) -> Pr
     # pulses, plus one if j > 0 (delta < 1 keeps it inside pulse n)
     tick_limit = math.floor(budget.tau_max * ticks)
     num, e_max = delta.numerator, budget.e_max
+    # the dark pulse with no mid-pulse point fits whole iff its end does,
+    # which is so for the pulses from n < whole
+    dark = _plain_pulses(inst.grid)[2][0][0]
+    whole = min(e_max, (tick_limit - inst.grid * num) // ticks + 1)
     at, found = (0, 0), False  # (0, 0) fits every budget: observing is free
     for n, points in _scan(inst):
+        if points is dark and n < whole:
+            continue
+        if n:  # every pulse before n was passed whole, up to its end
+            at = max(at, (n - 1, inst.grid))
         for j, _fid, reached in points:
             if n * ticks + j * num > tick_limit or n + (j > 0) > e_max:
                 break
@@ -258,13 +274,21 @@ class NoiseModel:
 
 def classify_with_noise(inst: InstanceDescriptor, noise: NoiseModel) -> HitReport:
     """The scan under perturbed readout with the threshold relaxed by
-    gamma.  Requires gamma < 1 - 2*epsilon so a lit plateau cannot read
-    below a dark one; at gamma = 0 this is exactly the noiseless scan,
-    bit for bit."""
-    margin = 1 - 2 * inst.epsilon
+    gamma; at gamma = 0 this is exactly the noiseless scan, bit for bit.
+
+    A sample reads its fidelity moved by at most gamma, so a noisy ``Hit``
+    at a point, mid-pulse points included, means that the point's true
+    fidelity is at least 1 - epsilon - 2*gamma.  The margin rule is gamma
+    < min(1 - 2*epsilon, (1 - epsilon)/2): below 1 - 2*epsilon a lit
+    plateau (at least 1 - epsilon) cannot read below a dark one (at most
+    epsilon), and below (1 - epsilon)/2 a point of fidelity 0, which reads
+    at most gamma, stays under the relaxed threshold, so it never hits.
+    Any other gamma raises :class:`NoiseMarginError`."""
+    margin = min(1 - 2 * inst.epsilon, (1 - inst.epsilon) / 2)
     if noise.gamma >= margin:
         raise NoiseMarginError(
-            f"gamma {noise.gamma} leaves no margin below 1 - 2*epsilon = {margin}"
+            f"gamma {noise.gamma} leaves no margin below "
+            f"min(1 - 2*epsilon, (1 - epsilon)/2) = {margin}"
         )
     if noise.gamma == 0:
         return uhit_semidecide(inst)

@@ -36,8 +36,11 @@ Up to the halt flag's rise, a run's labels differ only in the work half,
 which the run rule lets :class:`LiveRun` step in place: a step there
 builds no label, and a label is built only where a caller asks for one.
 The step is written once, as :meth:`BeaconStep.advance`: its idle jump
-below clock 0, :meth:`LiveRun.step` up to the halt, and the closed form
+below clock 0, :meth:`LiveRun.run` up to the halt, and the closed form
 :meth:`BeaconStep._halted_after` past it; ``forward`` is ``advance(x, 1)``.
+:meth:`LiveRun.run` steps in bulk, in one loop over local variables, and
+watches the work half for a revisit by Brent's cycle detection, with a
+save that copies no tape.
 """
 
 from __future__ import annotations
@@ -217,7 +220,7 @@ class BeaconStep:
     """Forward and backward reversible step for one machine and clock mode.
 
     Forward semantics, in priority order, each written once (in
-    :meth:`advance`'s idle jump, :meth:`LiveRun.step` and
+    :meth:`advance`'s idle jump, :meth:`LiveRun.run` and
     :meth:`_halted_after`):
 
     1. Unbounded clock, negative time: pure idle shift, only the clock
@@ -252,7 +255,13 @@ class BeaconStep:
                 )
         self.spec = spec
         self.clock = clock
-        self._table = rule_table(spec)
+        # (state, symbol) -> (rule index, symbol written or None when it
+        # keeps the cell, head offset, next state, 1 into the halt state)
+        self._moves = {
+            key: (idx, None if r.write == r.read else r.write, _OFFSET[r.move],
+                  r.next_state, int(r.next_state == spec.halt_state))
+            for key, (idx, r) in rule_table(spec).items()
+        }
         self._rules = spec.rules
         self._blank = spec.blank
         self._halt = spec.halt_state
@@ -326,7 +335,8 @@ class BeaconStep:
         """The label ``n`` forward steps from ``x``: the one statement of
         the step, which :meth:`forward` takes with ``n = 1``.  The idle
         shift below clock 0 of an unbounded clock is one jump; the live
-        steps up to the halt flag run in place (:class:`LiveRun`), with one
+        steps up to the halt flag are one :meth:`LiveRun.run` in place
+        (called once more if its detector stops it at a revisit), with one
         label built at their end; the rest is :meth:`_halted_after`.  A run
         that halts at step K costs O(K + len of the tape) on either clock,
         whatever ``n`` is."""
@@ -338,9 +348,9 @@ class BeaconStep:
             n -= r
         if n and not x.h:
             run = LiveRun(self, x)
-            while n and not run.h:
-                run.step()
-                n -= 1
+            while run.n < n and not run.h:  # a proved revisit stops it once
+                run.run(n - run.n)
+            n -= run.n
             x = run.label()
         return self._halted_after(x, n) if n else x
 
@@ -464,11 +474,28 @@ class LiveRun:
     the step count n and a list of rule indices, and builds no label,
     history or tape copy; :meth:`label` builds the current label on
     request, in O(history + tape).  The tape is the run's own and changes
-    with every step that writes.  :meth:`step` is the step map's only
+    with every step that writes.  :meth:`run` is the step map's only
     statement of a rule firing and of the flag's rise.
+
+    The run also watches its work half for a revisit, by R. P. Brent's
+    cycle detection: it saves (head, state) at run steps 0, 1, 2, 4, 8,
+    ... and, until the next save, an undo log of each cell written since
+    the save with its symbol at the save.  A save is O(1), and a compare
+    with the saved work half, made only where the head and the state
+    match, is O(cells written since the save), never O(tape).  Each save
+    s is compared with the steps after it up to the next save point.  So
+    a run whose work half at step mu + lam first repeats the one at step
+    mu is proved to revisit at n = s + lam, for the first save point s >=
+    mu with s + lam up to the next save point (Brent's bound): s < 2 *
+    max(mu, lam), and n <= 2 * max(mu, lam) + lam - 1.  The proof stops
+    the run once, as :attr:`revisit` = (s, n), the pair of run steps a
+    ``LoopsForever`` certificate carries; the detector is then off.
     """
 
-    __slots__ = ("state", "head", "tape", "n", "h", "b", "_step", "_tau", "_hist")
+    __slots__ = (
+        "state", "head", "tape", "n", "h", "b", "revisit", "next_save",
+        "_step", "_tau", "_hist", "_saved", "_undo",
+    )
 
     def __init__(self, step: BeaconStep, x: ExtendedBasisState):
         self._step = step
@@ -476,40 +503,83 @@ class LiveRun:
         self.n, self.h, self.b = 0, x.h, x.b
         self._tau = x.tau
         self._hist = list(x.hist)
+        self.revisit: Optional[tuple[int, int]] = None
+        # the save at step 0: (its step, head, state), the head None once
+        # a revisit is proved; and the cells written since, by their symbol
+        # at the save
+        self._saved = (0, x.head, x.state)
+        self._undo: dict[int, str] = {}
+        self.next_save = 1
 
     @property
     def tau(self) -> int:
         """The clock of the current label."""
         return self._step._tick(self._tau, self.n)
 
-    def step(self) -> None:
-        """One step of the live label, in place: a step-0 halt raises the
-        flag and toggles the beacon, any other state fires the rule for
-        its state and the symbol under its head.  A missing rule is an
-        ill-formed machine."""
+    def run(self, limit: int) -> None:
+        """Step the live label in place, at most ``limit`` steps, stopping
+        before a step at the flag's rise or at the first revisit the
+        detector proves.  A step-0 halt raises the flag and toggles the
+        beacon; any other state fires the rule for its state and the
+        symbol under its head.  A missing rule is an ill-formed machine,
+        raised with the clock of the label it could not step, after the
+        steps before it are kept.  :attr:`next_save` is past :attr:`n` on
+        return, but after a halt or a raise."""
+        if self.h:
+            return
         beacon = self._step
-        if self.state == beacon._halt:
-            self.h = 1
-            self.b ^= 1
-        else:
-            read = self.tape.get(self.head, beacon._blank)
-            hit = beacon._table.get((self.state, read))
-            if hit is None:
-                raise IllFormedMachineError(
-                    f"no rule for ({self.state!r}, {read!r}) at clock {self.tau}"
-                )
-            idx, rule = hit
-            if rule.write != rule.read:
-                if rule.write == beacon._blank:
-                    del self.tape[self.head]
+        moves, blank = beacon._moves, beacon._blank
+        tape = self.tape
+        get = tape.get
+        push = self._hist.append
+        state, head, n, save_at = self.state, self.head, self.n, self.next_save
+        (s, sh, ss), undo, revisit = self._saved, self._undo, self.revisit
+        limit += n
+        stop = min(save_at, limit)
+        h, missing = 0, None
+        while True:
+            if (
+                head == sh
+                and state == ss
+                and n != s
+                and all(get(cell, blank) == sym for cell, sym in undo.items())
+            ):
+                revisit, sh = (s, n), None
+                stop = limit = n
+            if n >= stop:
+                if n == save_at:
+                    s, undo, save_at = n, {}, 2 * n
+                    if sh is not None:
+                        sh, ss = head, state
+                if n >= limit:
+                    break
+                stop = min(save_at, limit)
+            read = get(head, blank)
+            move = moves.get((state, read))
+            if move is None:
+                if state == beacon._halt:  # the step-0 halt
+                    h, self.b = 1, self.b ^ 1
+                    n += 1
                 else:
-                    self.tape[self.head] = rule.write
-            self._hist.append(idx)
-            self.head += _OFFSET[rule.move]
-            self.state = rule.next_state
-            if rule.next_state == beacon._halt:
-                self.h = 1
-        self.n += 1
+                    missing = read
+                break
+            idx, write, off, state, h = move
+            if write is not None:
+                if head not in undo:
+                    undo[head] = read
+                if write == blank:
+                    del tape[head]
+                else:
+                    tape[head] = write
+            push(idx)
+            head += off
+            n += 1
+            if h:
+                break
+        self.state, self.head, self.n, self.h, self.next_save = state, head, n, h, save_at
+        self._saved, self._undo, self.revisit = (s, sh, ss), undo, revisit
+        if missing is not None:
+            raise IllFormedMachineError(f"no rule for ({state!r}, {missing!r}) at clock {self.tau}")
 
     def label(self) -> ExtendedBasisState:
         """The current label, with copies of the history and the tape."""

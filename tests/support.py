@@ -88,6 +88,12 @@ def machines(draw, total=False):
     return MachineSpec(states, alphabet, start, halt, rules, word)
 
 
+# census machines by index: right-mover writing 1s and left-mover
+# (translated loopers, no revisit), loopers with a prefix (revisits (1, 7),
+# (4, 6), (5, 7)), a 5-cycle from step 0, loop-stay, and halters at steps
+# 6 and 5
+NAMED_CENSUS = [4, 0, 47764, 19630, 18981, 1681, 2, 19666, 30355]
+
 # the (state, symbol) pairs of the 2-state census, in digit order
 _CENSUS_PAIRS = (("q0", "_"), ("q0", "1"), ("q1", "_"), ("q1", "1"))
 CENSUS_SIZE = 18 ** len(_CENSUS_PAIRS)

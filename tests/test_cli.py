@@ -10,6 +10,7 @@ from pathlib import Path
 from unittest.mock import patch
 
 import pytest
+from cli_pins import BY_NAME, PINS, ROOT, write_inputs
 
 from pulsehit import cli
 from pulsehit.cli import main
@@ -636,3 +637,19 @@ def test_long_cycle_exact_label_trace_bytes_are_frozen(capsys, period, grid, hor
     assert (code, err) == (0, "")
     assert out.count("\n") == lines
     assert hashlib.md5(out.encode()).hexdigest() == md5
+
+
+# -- the pinned outputs ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("pin", PINS, ids=lambda pin: pin.name)
+def test_pinned_cli_output(pin, capsys, monkeypatch, tmp_path):
+    # the table in tests/cli_pins.py, run in process; CI runs the same rows
+    # as subprocesses, without the test dependencies installed
+    monkeypatch.chdir(ROOT)
+    write_inputs(tmp_path)
+    outputs = {}
+    for row in ([BY_NAME[pin.same]] if pin.same else []) + [pin]:
+        code = main(row.args(str(tmp_path)))
+        outputs[row.name] = output = row.output(capsys.readouterr().out.encode(), str(tmp_path))
+    assert pin.problems(code, output, outputs) == []

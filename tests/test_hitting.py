@@ -27,6 +27,7 @@ from support import (
     HALT_NOW,
     LOOP_STAY,
     MOVE_RIGHT_3,
+    NAMED_CENSUS,
     QUARTER,
     beacon_instance,
     census_machine,
@@ -46,7 +47,7 @@ from pulsehit.dynamics import (
     fractional_coeffs,
     subspace_fidelity,
 )
-from pulsehit.errors import IllFormedMachineError, LabelError, ParameterRangeError
+from pulsehit.errors import IllFormedMachineError, LabelError, NoiseMarginError, ParameterRangeError
 from pulsehit.hitting import (
     Exhausted,
     Hit,
@@ -711,13 +712,6 @@ def test_float_ceiling_decides_the_exact_compare(threshold, ulps):
 
 # -- loopers: the revisit jump ------------------------------------------------------
 
-# census machines by index (see support.census_machine): right-mover
-# writing 1s and left-mover (translated loopers, no revisit), loopers with
-# a prefix (revisits (1, 7), (4, 6), (5, 7)), a 5-cycle from step 0,
-# loop-stay, and halters at steps 6 and 5
-NAMED_CENSUS = [4, 0, 47764, 19630, 18981, 1681, 2, 19666, 30355]
-
-
 def _points(scan):
     # one row per point, however a scan splits its pulses between items
     return [(n, j, type(f), f, reached) for n, points in scan for j, f, reached in points]
@@ -754,6 +748,13 @@ def test_scan_equals_the_stepwise_scan(index, clock, exact, grid, horizon, eps, 
     gamma = Fraction(data.draw(st.integers(1, 49)), 100)
     noise = NoiseModel(gamma, data.draw(st.integers(0, 2**32)))
 
+    def noisy():
+        # a gamma past the margin is refused, the same on either scan
+        try:
+            return classify_with_noise(inst, noise)
+        except NoiseMarginError as exc:
+            return type(exc), str(exc)
+
     def consumers():
         report = uhit_semidecide(inst)
         return (
@@ -761,7 +762,7 @@ def test_scan_equals_the_stepwise_scan(index, clock, exact, grid, horizon, eps, 
             type(report.fidelity_at_hit if isinstance(report, Hit) else report.max_fidelity_seen),
             fidelity_trace(inst),
             run_bounded_protocol(inst, budget),
-            classify_with_noise(inst, noise),
+            noisy(),
         )
 
     assert _points(_scan(inst)) == _points(stepwise_scan(inst))
@@ -880,6 +881,31 @@ def test_a_missing_rule_raises_the_same_error_after_the_same_points():
             with stepwise_scans():
                 with pytest.raises(IllFormedMachineError, match=message):
                     consume(inst)
+
+
+def test_a_long_input_is_scanned_without_a_copy_of_its_tape():
+    # Brent's save keeps (head, state) and an undo log of the cells written
+    # since, so past the first item, where the run and its tape are built,
+    # scanning counter-n (which writes no cell) grows its history list and
+    # allocates nothing the size of its tape
+    n = 10**5
+    spec = counter_family(n)
+    tape = BeaconStep(spec, Unbounded()).initial_label().tape
+    tracemalloc.start()
+    try:
+        copy = dict(tape)
+        size = tracemalloc.get_traced_memory()[0]
+        del copy
+        scan = _scan(beacon_instance(spec, Unbounded(), n + 3))
+        next(scan)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        rest = sum(1 for _ in scan)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert rest == n + 3
+    assert peak < size / 2
 
 
 @pytest.mark.parametrize("horizon, want", [(10**7, Exhausted(10**7, 0)),

@@ -64,7 +64,7 @@ from pulsehit.protocol import (
     work_to_reach,
 )
 from pulsehit.reduction import Halts, builtin_corpus, counter_family, encode, verify_corpus
-from pulsehit.reversible import BeaconStep, BeaconSubspace, Cyclic, ExactLabel, Unbounded
+from pulsehit.reversible import BeaconStep, BeaconSubspace, Cyclic, ExactLabel, LiveRun, Unbounded
 
 # -- budgets and accounting -------------------------------------------------------
 
@@ -193,6 +193,25 @@ def test_budget_compliance_and_exact_verdict_boundary(tau_num, e_max):
         assert out.verdict == ReachableAt(Fraction(7, 2))
     else:
         assert out.verdict == ReportedUnreachable()
+
+
+def test_a_budget_stops_the_run_near_its_last_pulse(monkeypatch):
+    # census 4 is the translated looper q0 _ -> q0 1 R, which never
+    # revisits, so only the budget stops its run: pulse 10 is the last the
+    # budget reaches, and the scan's chunks double, so the run steps at
+    # most 2 * 10 + 2 steps, not up to the horizon
+    steps = []
+    run = LiveRun.run
+
+    def counting_run(self, limit):
+        run(self, limit)
+        steps.append(self.n)
+
+    monkeypatch.setattr(LiveRun, "run", counting_run)
+    inst = beacon_instance(census_machine(4), Unbounded(), 10**9)
+    out = run_bounded_protocol(inst, ProtocolBudget(10, 10))
+    assert out == ProtocolOutcome(ReportedUnreachable(), Resources(Fraction(10), 10))
+    assert 10 < max(steps) <= 22
 
 
 def _fraction_gated_protocol(inst, budget):
@@ -441,6 +460,61 @@ def test_noise_margin_is_enforced():
     tight = beacon_instance(MOVE_RIGHT_3, Unbounded(), 10, epsilon=Fraction(49, 100))
     with pytest.raises(NoiseMarginError):
         classify_with_noise(tight, NoiseModel(Fraction(1, 8)))
+    # at epsilon = 1/4 the bound is (1 - epsilon)/2 = 3/8, below 1 - 2*epsilon
+    with pytest.raises(NoiseMarginError, match="3/8"):
+        classify_with_noise(inst, NoiseModel(Fraction(3, 8)))
+    just_inside = NoiseModel(Fraction(3, 8) - Fraction(1, 10**9))
+    assert isinstance(classify_with_noise(inst, just_inside), Hit)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_noise_past_the_margin_cannot_light_a_looper(seed):
+    # loop-stay never halts, so every point reads 0; gamma = 2/5 used to
+    # be accepted (below 1 - 2*epsilon = 1/2) and read a hit off the noise
+    inst = InstanceDescriptor(
+        LOOP_STAY, QUARTER, PulseSchedule(HALF, Unbounded()), BeaconSubspace(), 100, 7
+    )
+    for gamma in (Fraction(2, 5), Fraction(49, 100)):
+        with pytest.raises(NoiseMarginError):
+            classify_with_noise(inst, NoiseModel(gamma, seed))
+    assert isinstance(classify_with_noise(inst, NoiseModel(Fraction(1, 5), seed)), Exhausted)
+
+
+CORPUS_LOOPERS = [e.machine for e in builtin_corpus() if not isinstance(e.ground_truth, Halts)]
+EPSILONS = st.fractions(Fraction(1, 100), Fraction(49, 100), max_denominator=100)
+NOISE_CLOCKS = st.one_of(st.just(Unbounded()), st.integers(2, 6).map(Cyclic))
+
+
+def _inside_the_margin(epsilon, data):
+    """A noise model with gamma drawn inside the margin for epsilon."""
+    margin = min(1 - 2 * epsilon, (1 - epsilon) / 2)
+    gamma = margin * Fraction(data.draw(st.integers(0, 999)), 1000)
+    return NoiseModel(gamma, data.draw(st.integers(0, 2**32)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(CORPUS_LOOPERS), NOISE_CLOCKS, EPSILONS, st.integers(1, 200), st.data())
+def test_noise_inside_the_margin_never_lights_a_looper(spec, clock, epsilon, horizon, data):
+    inst = beacon_instance(spec, clock, horizon, epsilon=epsilon)
+    assert isinstance(classify_with_noise(inst, _inside_the_margin(epsilon, data)), Exhausted)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(st.sampled_from(CORPUS_HALTERS), st.integers(0, CENSUS_SIZE - 1).map(census_machine)),
+    NOISE_CLOCKS,
+    EPSILONS,
+    st.integers(1, 40),
+    st.data(),
+)
+def test_a_noisy_hit_is_a_point_of_fidelity_at_least_the_bound(spec, clock, epsilon, horizon, data):
+    # the noiseless trace holds every evaluated point with its fidelity
+    inst = beacon_instance(spec, clock, horizon, epsilon=epsilon)
+    noise = _inside_the_margin(epsilon, data)
+    report = classify_with_noise(inst, noise)
+    if isinstance(report, Hit):
+        fid = dict(fidelity_trace(inst))[report.t_hit]
+        assert fid >= 1 - epsilon - 2 * noise.gamma - 1e-12
 
 
 def test_zero_noise_is_bitwise_the_noiseless_scan():

@@ -17,6 +17,7 @@ from support import (
     HALT_NOW,
     LOOP_STAY,
     MOVE_RIGHT_3,
+    NAMED_CENSUS,
     census_machine,
     machines,
     walk,
@@ -31,6 +32,7 @@ from pulsehit.machine import (
     Halted,
     MachineSpec,
     Rule,
+    StillRunning,
     classical_run,
     classical_trace,
     parse_machine,
@@ -411,11 +413,11 @@ def test_history_is_a_plain_tuple():
     for n in (2, 4, 9):
         assert type(step.advance(init, n).hist) is tuple
     run = LiveRun(step, init)
-    run.step()
-    run.step()
+    run.run(1)
+    run.run(1)
     lab = run.label()
     assert type(lab.hist) is tuple and lab.hist == (0, 0)
-    run.step()
+    run.run(1)
     assert lab.hist == (0, 0)  # a label keeps its history as the run goes on
     assert run.label().hist == (0, 0, 0)
     built = step.make_label("q0", 0, {}, [2, 0, 1], 0, 0, 0)
@@ -807,6 +809,78 @@ def test_the_step_rebuilds_the_classical_run(spec, clock, n):
         assert got == want and got.serial == want.serial
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(machines(total=True), CENSUS_INDEX.map(census_machine)),
+    CLOCKS,
+    st.integers(0, 60),
+)
+def test_run_k_takes_k_steps_of_the_classical_run(spec, clock, k):
+    # run(k) takes k steps, or stops before one at the flag's rise or at
+    # the revisit it proves, which it does once; the label it leaves is the
+    # one the classical run rebuilds, and advance's, at the steps it took
+    step = BeaconStep(spec, clock)
+    init = step.initial_label()
+    run = LiveRun(step, init)
+    run.run(k)
+    if run.n < k and not run.h:
+        assert run.revisit is not None and run.revisit[1] == run.n
+        run.run(k - run.n)
+    assert run.n == k or run.h
+    got = run.label()
+    want = _label_from_the_classical_run(spec, clock, run.n)
+    assert got == want and got.serial == want.serial
+    assert got == step.advance(init, run.n)
+    if run.h:  # the flag rose on the last step taken, not before it
+        assert run.n >= 1 and _label_from_the_classical_run(spec, clock, run.n - 1).h == 0
+
+
+def _first_repeat(spec, cap):
+    """(mu, lam) for the first classical configuration, at step mu + lam
+    <= cap, that repeats the one at step mu; None if none does."""
+    seen = {}
+    for c in classical_trace(spec, cap):
+        key = (c.state, c.head, frozenset(c.tape.items()))
+        if key in seen:
+            return seen[key], c.step_count - seen[key]
+        seen[key] = c.step_count
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.sampled_from(NAMED_CENSUS), st.integers(0, CENSUS_SIZE - 1)), CLOCKS)
+def test_a_revisit_is_a_loops_forever_certificate(index, clock):
+    # the run's revisit (s, n) is the pair a LoopsForever certificate
+    # carries: the classical run, which shares no code with the step, has
+    # the same state, head and tape at steps s and n and has not halted;
+    # and n is the step Brent's bound in the LiveRun docstring names
+    spec = census_machine(index)
+    cap = 64
+    step = BeaconStep(spec, clock)
+    run = LiveRun(step, step.initial_label())
+    run.run(cap)
+    want = None
+    repeat = _first_repeat(spec, cap)
+    if repeat is not None:
+        mu, lam = repeat
+        save = 0  # the first save point at or past mu whose window holds mu + lam
+        while save < mu or save + lam > max(2 * save, 1):
+            save = max(2 * save, 1)
+        assert save + lam <= 2 * max(mu, lam) + lam - 1
+        if save + lam <= cap:
+            want = (save, save + lam)
+    assert run.revisit == want
+    if want is None:
+        assert run.h or run.n == cap
+        assert isinstance(classical_run(spec, run.n), Halted) == bool(run.h)
+        return
+    s, n = want
+    assert run.n == n and not run.h
+    at_s, at_n = classical_run(spec, s), classical_run(spec, n)
+    assert isinstance(at_s, StillRunning) and isinstance(at_n, StillRunning)
+    assert at_s.at.same_snapshot(at_n.at)
+
+
 @settings(max_examples=80, deadline=None)
 @given(machines(total=True), st.sampled_from([None, 2, 3, 4, 5, 6]), st.data())
 def test_advance_equals_repeated_forward(spec, period, data):
@@ -851,9 +925,9 @@ def test_a_live_run_label_keeps_its_tape_while_the_run_steps_on():
     # the run's tape changes in place, so a label it built must not share it
     step = BeaconStep(BINARY_INC, Unbounded())
     run = LiveRun(step, step.initial_label())
-    run.step()
+    run.run(1)
     first = run.label()
-    run.step()
+    run.run(1)
     assert first == step.forward(step.initial_label())
     assert run.label() == step.advance(step.initial_label(), 2)
 
