@@ -29,22 +29,22 @@ certified fidelity value.  Integer and pulse-end points are exact 0/1
 projections and are available in every mode.
 
 Before the halt the scan steps the work half (state, head, tape) in
-place, in chunks of :meth:`LiveRun.run`, one loop with no label,
-history or tape copy per step, whose Brent detector watches the work
-half for a revisit; a chunk's dark pulses are handed on with no Python
-work per pulse.  Past the halt it steps nothing.  How either end of the
-live run hands over to the rest of the scan is :func:`_scan`'s one-tail
-rule.
+place, in chunks of :meth:`LiveRun.run` that double, one loop with no
+label, history or tape copy per step, whose Brent detector records a
+revisit of the work half; a chunk's dark pulses are handed on with no
+Python work per pulse.  Past the halt it steps nothing.  How either end
+of the live run hands over to the rest of the scan is :func:`_scan`'s
+one-tail rule.
 
 The label r steps after the first halted label x is x's frozen work
 half with the clock moved by r and the beacon toggled r times, so the
 target is lit at the positions r = q (mod m): m = 2 and q = 1 - x.b
-for the beacon on either clock; on a cyclic clock m is the cycle length
-and q the target's offset on x's cycle (none if it is off the cycle); on
-the unbounded clock an exact label is met at the one r = phi.tau -
-x.tau, if at all.  Every later pulse, its integer point, its mid-pulse
-points and its pulse end, is then fixed by its offset (q - r) mod m, and
-is built once per offset.
+for the beacon on either clock; for an exact label q is its offset
+:meth:`BeaconStep._offset` past x (none if it is not on x's run), with
+m the cycle length on a cyclic clock, and on the unbounded clock, where
+q is met once, no m.  Every later pulse, its integer point, its
+mid-pulse points and its pulse end, is then fixed by its offset (q - r)
+mod m, and is built once per offset.
 Mid-pulse points are evaluable only on a cyclic clock, where the orbit
 past the halt is one closed cycle, and their fidelities have a closed
 form: the beacon alternates around any post-halt cycle, and pairing each
@@ -213,28 +213,25 @@ def _post_halt_pulses(
     and the (r, points) of the new pulses r steps past x, those that can
     change a report.  The pulse r steps past x is fixed by its offset
     (q - r) mod m to the target's positions q mod m (see the module
-    docstring): its integer point is lit at offset 0, its end at offset
-    1, and on a cyclic clock its mid-pulse points come from
-    :func:`_mid_fidelities`.  A pulse that repeats an earlier one, or is
-    dark at every point, can neither be the first hit nor raise the
-    maximum, so the new pulses are r < m; for an exact label on the
-    unbounded clock, met at r = q alone, r = q - 1 and q (r = 0 alone
-    when q = 0); for a target never met, none.  A beacon reads the run's
-    bit b, so only an exact target builds x.  Each offset's tuple is
-    built when the scan first reaches it and repeated from then on;
-    ``plain[a][b]`` is the pulse with no mid-pulse points whose integer
-    point reads a and whose end reads b.  A Niven fidelity is a dyadic
-    ``Fraction``, so its compare with the float ceiling is exact too."""
+    docstring), where an exact target's q is :meth:`BeaconStep._offset`
+    on either clock, with no step taken.  The pulse's integer point is
+    lit at offset 0, its end at offset 1, and on a cyclic clock its
+    mid-pulse points come from :func:`_mid_fidelities`.  A pulse that repeats an
+    earlier one, or is dark at every point, can neither be the first hit
+    nor raise the maximum, so the new pulses are r < m; for an exact
+    label on the unbounded clock, met at r = q alone, r = q - 1 and q
+    (r = 0 alone when q = 0); for a target never met, none.  A beacon
+    reads the run's bit b, so only an exact target builds x.  Each
+    offset's tuple is built when the scan first reaches it and repeated
+    from then on; ``plain[a][b]`` is the pulse with no mid-pulse points
+    whose integer point reads a and whose end reads b.  A Niven fidelity
+    is a dyadic ``Fraction``, so its compare with the float ceiling is
+    exact too."""
     cyclic = step.cycle_length is not None
     if isinstance(target, BeaconSubspace):
         m, q = 2, 1 - run.b
-    elif cyclic:
-        m, q = step.cycle_length, step.cycle_offset(run.label(), target.phi)
     else:
-        x = run.label()
-        m, q = None, target.phi.tau - x.tau
-        if q < 0 or step.advance(x, q) != target.phi:
-            q = None
+        m, q = step.cycle_length, step._offset(run.label(), target.phi)
 
     def pulse(off: Optional[int]) -> Pulse:
         ends = plain[off == 0][off == 1]
@@ -293,38 +290,38 @@ def _scan(inst: InstanceDescriptor, *, dark_tail: bool = True) -> Iterator[tuple
     per offset past the halt, and each is yielded as the same object every
     time, so a consumer may keep per-pulse work by identity.
 
-    Before the halt the scan is one loop of chunks: :meth:`LiveRun.run`
-    steps the work half in place up to the nearest of Brent's next save
-    point (so chunks double), step len(phi.hist) of an exact target phi,
-    and the horizon, and stops early at the halt or at the first revisit
-    its detector proves.  A label is built only where phi can match: at
-    step len(phi.hist), and at the first halted label.  Every other
-    pre-halt label is dark (a beacon reads b = 0), so a chunk's pulses but
-    its last come as one ``zip`` of the same dark pulse, with no step or
-    compare per pulse, and without ``dark_tail`` as nothing, since they
-    cannot change a report.  A consumer that stops at pulse s has stepped
-    at most about 2s + 1 steps.  A missing rule raises once the pulses
-    stepped before it are yielded.
+    Before the halt the scan is one loop of chunks: the chunk from step n
+    ends at the nearest of step 2n (step 1 from n = 0; from step 0 these
+    are the points where the run's Brent detector saves), step
+    len(phi.hist) of an exact target phi, and the horizon, or one step on
+    from a lit label; :meth:`LiveRun.run` takes its steps in place, fewer
+    only at the halt.  A label is built only where phi can match: at step
+    len(phi.hist), and at the first halted label.  Every other pre-halt
+    label is dark (a beacon reads b = 0), so a chunk's pulses but its last
+    come as one ``zip`` of the same dark pulse, with no step or compare
+    per pulse, and without ``dark_tail`` as nothing, since they cannot
+    change a report.  The chunks double, so a consumer that stops at pulse
+    s has stepped at most about 2s + 1 steps.  A missing rule raises once
+    the pulses stepped before it are yielded.
 
-    The one-tail rule: the live run ends at a revisit or at the halt, and
-    either end hands one tail the same pair, the pulses from there on,
-    without end, and the (r, points) of the new pulses r steps on, those
-    that can change a report: a pulse that repeats an earlier one, or is
-    dark at every point, can neither be the first hit nor raise the
-    maximum.  A revisit proves the run never halts, so once the scan is
-    past the one step an exact target can match (stepping on to it, with
-    the detector off, if the revisit came first), every later pulse is a
-    dark integer 0 and none is new; at the first halted label the pair
-    comes from :func:`_post_halt_pulses`, with no step and no target
-    compare.  The tail yields its pulses up to the horizon and then the
-    horizon's integer point; with ``dark_tail`` false it yields only the
-    new pulses below the horizon, so no report changes.  So a looper that
-    revisits costs O(prefix + period) steps whatever the horizon, and a
-    halter one period past its halt (an exact label on the unbounded
-    clock, its two lit pulses); a translated looper (one that never
-    revisits, like a right-mover writing 1s) is stepped up to the horizon,
-    at a flat cost per step (a save copies no tape), as the jump over its
-    translated cycle is missing."""
+    The one-tail rule: the live run ends at a chunk's end past a revisit
+    or at the halt, and either end hands one tail the same pair, the
+    pulses from there on, without end, and the (r, points) of the new
+    pulses r steps on, those that can change a report: a pulse that
+    repeats an earlier one, or is dark at every point, can neither be the
+    first hit nor raise the maximum.  A revisit the run recorded proves it
+    never halts, so once the scan is past the one step an exact target can
+    match, every later pulse is a dark integer 0 and none is new; at the
+    first halted label the pair comes from :func:`_post_halt_pulses`, with
+    no step and no target compare.  The tail yields its pulses up to the
+    horizon and then the horizon's integer point; with ``dark_tail`` false
+    it yields only the new pulses below the horizon, so no report changes.
+    So a looper that revisits costs O(prefix + period) steps whatever the
+    horizon, and a halter one period past its halt (an exact label on the
+    unbounded clock, its two lit pulses); a translated looper (one that
+    never revisits, like a right-mover writing 1s) is stepped up to the
+    horizon, at a flat cost per step (a save copies no tape), as the jump
+    over its translated cycle is missing."""
     step = BeaconStep(inst.machine, inst.schedule.clock)
     target = inst.target
     grid = inst.grid
@@ -344,7 +341,7 @@ def _scan(inst: InstanceDescriptor, *, dark_tail: bool = True) -> Iterator[tuple
             yield n, alone[lit]
             if n == horizon:
                 return
-        stop = n + 1 if lit else min(run.next_save, horizon, last if n < last else horizon)
+        stop = n + 1 if lit else min(2 * n or 1, horizon, last if n < last else horizon)
         error = None
         try:
             run.run(stop - n)
@@ -383,12 +380,13 @@ def _time(inst: InstanceDescriptor, n: int, j: int) -> Fraction:
 
 def _hit(inst: InstanceDescriptor, n: int, j: int, fid: Number) -> Hit:
     """The report of grid point (n, j), with the pulse window that encloses
-    it: the pulse from n for j > 0, else the one that ended before n."""
-    delta = inst.schedule.delta
-    if j:
-        window = (Fraction(n), n + delta)
-    elif n:
-        window = (Fraction(n - 1), n - 1 + delta)
+    it: (n, n + delta), the pulse from n, or (0, 0) at t = 0, where
+    nothing was pulsed yet.  No consumer reports an integer point at
+    n > 0: it carries the label of the end of pulse n - 1, which every
+    consumer meets first, and under the noise margin a lit point always
+    hits and a dark one never does."""
+    if n or j:
+        window = (Fraction(n), n + inst.schedule.delta)
     else:
         window = (Fraction(0), Fraction(0))  # nothing was pulsed before t = 0
     return Hit(_time(inst, n, j), fid, window)

@@ -38,9 +38,12 @@ builds no label, and a label is built only where a caller asks for one.
 The step is written once, as :meth:`BeaconStep.advance`: its idle jump
 below clock 0, :meth:`LiveRun.run` up to the halt, and the closed form
 :meth:`BeaconStep._halted_after` past it; ``forward`` is ``advance(x, 1)``.
-:meth:`LiveRun.run` steps in bulk, in one loop over local variables, and
-watches the work half for a revisit by Brent's cycle detection, with a
-save that copies no tape.
+:meth:`LiveRun.run` steps in bulk, in one loop over local variables:
+``run(k)`` takes k steps unless the flag rises or a rule is missing.  It
+watches the work half for a revisit by Brent's cycle detection, on a save
+schedule of its own and with a save that copies no tape, and records a
+revisit it proves without stopping there.  Where a label sits past a
+halted one is :meth:`BeaconStep._offset`, on either clock.
 """
 
 from __future__ import annotations
@@ -241,8 +244,9 @@ class BeaconStep:
     ticks modulo L and the beacon toggles modulo 2 while the work half is
     frozen), or ``None`` on an unbounded clock, where no orbit closes;
     :meth:`advance` takes n steps with at most K + 1 of them stepped, in
-    place, on a run that halts at step K, on either clock, and
-    :meth:`cycle_offset` places a label on a cycle.
+    place, on a run that halts at step K, on either clock; and
+    :meth:`_offset` places a label past a halted one, on either clock,
+    which :meth:`cycle_offset` does on a cycle.
     """
 
     def __init__(self, spec: MachineSpec, clock: ClockMode):
@@ -335,11 +339,10 @@ class BeaconStep:
         """The label ``n`` forward steps from ``x``: the one statement of
         the step, which :meth:`forward` takes with ``n = 1``.  The idle
         shift below clock 0 of an unbounded clock is one jump; the live
-        steps up to the halt flag are one :meth:`LiveRun.run` in place
-        (called once more if its detector stops it at a revisit), with one
-        label built at their end; the rest is :meth:`_halted_after`.  A run
-        that halts at step K costs O(K + len of the tape) on either clock,
-        whatever ``n`` is."""
+        steps up to the halt flag are one :meth:`LiveRun.run` call in
+        place, with one label built at their end; the rest is
+        :meth:`_halted_after`.  A run that halts at step K costs O(K + len
+        of the tape) on either clock, whatever ``n`` is."""
         _require_label(x)
         as_count(n, "step count")
         if self._cyclic is None and x.tau < 0:
@@ -348,8 +351,7 @@ class BeaconStep:
             n -= r
         if n and not x.h:
             run = LiveRun(self, x)
-            while run.n < n and not run.h:  # a proved revisit stops it once
-                run.run(n - run.n)
+            run.run(n)
             n -= run.n
             x = run.label()
         return self._halted_after(x, n) if n else x
@@ -368,14 +370,28 @@ class BeaconStep:
 
     def cycle_offset(self, x: ExtendedBasisState, y: ExtendedBasisState) -> Optional[int]:
         """The r < :attr:`cycle_length` with ``y`` r steps after the halted
-        label ``x``, or ``None`` off x's cycle.  Member r is x's frozen work
-        half at clock (x.tau + r) mod L and beacon x.b xor (r mod 2), so r
-        follows by CRT; refuses where ``dynamics.cycle_of`` does."""
+        label ``x``, or ``None`` off x's cycle: :meth:`_offset`, after the
+        refusals of ``dynamics.cycle_of`` (a non-label, an unbounded clock,
+        a pre-halt ``x``).  Member r is x's frozen work half at clock
+        (x.tau + r) mod L and beacon x.b xor (r mod 2)."""
         self._require_cycle(x)
         _require_label(y)
+        return self._offset(x, y)
+
+    def _offset(self, x: ExtendedBasisState, y: ExtendedBasisState) -> Optional[int]:
+        """The least r >= 0 with ``y`` r steps after the halted label
+        ``x``, that is ``_halted_after(x, r) == y``, or ``None``: on an
+        unbounded clock r is the clock difference, and on a ``Cyclic(L)``
+        clock the r < :attr:`cycle_length` that CRT gives from the clock
+        (mod L) and the beacon (mod 2)."""
         period = self._cyclic
-        r = (y.tau - x.tau) % period
-        r += period * ((r ^ x.b ^ y.b) & 1)  # the other parity, on odd periods
+        if period is None:
+            r = y.tau - x.tau
+            if r < 0:
+                return None
+        else:
+            r = (y.tau - x.tau) % period
+            r += period * ((r ^ x.b ^ y.b) & 1)  # the other parity, on odd periods
         return r if self._halted_after(x, r) == y else None
 
     # -- backward ----------------------------------------------------------------
@@ -487,13 +503,16 @@ class LiveRun:
     a run whose work half at step mu + lam first repeats the one at step
     mu is proved to revisit at n = s + lam, for the first save point s >=
     mu with s + lam up to the next save point (Brent's bound): s < 2 *
-    max(mu, lam), and n <= 2 * max(mu, lam) + lam - 1.  The proof stops
-    the run once, as :attr:`revisit` = (s, n), the pair of run steps a
-    ``LoopsForever`` certificate carries; the detector is then off.
+    max(mu, lam), and n <= 2 * max(mu, lam) + lam - 1.  The proof is a
+    record, not a stop: :attr:`revisit` = (s, n) is the pair of run steps
+    a ``LoopsForever`` certificate carries, set once, after which the
+    detector is off and the run steps on.  So ``run(k)`` takes exactly k
+    steps unless the flag rises or a rule is missing, and the save
+    schedule is the run's own.
     """
 
     __slots__ = (
-        "state", "head", "tape", "n", "h", "b", "revisit", "next_save",
+        "state", "head", "tape", "n", "h", "b", "revisit",
         "_step", "_tau", "_hist", "_saved", "_undo",
     )
 
@@ -504,37 +523,34 @@ class LiveRun:
         self._tau = x.tau
         self._hist = list(x.hist)
         self.revisit: Optional[tuple[int, int]] = None
-        # the save at step 0: (its step, head, state), the head None once
+        # the save at step 0: (its step s, head, state), the head None once
         # a revisit is proved; and the cells written since, by their symbol
-        # at the save
+        # at the save.  The next save is at step 2s, or 1 after step 0.
         self._saved = (0, x.head, x.state)
         self._undo: dict[int, str] = {}
-        self.next_save = 1
 
     @property
     def tau(self) -> int:
         """The clock of the current label."""
         return self._step._tick(self._tau, self.n)
 
-    def run(self, limit: int) -> None:
-        """Step the live label in place, at most ``limit`` steps, stopping
-        before a step at the flag's rise or at the first revisit the
-        detector proves.  A step-0 halt raises the flag and toggles the
-        beacon; any other state fires the rule for its state and the
-        symbol under its head.  A missing rule is an ill-formed machine,
-        raised with the clock of the label it could not step, after the
-        steps before it are kept.  :attr:`next_save` is past :attr:`n` on
-        return, but after a halt or a raise."""
-        if self.h:
-            return
+    def run(self, k: int) -> None:
+        """Take ``k`` steps of the live label in place, or fewer: the run
+        stops after the step that raises the flag.  A step-0 halt raises
+        the flag and toggles the beacon; any other state fires the rule for
+        its state and the symbol under its head.  A missing rule is an
+        ill-formed machine, raised with the clock of the label it could not
+        step, after the steps before it are kept.  A revisit the detector
+        proves on the way is recorded in :attr:`revisit` and does not stop
+        the run.  Called on a live run only (``h`` still 0)."""
         beacon = self._step
         moves, blank = beacon._moves, beacon._blank
         tape = self.tape
         get = tape.get
         push = self._hist.append
-        state, head, n, save_at = self.state, self.head, self.n, self.next_save
+        state, head, n = self.state, self.head, self.n
         (s, sh, ss), undo, revisit = self._saved, self._undo, self.revisit
-        limit += n
+        save_at, limit = 2 * s or 1, n + k
         stop = min(save_at, limit)
         h, missing = 0, None
         while True:
@@ -545,7 +561,6 @@ class LiveRun:
                 and all(get(cell, blank) == sym for cell, sym in undo.items())
             ):
                 revisit, sh = (s, n), None
-                stop = limit = n
             if n >= stop:
                 if n == save_at:
                     s, undo, save_at = n, {}, 2 * n
@@ -576,7 +591,7 @@ class LiveRun:
             n += 1
             if h:
                 break
-        self.state, self.head, self.n, self.h, self.next_save = state, head, n, h, save_at
+        self.state, self.head, self.n, self.h = state, head, n, h
         self._saved, self._undo, self.revisit = (s, sh, ss), undo, revisit
         if missing is not None:
             raise IllFormedMachineError(f"no rule for ({state!r}, {missing!r}) at clock {self.tau}")

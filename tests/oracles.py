@@ -99,7 +99,8 @@ def stepwise_scan(inst):
     """(n, points) per pulse of the instance, as ``hitting._scan`` yields
     them (up to how a pulse is split between items), from one forward
     step (``advance(x, 1)``) and one predicate call per pulse to the
-    horizon."""
+    horizon.  A lit integer point is yielded alone, before the step out
+    of its label, so a consumer that stops there never takes that step."""
     step = BeaconStep(inst.machine, inst.schedule.clock)
     pred = step.target_predicate(inst.target)
     ceiling = _float_ceiling(1 - inst.epsilon)
@@ -110,10 +111,13 @@ def stepwise_scan(inst):
     cur = step.initial_label()
     lit = pred(cur)
     for n in range(horizon + 1):
-        first = (0, 1 if lit else 0, lit)
+        head = ((0, 1 if lit else 0, lit),)
         if n == horizon:
-            yield n, (first,)
+            yield n, head
             return
+        if lit:  # before the step, which a consumer that stops here never takes
+            yield n, head
+            head = ()
         mids = []
         if cyclic and cur.h == 1:
             if isinstance(inst.target, BeaconSubspace):
@@ -124,7 +128,7 @@ def stepwise_scan(inst):
             mids = [(j, f, f >= ceiling) for j, f in enumerate(fids, 1)]
         cur = step.forward(cur)
         lit = pred(cur)
-        yield n, (first, *mids, (grid, 1 if lit else 0, lit))
+        yield n, (*head, *mids, (grid, 1 if lit else 0, lit))
 
 
 @contextlib.contextmanager

@@ -766,23 +766,37 @@ def _variant(y, **fields):
 
 
 @settings(max_examples=60, deadline=None)
-@given(machines(total=True), st.integers(2, 41), st.data())
+@given(machines(total=True), st.one_of(st.none(), st.integers(2, 41)), st.data())
 def test_cycle_offset_is_the_position_in_the_cycle_walk(spec, period, data):
     # the forward walk from x is the oracle (cycle_of lists its members by
     # the closed form cycle_offset inverts): every member sits at its index
-    # in the walk, and no variant off the cycle is placed anywhere
+    # in the walk, and no variant off the cycle is placed anywhere;
+    # _offset, which cycle_offset returns, is the same there, and on the
+    # unbounded clock (period None) it is the step count from the first
+    # halted label x to advance's label, and None for a label off x's run
     assume(isinstance(classical_run(spec, 20), Halted))
-    step = BeaconStep(spec, Cyclic(period))
+    step = BeaconStep(spec, Unbounded() if period is None else Cyclic(period))
     pre_halt = [step.initial_label()]
     while not step.forward(pre_halt[-1]).h:
         pre_halt.append(step.forward(pre_halt[-1]))
     first = step.forward(pre_halt[-1])
+    if period is None:
+        for r in (0, 1, 2, data.draw(st.integers(0, 10**9))):
+            y = step.advance(first, r)
+            assert step._offset(first, y) == r
+            for z in [_variant(y, head=y.head + 1), _variant(y, b=y.b ^ 1)] + pre_halt:
+                assert step._offset(first, z) is None
+        before = _variant(first, tau=first.tau - 1, b=first.b ^ 1)
+        assert step._offset(first, before) is None
+        with pytest.raises(OrbitNotClosedError, match="unbounded"):
+            step.cycle_offset(first, first)
+        return
     x = step.advance(first, data.draw(st.integers(0, step.cycle_length - 1)))
     k = step.cycle_length
     cycle = walk(step, x, k - 1)
     assert step.forward(cycle[-1]) == x
     for r, y in enumerate(cycle):
-        assert step.cycle_offset(x, y) == r
+        assert step.cycle_offset(x, y) == step._offset(x, y) == r
         off = [
             _variant(y, h=0),
             _variant(y, head=y.head + 1),
@@ -798,11 +812,9 @@ def test_cycle_offset_is_the_position_in_the_cycle_walk(spec, period, data):
             off.append(flipped)
         for z in off + pre_halt:
             assert z not in cycle
-            assert step.cycle_offset(x, z) is None
+            assert step.cycle_offset(x, z) is step._offset(x, z) is None
     with pytest.raises(OrbitNotClosedError, match="pre-halt"):
         step.cycle_offset(pre_halt[-1], x)
-    with pytest.raises(OrbitNotClosedError, match="unbounded"):
-        BeaconStep(spec, Unbounded()).cycle_offset(x, x)
 
 
 def test_cycle_of_walks_cycles_past_any_fixed_cap():

@@ -9,6 +9,7 @@ the window [K, K + delta], whose first crossing of 3/4 at G = 6 is the
 Niven point j = 4, t = K + 1/3, with fidelity exactly 3/4.
 """
 
+import contextlib
 import gc
 import itertools
 import math
@@ -62,7 +63,13 @@ from pulsehit.hitting import (
     uhit_semidecide,
 )
 from pulsehit.machine import Halted, classical_run, parse_machine
-from pulsehit.protocol import NoiseModel, ProtocolBudget, classify_with_noise, run_bounded_protocol
+from pulsehit.protocol import (
+    NoiseModel,
+    ProtocolBudget,
+    ReachableAt,
+    classify_with_noise,
+    run_bounded_protocol,
+)
 from pulsehit.reduction import counter_family, encode
 from pulsehit.reversible import (
     BeaconStep,
@@ -776,6 +783,11 @@ def test_scan_equals_the_stepwise_scan(index, clock, exact, grid, horizon, eps, 
     with stepwise_scans():
         want = consumers()
     assert got == want
+    # a hit's window is the pulse from floor(t), or (0, 0) at t = 0
+    for report in (got[0], got[4]):
+        if isinstance(report, Hit):
+            n = math.floor(report.t_hit)
+            assert report.window == ((0, 0) if report.t_hit == 0 else (n, n + delta))
 
 
 @pytest.mark.parametrize("name", ["loop-blink", "loop-with-prefix"])
@@ -881,6 +893,26 @@ def test_a_missing_rule_raises_the_same_error_after_the_same_points():
             with stepwise_scans():
                 with pytest.raises(IllFormedMachineError, match=message):
                     consume(inst)
+    # here the step out of label 0 raises, but an exact target at label 0
+    # is lit there: a consumer that stops at the lit integer point never
+    # takes that step, on either scan
+    spec = parse_machine(
+        "states: q0 qH\nalphabet: _ 1\nstart: q0\nhalt: qH\nrule: q0 1 -> qH 1 S\n"
+    )
+    message = re.escape("no rule for ('q0', '_') at clock 0")
+    for clock in (Unbounded(), Cyclic(3)):
+        step = BeaconStep(spec, clock)
+        target = ExactLabel(step.initial_label())
+        inst = InstanceDescriptor(spec, QUARTER, PulseSchedule(HALF, clock), target, 10, 6)
+        got = points_before_the_error(_scan(inst), message)
+        assert got == points_before_the_error(stepwise_scan(inst), message) == [(0, 0, 1, True)]
+        for scans in (contextlib.nullcontext, stepwise_scans):
+            with scans():
+                assert uhit_semidecide(inst) == Hit(Fraction(0), 1, (Fraction(0), Fraction(0)))
+                out = run_bounded_protocol(inst, ProtocolBudget(100, 100))
+                assert out.verdict == ReachableAt(Fraction(0))
+                with pytest.raises(IllFormedMachineError, match=message):
+                    fidelity_trace(inst)
 
 
 def test_a_long_input_is_scanned_without_a_copy_of_its_tape():

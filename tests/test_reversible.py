@@ -816,17 +816,16 @@ def test_the_step_rebuilds_the_classical_run(spec, clock, n):
     st.integers(0, 60),
 )
 def test_run_k_takes_k_steps_of_the_classical_run(spec, clock, k):
-    # run(k) takes k steps, or stops before one at the flag's rise or at
-    # the revisit it proves, which it does once; the label it leaves is the
-    # one the classical run rebuilds, and advance's, at the steps it took
+    # one run(k) call takes k steps, or stops after the one where the flag
+    # rises; a revisit on the way is recorded, as Brent's pair (checked
+    # against the classical run below), and does not stop it; the label it
+    # leaves is the one the classical run rebuilds, and advance's
     step = BeaconStep(spec, clock)
     init = step.initial_label()
     run = LiveRun(step, init)
     run.run(k)
-    if run.n < k and not run.h:
-        assert run.revisit is not None and run.revisit[1] == run.n
-        run.run(k - run.n)
-    assert run.n == k or run.h
+    assert run.n == k or (run.h and run.n < k)
+    assert run.revisit == _brent_pair(spec, run.n)
     got = run.label()
     want = _label_from_the_classical_run(spec, clock, run.n)
     assert got == want and got.serial == want.serial
@@ -847,35 +846,41 @@ def _first_repeat(spec, cap):
     return None
 
 
+def _brent_pair(spec, cap):
+    """The revisit (s, n) that Brent's bound in the LiveRun docstring names
+    from the classical run's first repeat, if n <= cap; else None."""
+    repeat = _first_repeat(spec, cap)
+    if repeat is None:
+        return None
+    mu, lam = repeat
+    save = 0  # the first save point at or past mu whose window holds mu + lam
+    while save < mu or save + lam > max(2 * save, 1):
+        save = max(2 * save, 1)
+    assert save + lam <= 2 * max(mu, lam) + lam - 1
+    return (save, save + lam) if save + lam <= cap else None
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(st.sampled_from(NAMED_CENSUS), st.integers(0, CENSUS_SIZE - 1)), CLOCKS)
 def test_a_revisit_is_a_loops_forever_certificate(index, clock):
     # the run's revisit (s, n) is the pair a LoopsForever certificate
     # carries: the classical run, which shares no code with the step, has
     # the same state, head and tape at steps s and n and has not halted;
-    # and n is the step Brent's bound in the LiveRun docstring names
+    # n is the step Brent's bound in the LiveRun docstring names; and the
+    # run, which records the revisit without stopping, goes on to the cap
     spec = census_machine(index)
     cap = 64
     step = BeaconStep(spec, clock)
     run = LiveRun(step, step.initial_label())
     run.run(cap)
-    want = None
-    repeat = _first_repeat(spec, cap)
-    if repeat is not None:
-        mu, lam = repeat
-        save = 0  # the first save point at or past mu whose window holds mu + lam
-        while save < mu or save + lam > max(2 * save, 1):
-            save = max(2 * save, 1)
-        assert save + lam <= 2 * max(mu, lam) + lam - 1
-        if save + lam <= cap:
-            want = (save, save + lam)
+    want = _brent_pair(spec, cap)
     assert run.revisit == want
     if want is None:
         assert run.h or run.n == cap
         assert isinstance(classical_run(spec, run.n), Halted) == bool(run.h)
         return
     s, n = want
-    assert run.n == n and not run.h
+    assert run.n == cap and not run.h
     at_s, at_n = classical_run(spec, s), classical_run(spec, n)
     assert isinstance(at_s, StillRunning) and isinstance(at_n, StillRunning)
     assert at_s.at.same_snapshot(at_n.at)
