@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator, Optional, Union
 
 from .errors import (
     IllFormedMachineError,
@@ -294,13 +294,21 @@ def classical_run(
     state is reached within the bound, else ``StillRunning`` at the bound;
     either configuration holds the tape the run built, not a copy.
     This is the ground-truth side of every halting-versus-hitting check, so
-    it deliberately shares no code with the reversible dynamics.
+    it deliberately shares no code with the reversible dynamics, not even a
+    rule-table helper: it builds its own table, state -> symbol ->
+    (next state, symbol written or None when it keeps the cell, head
+    offset), and looks each step's rule up by two subscripts.
     """
     as_count(max_steps, "max_steps")
-    table = rule_table(spec)
+    # every declared state has an entry; a spec built in code may also
+    # hold rules out of undeclared states
+    table: dict[str, dict[str, tuple[str, Optional[str], int]]] = {q: {} for q in spec.states}
+    for r in spec.rules:
+        table.setdefault(r.state, {})[r.read] = (
+            r.next_state, None if r.write == r.read else r.write, _OFFSET[r.move])
     blank = spec.blank
     halt = spec.halt_state
-    tape = {i: sym for i, sym in enumerate(spec.input_word)}
+    tape = dict(enumerate(spec.input_word))
     head = 0
     state = spec.start_state
     k = 0
@@ -310,19 +318,18 @@ def classical_run(
         if k == max_steps:
             return StillRunning(Configuration(state, head, tape, k))
         read = tape.get(head, blank)
-        hit = table.get((state, read))
-        if hit is None:
+        try:
+            state, write, off = table[state][read]
+        except KeyError:
             raise IllFormedMachineError(
                 f"no rule for ({state!r}, {read!r}) at step {k}"
-            )
-        _, rule = hit
-        if rule.write != read:
-            if rule.write == blank:
-                tape.pop(head, None)
+            ) from None
+        if write is not None:
+            if write == blank:
+                del tape[head]
             else:
-                tape[head] = rule.write
-        head += _OFFSET[rule.move]
-        state = rule.next_state
+                tape[head] = write
+        head += off
         k += 1
 
 

@@ -54,7 +54,7 @@ from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .errors import IllFormedMachineError, LabelError, OrbitNotClosedError
 from .errors import ParameterRangeError, as_count, is_count
-from .machine import MachineSpec, rule_table
+from .machine import MachineSpec
 
 _OFFSET = {"L": -1, "R": 1, "S": 0}
 
@@ -259,13 +259,17 @@ class BeaconStep:
                 )
         self.spec = spec
         self.clock = clock
-        # (state, symbol) -> (rule index, symbol written or None when it
-        # keeps the cell, head offset, next state, 1 into the halt state)
-        self._moves = {
-            key: (idx, None if r.write == r.read else r.write, _OFFSET[r.move],
-                  r.next_state, int(r.next_state == spec.halt_state))
-            for key, (idx, r) in rule_table(spec).items()
-        }
+        # state -> symbol -> (rule index, symbol written or None when it
+        # keeps the cell, head offset, next state, 1 into the halt state):
+        # a step looks its rule up by two subscripts and hashes no pair.
+        # Every declared state has an entry, empty when no rule leaves it;
+        # a spec built in code may also hold rules out of undeclared states
+        moves: dict[str, dict[str, tuple]] = {q: {} for q in spec.states}
+        for idx, r in enumerate(spec.rules):
+            moves.setdefault(r.state, {})[r.read] = (
+                idx, None if r.write == r.read else r.write, _OFFSET[r.move],
+                r.next_state, int(r.next_state == spec.halt_state))
+        self._moves = moves
         self._rules = spec.rules
         self._blank = spec.blank
         self._halt = spec.halt_state
@@ -275,7 +279,7 @@ class BeaconStep:
     # -- construction helpers ------------------------------------------------
 
     def initial_label(self) -> ExtendedBasisState:
-        tape = {i: s for i, s in enumerate(self.spec.input_word)}
+        tape = dict(enumerate(self.spec.input_word))
         return ExtendedBasisState(self.spec.start_state, 0, tape, (), 0, 0, 0)
 
     def make_label(
@@ -536,9 +540,10 @@ class LiveRun:
 
     def run(self, k: int) -> None:
         """Take ``k`` steps of the live label in place, or fewer: the run
-        stops after the step that raises the flag.  A step-0 halt raises
-        the flag and toggles the beacon; any other state fires the rule for
-        its state and the symbol under its head.  A missing rule is an
+        stops after the step that raises the flag.  A step looks its rule
+        up by its state, then by the symbol under its head, and fires it.
+        A failed lookup is the step-0 halt in the halt state, which raises
+        the flag and toggles the beacon, or else a missing rule: an
         ill-formed machine, raised with the clock of the label it could not
         step, after the steps before it are kept.  A revisit the detector
         proves on the way is recorded in :attr:`revisit` and does not stop
@@ -570,15 +575,15 @@ class LiveRun:
                     break
                 stop = min(save_at, limit)
             read = get(head, blank)
-            move = moves.get((state, read))
-            if move is None:
-                if state == beacon._halt:  # the step-0 halt
+            try:
+                idx, write, off, state, h = moves[state][read]
+            except KeyError:  # the step-0 halt, or a missing rule
+                if state == beacon._halt:
                     h, self.b = 1, self.b ^ 1
                     n += 1
                 else:
                     missing = read
                 break
-            idx, write, off, state, h = move
             if write is not None:
                 if head not in undo:
                     undo[head] = read

@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from support import (
     BINARY_INC,
+    CENSUS_SIZE,
     HALT_NOW,
     LOOP_STAY,
     MOVE_RIGHT_3,
+    census_machine,
     corpus_machine,
     corpus_text,
     machines,
@@ -328,11 +330,21 @@ def test_serialize_parse_round_trip(spec):
 
 
 @settings(max_examples=60)
-@given(machines(total=True), st.integers(min_value=0, max_value=30))
+@given(
+    st.one_of(machines(), st.integers(0, CENSUS_SIZE - 1).map(census_machine)),
+    st.integers(min_value=0, max_value=30),
+)
 def test_fast_run_agrees_with_pure_stepping(spec, n):
     # dual route: the mutable-tape loop versus the last snapshot of the
-    # trace, two loops that share no code
-    out = classical_run(spec, n)
+    # trace, two loops that share no code.  A machine that falls off its
+    # rule table must do so in both, with the same message
+    try:
+        out = classical_run(spec, n)
+    except IllFormedMachineError as exc:
+        with pytest.raises(IllFormedMachineError) as ei:
+            list(classical_trace(spec, n))
+        assert str(ei.value) == str(exc)
+        return
     *_, c = classical_trace(spec, n)
     if isinstance(out, Halted):
         assert c.state == spec.halt_state

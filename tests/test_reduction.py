@@ -224,6 +224,18 @@ def test_agreement_rule_cases():
     assert _agrees(LoopsForever((0, 1)), Exhausted(100, 0), QUARTER, HALF, 100)
     assert not _agrees(LoopsForever((0, 1)), hit_at_3, QUARTER, HALF, 100)
     assert not _agrees(LoopsForever((0, 1)), Exhausted(100, 0.5), QUARTER, HALF, 100)
+    # the bounds themselves: a window that overlaps [3, 7/2] only at one
+    # end agrees, one that misses it by 1/100 does not
+    for window, agrees in (
+        ((Fraction(7, 2), Fraction(4)), True),
+        ((Fraction(7, 2) + Fraction(1, 100), Fraction(4)), False),
+        ((Fraction(5, 2), Fraction(3)), True),
+        ((Fraction(2), Fraction(3) - Fraction(1, 100)), False),
+    ):
+        assert _agrees(Halts(3), Hit(window[0], 1, window), QUARTER, HALF, 100) == agrees
+    # a halt at step horizon - 1 is detectable, one at the horizon is not
+    assert not _agrees(Halts(99), Exhausted(100, 0), QUARTER, HALF, 100)
+    assert _agrees(Halts(100), Exhausted(100, 0), QUARTER, HALF, 100)
 
 
 def test_verify_corpus_rejects_corpus_bugs_before_scanning():

@@ -122,6 +122,21 @@ def test_forward_raises_on_missing_rule():
         step.forward(step.initial_label())
 
 
+def test_a_rule_into_an_undeclared_state_is_a_typed_error():
+    # a spec built in code skips the parser's checks: its one rule enters
+    # qX, which no table has an entry for, so the lookup at step 1 fails
+    # on the state, not on the symbol, and must still be a typed error
+    spec = MachineSpec(("q0", "qH"), ("_", "1"), "q0", "qH", (Rule("q0", "_", "qX", "1", "R"),), ())
+    at_step_1 = r"^no rule for \('qX', '_'\) at step 1$"
+    with pytest.raises(IllFormedMachineError, match=at_step_1):
+        classical_run(spec, 5)
+    with pytest.raises(IllFormedMachineError, match=at_step_1):
+        list(classical_trace(spec, 5))
+    step = BeaconStep(spec, Unbounded())
+    with pytest.raises(IllFormedMachineError, match=r"^no rule for \('qX', '_'\) at clock 1$"):
+        step.advance(step.initial_label(), 5)
+
+
 # -- backward: unbounded ------------------------------------------------------
 
 
