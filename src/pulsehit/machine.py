@@ -300,9 +300,7 @@ def classical_run(
     offset), and looks each step's rule up by two subscripts.
     """
     as_count(max_steps, "max_steps")
-    # every declared state has an entry; a spec built in code may also
-    # hold rules out of undeclared states
-    table: dict[str, dict[str, tuple[str, Optional[str], int]]] = {q: {} for q in spec.states}
+    table: dict[str, dict[str, tuple[str, Optional[str], int]]] = {}
     for r in spec.rules:
         table.setdefault(r.state, {})[r.read] = (
             r.next_state, None if r.write == r.read else r.write, _OFFSET[r.move])

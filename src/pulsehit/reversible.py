@@ -261,10 +261,8 @@ class BeaconStep:
         self.clock = clock
         # state -> symbol -> (rule index, symbol written or None when it
         # keeps the cell, head offset, next state, 1 into the halt state):
-        # a step looks its rule up by two subscripts and hashes no pair.
-        # Every declared state has an entry, empty when no rule leaves it;
-        # a spec built in code may also hold rules out of undeclared states
-        moves: dict[str, dict[str, tuple]] = {q: {} for q in spec.states}
+        # a step looks its rule up by two subscripts and hashes no pair
+        moves: dict[str, dict[str, tuple]] = {}
         for idx, r in enumerate(spec.rules):
             moves.setdefault(r.state, {})[r.read] = (
                 idx, None if r.write == r.read else r.write, _OFFSET[r.move],

@@ -12,18 +12,17 @@ three inputs:
 
 A ``classical_run`` time includes building its rule table and its tape; a
 ``LiveRun.run`` time is the call alone, on a run built before the timer
-starts.  Each figure is the median over rounds; a round runs every (input,
-loop) pair once, in an order that is reversed on every other round, so a
-host that slows down for a while slows both loops alike.  Every run's step
+starts.  Each figure is the median over ``ROUNDS`` rounds; a round runs
+every (input, loop) pair once, in an order that is reversed on every other
+round, so a host that slows down for a while slows both loops alike.  Every run's step
 count is checked.  Only the standard library is used, and the pulsehit
 package is whichever one ``PYTHONPATH`` names::
 
-    PYTHONPATH=src python tests/step_rate.py [--rounds N]
+    PYTHONPATH=src python tests/step_rate.py
 """
 
 from __future__ import annotations
 
-import argparse
 import statistics
 import sys
 import time
@@ -32,6 +31,7 @@ from pulsehit.machine import Halted, MachineSpec, Rule, classical_run
 from pulsehit.reduction import counter_family
 from pulsehit.reversible import BeaconStep, LiveRun, Unbounded
 
+ROUNDS = 21
 RIGHT_MOVER = MachineSpec(
     ("q0", "qH"),
     ("_", "1"),
@@ -73,18 +73,13 @@ def time_live(spec: MachineSpec, steps: int) -> float:
 LOOPS = (("classical_run", time_classical), ("LiveRun.run", time_live))
 
 
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--rounds", type=int, default=21)
-    rounds = parser.parse_args(argv).rounds
-    if rounds < 1:
-        parser.error("--rounds must be at least 1")
+def main() -> int:
     pairs = [(inp, loop) for inp in INPUTS for loop in LOOPS]
     times: dict[tuple[str, str], list[float]] = {}
-    for r in range(rounds):
+    for r in range(ROUNDS):
         for (name, spec, steps), (loop, timer) in pairs if r % 2 == 0 else pairs[::-1]:
             times.setdefault((name, loop), []).append(timer(spec, steps))
-    print(f"ns per step, median of {rounds} rounds of process CPU time")
+    print(f"ns per step, median of {ROUNDS} rounds of process CPU time")
     print(f"{'input':<24} {'steps':>7} " + " ".join(f"{loop:>14}" for loop, _ in LOOPS))
     for name, _, steps in INPUTS:
         cells = " ".join(f"{statistics.median(times[name, loop]):>14.1f}" for loop, _ in LOOPS)
@@ -93,4 +88,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
