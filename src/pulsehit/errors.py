@@ -93,7 +93,10 @@ def as_count(x, what: str, least: int = 0) -> None:
 
 def as_rational(x, what: str) -> Fraction:
     """``x`` as an exact Fraction, else a typed error naming ``what``; a
-    bool is refused, as :func:`as_count` refuses it."""
+    bool is refused, as :func:`as_count` refuses it.  A ``Fraction`` (not a
+    subclass) is returned as it is."""
+    if type(x) is Fraction:
+        return x
     if not isinstance(x, bool):
         try:
             return Fraction(x)

@@ -78,7 +78,7 @@ from typing import Iterable, Iterator, Optional, Union
 from .dynamics import PulseSchedule, _float_coeffs
 from .errors import IllFormedMachineError, ParameterRangeError, as_count, as_rational
 from .machine import MachineSpec
-from .reversible import BeaconStep, BeaconSubspace, ExactLabel, LiveRun
+from .reversible import BeaconStep, BeaconSubspace, ExactLabel, ExtendedBasisState, LiveRun
 
 Number = Union[int, float, Fraction]
 
@@ -330,7 +330,10 @@ def _scan(inst: InstanceDescriptor, *, dark_tail: bool = True) -> Iterator[tuple
     last = len(target.phi.hist) if isinstance(target, ExactLabel) else -1
     alone, ends, plain = _plain_pulses(grid)
     dark = plain[0][0]
-    run = LiveRun(step, step.initial_label())
+    # the initial label, with its tape built once, as the run's own: the
+    # run copies the tape of the label it starts from, here an empty one
+    run = LiveRun(step, ExtendedBasisState(inst.machine.start_state, 0, {}, (), 0, 0, 0))
+    run.tape = dict(enumerate(inst.machine.input_word))
     lit = last == 0 and run.label() == target.phi
     n = 0
     while not run.h:

@@ -133,14 +133,23 @@ def read_document(path) -> str:
         ) from None
 
 
-def _tokenize(text: str) -> Iterator[tuple[int, list[tuple[int, str]]]]:
-    """Yield ``(line_number, [(column, token), ...])`` for nonempty lines,
-    with comments stripped.  Lines and columns are 1-based."""
+def _tokenize(text: str) -> Iterator[tuple[int, str, list[str]]]:
+    """Yield ``(line_number, line, tokens)`` for nonempty lines, with
+    comments stripped from ``line``; line numbers are 1-based.  The tokens
+    are ``line.split()``: no column is computed here, only by
+    :func:`_column` for an error."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
-        toks = [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", line)]
+        toks = line.split()
         if toks:
-            yield lineno, toks
+            yield lineno, line, toks
+
+
+def _column(line: str, index: int) -> int:
+    """The 1-based column of token ``index`` of a line from :func:`_tokenize`
+    (``\\S+`` and ``str.split`` agree on whitespace); computed only for a
+    :class:`MachineSyntaxError`, never for an accepted document."""
+    return list(re.finditer(r"\S+", line))[index].start() + 1
 
 
 def parse_machine(text: str) -> MachineSpec:
@@ -149,36 +158,38 @@ def parse_machine(text: str) -> MachineSpec:
     Raises :class:`MachineSyntaxError` (with line and column) for malformed
     lines and :class:`MachineSemanticsError` (naming the offending item) for
     structural violations such as duplicate ``(state, symbol)`` rules or a
-    rule leaving the halt state.
+    rule leaving the halt state.  A line's tokens come from ``str.split``;
+    a token's column is found only for the error that names it
+    (:func:`_column`), so an accepted document costs no column.
     """
-    sections: dict[str, tuple[int, list[tuple[int, str]]]] = {}
-    rule_lines: list[tuple[int, list[tuple[int, str]]]] = []
-    for lineno, toks in _tokenize(text):
-        col0, head = toks[0]
+    sections: dict[str, tuple[int, str, list[str]]] = {}
+    rule_lines: list[tuple[int, str, list[str]]] = []
+    for lineno, line, toks in _tokenize(text):
+        head = toks[0]
         if head not in _SECTIONS:
             raise MachineSyntaxError(
                 f"unknown directive {head!r} (expected one of {', '.join(_SECTIONS)})",
                 lineno,
-                col0,
+                _column(line, 0),
             )
         body = toks[1:]
         if head == "rule:":
-            rule_lines.append((lineno, body))
+            rule_lines.append((lineno, line, body))
             continue
         key = head[:-1]
         if key in sections:
             raise MachineSemanticsError(f"duplicate section {head!r} on line {lineno}")
-        sections[key] = (lineno, body)
+        sections[key] = (lineno, line, body)
 
     for key in ("states", "alphabet", "start", "halt"):
         if key not in sections:
             raise MachineSemanticsError(f"missing mandatory section '{key}:'")
 
     def distinct_tokens(key: str, what: str) -> tuple[str, ...]:
-        lineno, body = sections[key]
+        lineno, _, body = sections[key]
         if not body:
             raise MachineSyntaxError(f"empty '{key}:' line", lineno, 1)
-        toks = tuple(tok for _, tok in body)
+        toks = tuple(body)
         if len(set(toks)) != len(toks):
             raise MachineSemanticsError(f"duplicate {what} in '{key}:'")
         return toks
@@ -187,12 +198,12 @@ def parse_machine(text: str) -> MachineSpec:
     alphabet = distinct_tokens("alphabet", "symbol")
 
     def one_token(key: str) -> str:
-        lineno, body = sections[key]
+        lineno, line, body = sections[key]
         if len(body) != 1:
             raise MachineSyntaxError(
-                f"'{key}:' takes exactly one token", lineno, body[0][0] if body else 1
+                f"'{key}:' takes exactly one token", lineno, _column(line, 1) if body else 1
             )
-        return body[0][1]
+        return body[0]
 
     start = one_token("start")
     halt = one_token("halt")
@@ -207,8 +218,7 @@ def parse_machine(text: str) -> MachineSpec:
 
     input_word: tuple[str, ...] = ()
     if "input" in sections:
-        lineno, body = sections["input"]
-        toks = [tok for _, tok in body]
+        toks = sections["input"][2]
         if len(toks) == 1 and toks[0] not in symbol_set:
             # compact form: each character must be a declared symbol
             chars = list(toks[0])
@@ -228,15 +238,14 @@ def parse_machine(text: str) -> MachineSpec:
 
     rules: list[Rule] = []
     seen: dict[tuple[str, str], int] = {}
-    for lineno, body in rule_lines:
-        if len(body) != 6 or body[2][1] != "->":
-            col = body[0][0] if body else 1
+    for lineno, line, body in rule_lines:
+        if len(body) != 6 or body[2] != "->":
             raise MachineSyntaxError(
                 "rule line must read 'rule: STATE SYMBOL -> STATE SYMBOL MOVE'",
                 lineno,
-                col,
+                _column(line, 1) if body else 1,
             )
-        (_, q), (_, s), _, (_, q2), (_, s2), (mcol, mv) = body
+        q, s, _, q2, s2, mv = body
         for name, kind in ((q, "state"), (q2, "state")):
             if name not in state_set:
                 raise MachineSemanticsError(
@@ -249,7 +258,7 @@ def parse_machine(text: str) -> MachineSpec:
                 )
         if mv not in MOVES:
             raise MachineSyntaxError(
-                f"move must be one of {MOVES}, got {mv!r}", lineno, mcol
+                f"move must be one of {MOVES}, got {mv!r}", lineno, _column(line, 6)
             )
         if q == halt:
             raise MachineSemanticsError(

@@ -4,9 +4,9 @@ Each row is one command line with the exit code it must return and, where
 its bytes are pinned, the md5 of its output (or the whole text, when it is
 short); a row may instead require the same output as an earlier row, or a
 count of the lines holding some text.  The output is stdout, or the file
-that the command's ``--out`` names.  Paths are relative to the repository
-root, and ``{tmp}`` stands for a scratch directory that holds the input
-files of :data:`INPUTS`.
+that the command's ``--out`` names; a row may also pin the whole of
+stderr.  Paths are relative to the repository root, and ``{tmp}`` stands
+for a scratch directory that holds the input files of :data:`INPUTS`.
 
 Run as a script, the table needs only the standard library: each row runs
 as ``python -m pulsehit`` in a subprocess, from the repository root, under
@@ -37,6 +37,17 @@ INPUTS = {
         "rule: q0 _ -> q0 1 R\nrule: q0 1 -> qH 1 S\n"
     ),
     "empty-manifest.json": "[]\n",
+    # malformed documents whose tokens are separated by tabs and no-break
+    # spaces: each error names its token's column
+    "tab-move.tm": (
+        "states:\tq0 qH\nalphabet:\t_ 1\nstart:\tq0\nhalt:\tqH\n"
+        "rule:\tq0\t_\t->\tqH\t_\tX\n"
+    ),
+    "nbsp-start.tm": "states: q0 qH\nalphabet: _ 1\nstart:\u00a0q0\u00a0qH\nhalt: qH\n",
+    "nbsp-rule.tm": (
+        "states: q0 qH\nalphabet: _ 1\nstart: q0\nhalt: qH\nrule:\u00a0 q0 _\t-> qH _\n"
+    ),
+    "tab-directive.tm": "states: q0 qH\n\t\u00a0 bogus: x\n",
 }
 
 MOVER = "src/pulsehit/corpus/move-right-3.tm"
@@ -56,6 +67,7 @@ class Pin:
     text: Optional[str] = None  # the whole output
     same: Optional[str] = None  # the row whose output this one's equals
     count: Optional[tuple[str, int]] = None  # the lines holding a text, and how many
+    stderr: Optional[str] = None  # the whole of stderr
     timeout: Optional[int] = None  # seconds, for the subprocess run
 
     def args(self, tmp: str) -> list[str]:
@@ -67,7 +79,9 @@ class Pin:
             return Path(self.args(tmp)[self.argv.index("--out") + 1]).read_bytes()
         return stdout
 
-    def problems(self, code: int, output: bytes, outputs: dict[str, bytes]) -> list[str]:
+    def problems(
+        self, code: int, output: bytes, outputs: dict[str, bytes], stderr: bytes
+    ) -> list[str]:
         """What is wrong with one run of the row; ``outputs`` holds the
         outputs of the rows run before it, by name."""
         found = []
@@ -84,6 +98,8 @@ class Pin:
             got = sum(text in line for line in output.decode().splitlines())
             if got != want:
                 found.append(f"{got} lines hold {text!r}, want {want}")
+        if self.stderr is not None and stderr != self.stderr.encode():
+            found.append(f"stderr {stderr[:200]!r}, want {self.stderr!r}")
         return found
 
 
@@ -169,6 +185,17 @@ PINS = (
     Pin("sweep-out", ("sweep", "--budgets", "10,100,1000,2000", "--out", "{tmp}/sweep-out.json"),
         timeout=60, same="sweep"),
     Pin("verify-grid", ("verify", "--grid", "3"), code=1),
+    Pin("hit-tab-move", ("hit", "{tmp}/tab-move.tm"), code=1, text="",
+        stderr="pulsehit: error: line 5, col 20: move must be one of ('L', 'R', 'S'),"
+               " got 'X'\n"),
+    Pin("compile-nbsp-start", ("compile", "{tmp}/nbsp-start.tm"), code=1, text="",
+        stderr="pulsehit: error: line 3, col 8: 'start:' takes exactly one token\n"),
+    Pin("trace-nbsp-rule", ("trace", "{tmp}/nbsp-rule.tm"), code=1, text="",
+        stderr="pulsehit: error: line 5, col 8: rule line must read"
+               " 'rule: STATE SYMBOL -> STATE SYMBOL MOVE'\n"),
+    Pin("evolve-tab-directive", ("evolve", "{tmp}/tab-directive.tm", "--time", "1"), code=1,
+        text="", stderr="pulsehit: error: line 2, col 4: unknown directive 'bogus:' (expected"
+                        " one of states:, alphabet:, start:, halt:, input:, rule:)\n"),
 )
 
 BY_NAME = {pin.name: pin for pin in PINS}
@@ -176,7 +203,7 @@ BY_NAME = {pin.name: pin for pin in PINS}
 
 def write_inputs(tmp: Path) -> None:
     for name, text in INPUTS.items():
-        (tmp / name).write_text(text)
+        (tmp / name).write_text(text, encoding="utf-8")
 
 
 def main() -> int:
@@ -194,7 +221,8 @@ def main() -> int:
                 found, stderr = [f"ran past its {pin.timeout} s timeout"], b""
             else:
                 outputs[pin.name] = output = pin.output(proc.stdout, tmp)
-                found, stderr = pin.problems(proc.returncode, output, outputs), proc.stderr
+                stderr = proc.stderr
+                found = pin.problems(proc.returncode, output, outputs, stderr)
             if found:
                 failed += 1
                 print(f"FAIL {pin.name}: {'; '.join(found)}")

@@ -1,4 +1,4 @@
-"""Independent numerical oracles for the dynamics tests.
+"""Independent oracles for the dynamics, scan and parser tests.
 
 Everything here deliberately avoids the package's own coefficient
 machinery: the fractional power of a cycle is rebuilt from a dense
@@ -20,13 +20,19 @@ places each pulse's mid-pulse points from that pulse's own stepped label
 and shares with the package only the closed form at a placed offset,
 because what it checks is the jump and the placement, not the closed
 form.
+
+:func:`regex_tokenize` is the machine parser's tokenizer before it split
+lines with ``str.split``: one ``\\S+`` match per token, each carrying its
+column, kept verbatim as the reference for tokens and columns.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+import re
 from fractions import Fraction
+from typing import Iterator
 from unittest.mock import patch
 
 import numpy as np
@@ -35,6 +41,16 @@ from pulsehit import hitting, protocol
 from pulsehit.dynamics import _closed_form_arg
 from pulsehit.hitting import _float_ceiling, _mid_fidelities
 from pulsehit.reversible import BeaconStep, BeaconSubspace
+
+
+def regex_tokenize(text: str) -> Iterator[tuple[int, list[tuple[int, str]]]]:
+    """Yield ``(line_number, [(column, token), ...])`` for nonempty lines,
+    with comments stripped.  Lines and columns are 1-based."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        toks = [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", line)]
+        if toks:
+            yield lineno, toks
 
 
 def cycle_permutation(k: int) -> np.ndarray:

@@ -651,5 +651,6 @@ def test_pinned_cli_output(pin, capsys, monkeypatch, tmp_path):
     outputs = {}
     for row in ([BY_NAME[pin.same]] if pin.same else []) + [pin]:
         code = main(row.args(str(tmp_path)))
-        outputs[row.name] = output = row.output(capsys.readouterr().out.encode(), str(tmp_path))
-    assert pin.problems(code, output, outputs) == []
+        out, err = capsys.readouterr()
+        outputs[row.name] = output = row.output(out.encode(), str(tmp_path))
+    assert pin.problems(code, output, outputs, err.encode()) == []

@@ -69,6 +69,7 @@ from pulsehit.errors import (
     PrecisionBudgetError,
     StateNormError,
     TimeTagError,
+    as_rational,
 )
 import pulsehit
 from pulsehit.machine import Halted, classical_run, serialize_machine
@@ -1235,6 +1236,21 @@ def test_approx_unitary_validation():
             approx_unitary(step, sched, ["x"], t, 20)
     with pytest.raises(ParameterRangeError):
         approx_unitary(step, PulseSchedule(HALF, Unbounded()), basis, 1, 20)
+
+
+def test_as_rational_passes_a_fraction_through_and_refuses_as_before():
+    class Ratio(Fraction):
+        pass
+
+    q = Fraction(3, 7)
+    assert as_rational(q, "x") is q
+    for x, want in [(Ratio(3, 7), q), (3, Fraction(3)), ("3/7", q), (0.5, HALF)]:
+        got = as_rational(x, "x")
+        assert type(got) is Fraction and got == want
+    for x in (True, False, float("nan"), float("inf"), "x", None):
+        with pytest.raises(ParameterRangeError) as refused:
+            as_rational(x, "x")
+        assert str(refused.value) == f"x must be rational, got {x!r}"
 
 
 # -- schedules and serialization ------------------------------------------------

@@ -940,6 +940,27 @@ def test_a_long_input_is_scanned_without_a_copy_of_its_tape():
     assert peak < size / 2
 
 
+def test_a_scan_builds_one_tape_before_its_first_item():
+    # the scan builds the run's tape and no label tape beside it, so up to
+    # the first item it holds one tape, not a label's tape and its copy
+    n = 10**5
+    spec = counter_family(n)
+    inst = beacon_instance(spec, Unbounded(), n + 3)
+    tracemalloc.start()
+    try:
+        tape = dict(enumerate(spec.input_word))
+        one = tracemalloc.get_traced_memory()[1]
+        del tape
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        scan = _scan(inst)
+        next(scan)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * one
+
+
 @pytest.mark.parametrize("horizon, want", [(10**7, Exhausted(10**7, 0)),
                                            (10**9, Hit(10**9 - HALF, 1, (10**9 - 1, 10**9 - HALF)))])
 def test_an_exact_target_far_past_the_halt_is_reached_by_arithmetic(horizon, want):

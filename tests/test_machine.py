@@ -8,6 +8,7 @@ be regenerated from the code under test.
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import regex_tokenize
 from support import (
     BINARY_INC,
     CENSUS_SIZE,
@@ -28,10 +29,13 @@ from pulsehit.errors import (
     ParameterRangeError,
 )
 from pulsehit.machine import (
+    _SECTIONS,
     Configuration,
     Halted,
     Rule,
     StillRunning,
+    _column,
+    _tokenize,
     classical_run,
     classical_trace,
     parse_machine,
@@ -353,3 +357,65 @@ def test_fast_run_agrees_with_pure_stepping(spec, n):
     else:
         assert c.state != spec.halt_state
         assert out.at == c
+
+
+# -- the tokenizer against the regex one it replaced ------------------------
+
+# whitespace that stays within a line, and whitespace that also ends one
+# under str.splitlines
+INLINE = [" ", "\t", "\u00a0", "\u2003", "\u3000"]
+BREAKING = ["\x1c", "\x85", "\u2028"]
+WORDS = [*_SECTIONS, "q0", "qH", "a", "_", "1", "->", "L", "R", "S", "X", "bogus:"]
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from(WORDS + INLINE + BREAKING + ["#", "\n", "\r\n"]),
+                max_size=80).map("".join))
+def test_tokens_and_columns_match_the_regex_tokenizer(text):
+    got = [
+        (lineno, [(_column(line, i), tok) for i, tok in enumerate(toks)])
+        for lineno, line, toks in _tokenize(text)
+    ]
+    assert got == list(regex_tokenize(text))
+
+
+@st.composite
+def corrupted_documents(draw):
+    """A random machine's document with spaced tokens, comments and mixed
+    line ends, one token corrupted, and the line and the token index the
+    error must name."""
+    lines = [line.split() for line in serialize_machine(draw(machines(total=True))).splitlines()]
+    kind = draw(st.sampled_from(["directive", "short-rule", "move", "start"]))
+    rules = [i for i, toks in enumerate(lines) if toks[0] == "rule:"]
+    if kind == "directive":
+        at, index = draw(st.integers(0, len(lines) - 1)), 0
+        lines[at][0] = "bogus:"
+    elif kind == "short-rule":
+        at, index = draw(st.sampled_from(rules)), 1
+        del lines[at][draw(st.integers(1, 6))]
+    elif kind == "move":
+        at, index = draw(st.sampled_from(rules)), 6
+        lines[at][6] = "X"
+    else:
+        at, index = 2, 1
+        assert lines[at][0] == "start:"
+        lines[at].append(lines[at][1])
+    spaces = st.text(st.sampled_from(INLINE), min_size=1, max_size=3)
+    text = ""
+    for toks in lines:
+        text += draw(st.sampled_from(["", *INLINE]))
+        text += "".join(tok + draw(spaces) for tok in toks)
+        if draw(st.booleans()):
+            text += "#" + draw(st.sampled_from(WORDS)) + draw(spaces) + "# ->"
+        text += draw(st.sampled_from(["\n", "\r\n", *BREAKING]))
+    return text, at + 1, index
+
+
+@settings(max_examples=200)
+@given(corrupted_documents())
+def test_a_syntax_error_names_the_regex_column_of_its_token(case):
+    text, line, index = case
+    with pytest.raises(MachineSyntaxError) as ei:
+        parse_machine(text)
+    want = dict(regex_tokenize(text))[line][index][0]
+    assert (ei.value.line, ei.value.col) == (line, want)
